@@ -113,9 +113,10 @@ fn measure<F: Fn() -> String>(reps: usize, f: F) -> Sample {
 }
 
 /// Replica write-through stress at the vm layer: fault in a
-/// million-page address space under four eager per-node replicas, flip
-/// every frame (the `move_pages` PTE rewrite), then unmap half — ~12M
-/// replica PTE writes through the linear-diff sync. Single-threaded by
+/// million-page address space under eager replication for four nodes
+/// (one mirror table charged four times), flip every frame (the
+/// `move_pages` PTE rewrite), then unmap half — ~12M replica PTE writes
+/// charged, ~3M performed by the window-bounded diff. Single-threaded by
 /// construction (one address space), so the jobs value is irrelevant and
 /// the checksum trivially jobs-invariant.
 fn ptrepl_replica_stress() -> String {

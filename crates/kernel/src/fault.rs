@@ -91,9 +91,11 @@ impl Kernel {
         write: bool,
         b: &mut Breakdown,
     ) -> FaultResolution {
-        let topo = self.topology().clone();
-        let cost = topo.cost();
-        let local = topo.node_of_core(core);
+        // Scalar copies of the cost fields used across the `&mut self`
+        // calls below, instead of an `Arc<Topology>` clone per fault.
+        let fault_ns = self.topo.cost().page_fault_ns;
+        let lock_fraction = self.topo.cost().pt_lock_fraction;
+        let local = self.topo.node_of_core(core);
 
         let Some(vma) = space.find_vma(addr) else {
             return FaultResolution::Fatal(VmError::NoVma(addr));
@@ -121,7 +123,7 @@ impl Kernel {
                     self.counters.bump(Counter::SegvSignals);
                     self.trace.record(now, TraceEventKind::Signal { page: vpn });
                     return FaultResolution::Segv {
-                        end: now + cost.page_fault_ns,
+                        end: now + fault_ns,
                     };
                 }
                 let mut t0 = now;
@@ -166,13 +168,13 @@ impl Kernel {
                 );
                 debug_assert!(prev.is_none(), "first touch of an already-mapped page");
 
-                b.add(CostComponent::FaultControl, cost.page_fault_ns);
+                b.add(CostComponent::FaultControl, fault_ns);
                 // Allocation + zeroing, partially serialized (zone lock).
-                let work = cost.first_touch_ns * pages_covered;
+                let work = self.topo.cost().first_touch_ns * pages_covered;
                 let end = self.locks.pt_serialized(
-                    t0 + cost.page_fault_ns,
+                    t0 + fault_ns,
                     work,
-                    cost.pt_lock_fraction,
+                    lock_fraction,
                     CostComponent::FaultControl,
                     b,
                 );
@@ -210,16 +212,16 @@ impl Kernel {
 
             // ------------------------------------- kernel next-touch hit
             Some(pte) if pte.is_next_touch() => {
-                b.add(CostComponent::FaultControl, cost.page_fault_ns);
-                let mut t = now + cost.page_fault_ns;
+                b.add(CostComponent::FaultControl, fault_ns);
+                let mut t = now + fault_ns;
                 let src = frames.node_of(pte.frame);
                 let mut migrated = false;
                 let mut node = src;
                 if src == local {
                     t = self.locks.pt_serialized(
                         t,
-                        cost.nt_fault_control_ns * pages_covered,
-                        cost.pt_lock_fraction,
+                        self.topo.cost().nt_fault_control_ns * pages_covered,
+                        lock_fraction,
                         CostComponent::FaultControl,
                         b,
                     );
@@ -240,7 +242,7 @@ impl Kernel {
                             src,
                             local,
                             bytes,
-                            cost.nt_fault_control_ns * pages_covered,
+                            self.topo.cost().nt_fault_control_ns * pages_covered,
                             CostComponent::FaultControl,
                             CostComponent::FaultCopy,
                             b,
@@ -320,12 +322,9 @@ impl Kernel {
                     }
                     let node = frames.node_of(entry.frame);
                     drop(entry); // write back before the replica sync reads it
-                    b.add(CostComponent::FaultControl, cost.page_fault_ns);
-                    let end = self.pt_note_update(
-                        space,
-                        now + cost.page_fault_ns,
-                        PageRange::new(vpn, vpn + 1),
-                    );
+                    b.add(CostComponent::FaultControl, fault_ns);
+                    let end =
+                        self.pt_note_update(space, now + fault_ns, PageRange::new(vpn, vpn + 1));
                     tlb.invalidate_local(core);
                     self.trace.record(
                         now,
@@ -334,7 +333,7 @@ impl Kernel {
                             node: node.0,
                             write,
                             migrated: false,
-                            dur_ns: cost.page_fault_ns,
+                            dur_ns: fault_ns,
                         },
                     );
                     FaultResolution::Resolved {
@@ -348,7 +347,7 @@ impl Kernel {
                     self.counters.bump(Counter::SegvSignals);
                     self.trace.record(now, TraceEventKind::Signal { page: vpn });
                     FaultResolution::Segv {
-                        end: now + cost.page_fault_ns,
+                        end: now + fault_ns,
                     }
                 }
             }

@@ -213,8 +213,7 @@ impl Kernel {
         copy_component: numa_stats::CostComponent,
         b: &mut numa_stats::Breakdown,
     ) -> numa_sim::SimTime {
-        let topo = self.topo.clone();
-        let q = self.quanta.get(topo.cost(), control_ns, bytes);
+        let q = self.quanta.get(self.topo.cost(), control_ns, bytes);
         let acq = self.locks.pt.acquire(now, q.serial_ns);
         b.add(control_component, control_ns);
         b.add(numa_stats::CostComponent::LockWait, acq.wait_ns);
@@ -232,7 +231,7 @@ impl Kernel {
         // preserved.
         let xfer = self
             .interconnect
-            .transfer(&topo, t, src, dst, bytes, q.copy_bw);
+            .transfer(&self.topo, t, src, dst, bytes, q.copy_bw);
         b.add(copy_component, q.nominal_copy_ns + xfer.wait_ns);
         xfer.end
     }

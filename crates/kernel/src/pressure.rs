@@ -246,11 +246,10 @@ impl Kernel {
         protect_vpn: Option<u64>,
         b: &mut Breakdown,
     ) -> (SimTime, u64) {
-        let topo = self.topology().clone();
-        let cost = topo.cost();
         self.counters.bump(Counter::DirectReclaims);
         let batch = u64::from(self.config.pressure.reclaim_batch);
-        let prefer_slow = self.config.tiering && topo.is_tiered();
+        let prefer_slow = self.config.tiering && self.topo.is_tiered();
+        let control_ns = self.topo.cost().migrate_pages_control_ns;
         let mut t = now;
         let mut scanned = 0u64;
         let mut reclaimed = 0u64;
@@ -290,7 +289,7 @@ impl Kernel {
             if self.inject(t, FaultSite::Reclaim).is_some() {
                 // Injected failure: the victim is pinned/busy. Skip it,
                 // charging only the failed isolate attempt.
-                self.charge_failed_page(&mut t, b, cost, CostComponent::MigratePagesWalk);
+                self.charge_failed_page(&mut t, b, CostComponent::MigratePagesWalk);
                 continue;
             }
             let Some(pte) = space.page_table.get(vpn) else {
@@ -308,7 +307,7 @@ impl Kernel {
                 node,
                 dest,
                 PAGE_SIZE,
-                cost.migrate_pages_control_ns,
+                control_ns,
                 CostComponent::MigratePagesWalk,
                 CostComponent::FaultCopy,
                 b,
@@ -373,8 +372,6 @@ impl Kernel {
         vpn: u64,
         node: NodeId,
     ) -> (SimTime, Breakdown, Option<PageStatus>) {
-        let topo = self.topology().clone();
-        let cost = topo.cost();
         let mut b = Breakdown::new();
         let mut t = now;
         let Some(pte) = space.page_table.get(vpn) else {
@@ -392,20 +389,26 @@ impl Kernel {
         if pte.shadow.is_some() {
             // A transactional tier migration is mid-flight on this page;
             // come back after it commits or aborts.
-            self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+            self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
             return (t, b, Some(PageStatus::Busy));
         }
         let old_frame = pte.frame;
-        let bytes = if huge { cost.huge_page_size } else { PAGE_SIZE };
+        // Scalar copies instead of an `Arc<Topology>` clone per page.
+        let control_ns = self.topo.cost().migrate_pages_control_ns;
+        let bytes = if huge {
+            self.topo.cost().huge_page_size
+        } else {
+            PAGE_SIZE
+        };
 
         // Injection decision precedes all side effects (see move_one_page).
         match self.inject(t, FaultSite::Evacuation) {
             Some(FaultKind::TransientCopy) => {
-                self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+                self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
                 return (t, b, Some(PageStatus::Busy));
             }
             Some(FaultKind::FrameExhausted) => {
-                self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+                self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
                 self.degrade(t, vpn, "frame_exhausted");
                 return (t, b, Some(PageStatus::NoMemory));
             }
@@ -416,7 +419,7 @@ impl Kernel {
                     node,
                     node,
                     bytes,
-                    cost.migrate_pages_control_ns,
+                    control_ns,
                     CostComponent::MigratePagesWalk,
                     CostComponent::FaultCopy,
                     &mut b,
@@ -428,12 +431,12 @@ impl Kernel {
         }
 
         let Some(dest) = self.pick_dest(frames, node, false) else {
-            self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+            self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
             self.degrade(t, vpn, "no_destination");
             return (t, b, Some(PageStatus::NoMemory));
         };
         let Some(new_frame) = self.alloc_frame(frames, dest, None) else {
-            self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+            self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
             self.degrade(t, vpn, "frame_exhausted");
             return (t, b, Some(PageStatus::NoMemory));
         };
@@ -443,7 +446,7 @@ impl Kernel {
             node,
             dest,
             bytes,
-            cost.migrate_pages_control_ns,
+            control_ns,
             CostComponent::MigratePagesWalk,
             CostComponent::FaultCopy,
             &mut b,

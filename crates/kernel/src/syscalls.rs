@@ -163,17 +163,15 @@ impl Kernel {
         dest: NodeId,
         unpatched_n: usize,
     ) -> (SimTime, Breakdown, PageStatus) {
-        let topo = self.topology().clone();
-        let cost = topo.cost();
         let mut b = Breakdown::new();
         let mut t = now;
         if !self.config.patched_move_pages && unpatched_n > 0 {
-            let lookup_ns =
-                (cost.unpatched_lookup_ns_per_entry * unpatched_n as f64).round() as u64;
+            let per_entry = self.topo.cost().unpatched_lookup_ns_per_entry;
+            let lookup_ns = (per_entry * unpatched_n as f64).round() as u64;
             b.add(CostComponent::QuadraticLookup, lookup_ns);
             t += lookup_ns;
         }
-        let status = self.move_one_page(space, frames, &mut t, &mut b, addr, dest, cost);
+        let status = self.move_one_page(space, frames, &mut t, &mut b, addr, dest);
         if matches!(status, PageStatus::Moved(_)) {
             self.counters.add(Counter::PagesMovedSyscall, 1);
         }
@@ -226,8 +224,6 @@ impl Kernel {
         from: &[NodeId],
         to: &[NodeId],
     ) -> (SimTime, Breakdown, Option<PageStatus>) {
-        let topo = self.topology().clone();
-        let cost = topo.cost();
         let mut b = Breakdown::new();
         let mut t = now;
         let Some(pte) = space.page_table.get(vpn) else {
@@ -243,26 +239,32 @@ impl Kernel {
             return (t, b, None);
         };
         let dst = to[pos];
+        // Scalar copies instead of an `Arc<Topology>` clone per page.
+        let control_ns = self.topo.cost().migrate_pages_control_ns;
         if src == dst {
             t = self.locks.pt_serialized(
                 t,
-                cost.migrate_pages_control_ns,
-                cost.pt_lock_fraction,
+                control_ns,
+                self.topo.cost().pt_lock_fraction,
                 CostComponent::MigratePagesWalk,
                 &mut b,
             );
             self.counters.bump(Counter::PagesAlreadyPlaced);
             return (t, b, Some(PageStatus::AlreadyThere(dst)));
         }
-        let bytes = if huge { cost.huge_page_size } else { PAGE_SIZE };
+        let bytes = if huge {
+            self.topo.cost().huge_page_size
+        } else {
+            PAGE_SIZE
+        };
         // Injection decision precedes all side effects (see move_one_page).
         match self.inject(t, numa_sim::FaultSite::MigratePagesCopy) {
             Some(numa_sim::FaultKind::TransientCopy) => {
-                self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+                self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
                 return (t, b, Some(PageStatus::Busy));
             }
             Some(numa_sim::FaultKind::FrameExhausted) => {
-                self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+                self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
                 self.degrade(t, vpn, "frame_exhausted");
                 return (t, b, Some(PageStatus::NoMemory));
             }
@@ -272,7 +274,7 @@ impl Kernel {
                     src,
                     dst,
                     bytes,
-                    cost.migrate_pages_control_ns,
+                    control_ns,
                     CostComponent::MigratePagesWalk,
                     CostComponent::FaultCopy,
                     &mut b,
@@ -283,7 +285,7 @@ impl Kernel {
             None => {}
         }
         let Some(new_frame) = self.alloc_frame(frames, dst, None) else {
-            self.charge_failed_page(&mut t, &mut b, cost, CostComponent::MigratePagesWalk);
+            self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
             self.degrade(t, vpn, "frame_exhausted");
             return (t, b, Some(PageStatus::NoMemory));
         };
@@ -293,7 +295,7 @@ impl Kernel {
             src,
             dst,
             bytes,
-            cost.migrate_pages_control_ns,
+            control_ns,
             CostComponent::MigratePagesWalk,
             CostComponent::FaultCopy,
             &mut b,
@@ -336,7 +338,6 @@ impl Kernel {
         b: &mut Breakdown,
         addr: VirtAddr,
         dst: NodeId,
-        cost: &numa_topology::CostModel,
     ) -> PageStatus {
         let Some(vma) = space.find_vma(addr) else {
             return PageStatus::NoVma;
@@ -351,11 +352,19 @@ impl Kernel {
         let Some(pte) = space.page_table.get(vpn) else {
             // A not-present page still costs the lookup and isolate
             // attempt under the page-table lock (cheaper than a move).
-            self.charge_failed_page(t, b, cost, CostComponent::MovePagesControl);
+            self.charge_failed_page(t, b, CostComponent::MovePagesControl);
             return PageStatus::NotPresent;
         };
         let old_frame = pte.frame;
         let src = frames.node_of(old_frame);
+        // Scalar copies: the `&mut self` calls below cannot overlap a
+        // borrow of `self.topo`, and an `Arc` clone per page is host cost.
+        let control_ns = self.topo.cost().move_pages_control_ns;
+        let bytes = if huge {
+            self.topo.cost().huge_page_size
+        } else {
+            PAGE_SIZE
+        };
 
         if src == dst {
             // Control work only, partially serialized on the page-table
@@ -363,8 +372,8 @@ impl Kernel {
             // manipulations").
             *t = self.locks.pt_serialized(
                 *t,
-                cost.move_pages_control_ns,
-                cost.pt_lock_fraction,
+                control_ns,
+                self.topo.cost().pt_lock_fraction,
                 CostComponent::MovePagesControl,
                 b,
             );
@@ -377,11 +386,11 @@ impl Kernel {
         // byte-identical and an injected fault charges only failure costs.
         match self.inject(*t, numa_sim::FaultSite::MovePagesCopy) {
             Some(numa_sim::FaultKind::TransientCopy) => {
-                self.charge_failed_page(t, b, cost, CostComponent::MovePagesControl);
+                self.charge_failed_page(t, b, CostComponent::MovePagesControl);
                 return PageStatus::Busy;
             }
             Some(numa_sim::FaultKind::FrameExhausted) => {
-                self.charge_failed_page(t, b, cost, CostComponent::MovePagesControl);
+                self.charge_failed_page(t, b, CostComponent::MovePagesControl);
                 self.degrade(*t, vpn, "frame_exhausted");
                 return PageStatus::NoMemory;
             }
@@ -392,8 +401,8 @@ impl Kernel {
                     *t,
                     src,
                     dst,
-                    if huge { cost.huge_page_size } else { PAGE_SIZE },
-                    cost.move_pages_control_ns,
+                    bytes,
+                    control_ns,
                     CostComponent::MovePagesControl,
                     CostComponent::MovePagesCopy,
                     b,
@@ -405,18 +414,17 @@ impl Kernel {
         }
 
         let Some(new_frame) = self.alloc_frame(frames, dst, None) else {
-            self.charge_failed_page(t, b, cost, CostComponent::MovePagesControl);
+            self.charge_failed_page(t, b, CostComponent::MovePagesControl);
             self.degrade(*t, vpn, "frame_exhausted");
             return PageStatus::NoMemory;
         };
-        let bytes = if huge { cost.huge_page_size } else { PAGE_SIZE };
         let copy_start = *t;
         *t = self.locked_migration_copy(
             *t,
             src,
             dst,
             bytes,
-            cost.move_pages_control_ns,
+            control_ns,
             CostComponent::MovePagesControl,
             CostComponent::MovePagesCopy,
             b,
@@ -459,9 +467,9 @@ impl Kernel {
         &mut self,
         t: &mut SimTime,
         b: &mut Breakdown,
-        cost: &numa_topology::CostModel,
         component: CostComponent,
     ) {
+        let cost = self.topo.cost();
         *t = self.locks.pt_serialized(
             *t,
             cost.move_pages_control_ns,

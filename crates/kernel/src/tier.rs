@@ -24,12 +24,14 @@
 //! Both paths go through the same [`numa_sim::Resource`] lock and
 //! interconnect models as every other kernel path, so migration traffic
 //! and application traffic contend honestly.
+//! They also write the PTE flip through to Mitosis-style page-table
+//! replicas ([`Kernel::pt_note_update`]), like every other relocation path.
 
 use crate::Kernel;
 use numa_sim::{SimTime, TraceEventKind};
 use numa_stats::{Breakdown, CostComponent, Counter};
 use numa_topology::{MemTier, NodeId};
-use numa_vm::{AddressSpace, FrameAllocator, FrameId, PteFlags, PAGE_SIZE};
+use numa_vm::{AddressSpace, FrameAllocator, FrameId, PageRange, PteFlags, PAGE_SIZE};
 
 /// An in-flight transactional tier migration for one page.
 #[derive(Debug, Clone, Copy)]
@@ -76,8 +78,6 @@ impl Kernel {
         b: &mut Breakdown,
     ) -> Option<SimTime> {
         debug_assert!(self.config.tiering, "tiering disabled in KernelConfig");
-        let topo = self.topology().clone();
-        let cost = topo.cost();
         let pte = space.page_table.get(vpn)?;
         if !pte.flags.contains(PteFlags::PRESENT)
             || pte.flags.contains(PteFlags::HUGE)
@@ -120,7 +120,9 @@ impl Kernel {
 
         // Short critical section: allocate the shadow PTE slot and
         // snapshot the generation. Deliberately much smaller than the
-        // stop-the-world control cost — no unmap, no rmap walk.
+        // stop-the-world control cost — no unmap, no rmap walk. Field
+        // borrows of `self.topo` from here on: no `&mut self` calls.
+        let cost = self.topo.cost();
         let t = self.locks.pt_serialized(
             now,
             cost.tier_txn_control_ns,
@@ -131,7 +133,7 @@ impl Kernel {
         // The copy itself runs with no lock held: full kernel copy
         // bandwidth, contending only on links and memory controllers.
         let xfer = self.interconnect.transfer(
-            &topo,
+            &self.topo,
             t,
             src_node,
             dst_node,
@@ -188,8 +190,6 @@ impl Kernel {
             .pending_txns
             .remove(&vpn)
             .unwrap_or_else(|| panic!("tier commit without begin for vpn {vpn}"));
-        let topo = self.topology().clone();
-        let cost = topo.cost();
 
         // A poisoned (fault-injected) copy aborts unconditionally.
         // Otherwise the page may have been remapped out from under the
@@ -202,6 +202,7 @@ impl Kernel {
 
         if clean {
             // Commit: flip the PTE inside a short critical section.
+            let cost = self.topo.cost();
             let end = self.locks.pt_serialized(
                 now,
                 cost.tier_commit_ns,
@@ -214,8 +215,9 @@ impl Kernel {
                 .get_mut(vpn)
                 .expect("clean transaction lost its mapping");
             let old = pte.commit_shadow();
-            drop(pte);
+            drop(pte); // write back before the replica sync reads it
             debug_assert_eq!(old, txn.src_frame);
+            let end = self.pt_note_update(space, end, PageRange::new(vpn, vpn + 1));
             let src_node = frames.node_of(old);
             frames.free(old);
             self.counters.bump(Counter::FramesFreed);
@@ -230,8 +232,10 @@ impl Kernel {
             self.note_tier_move(frames, Some(src_node), txn.dst_frame, vpn, end);
             (end, TxnOutcome::Committed)
         } else {
-            // Abort: discard the copy; the mapping was never disturbed.
-            b.add(CostComponent::FaultControl, cost.tier_abort_ns);
+            // Abort: discard the copy; the mapping was never disturbed,
+            // so the replicas need no update.
+            let abort_ns = self.topo.cost().tier_abort_ns;
+            b.add(CostComponent::FaultControl, abort_ns);
             if let Some(mut pte) = space.page_table.get_mut(vpn) {
                 if pte.has_shadow() && pte.shadow == Some(txn.dst_frame) {
                     pte.abort_shadow();
@@ -244,10 +248,10 @@ impl Kernel {
                 now,
                 TraceEventKind::MigrationAbort {
                     page: vpn,
-                    dur_ns: cost.tier_abort_ns,
+                    dur_ns: abort_ns,
                 },
             );
-            (now + cost.tier_abort_ns, TxnOutcome::Aborted)
+            (now + abort_ns, TxnOutcome::Aborted)
         }
     }
 
@@ -291,7 +295,7 @@ impl Kernel {
             return None;
         };
 
-        let cost_control = self.topology().cost().move_pages_control_ns;
+        let cost_control = self.topo.cost().move_pages_control_ns;
         let end = self.locked_migration_copy(
             now,
             src_node,
@@ -321,9 +325,10 @@ impl Kernel {
             return None;
         };
         entry.frame = dst_frame;
-        drop(entry);
+        drop(entry); // write back before the replica sync reads it
         frames.free(pte.frame);
         self.counters.bump(Counter::FramesFreed);
+        let end = self.pt_note_update(space, end, PageRange::new(vpn, vpn + 1));
         self.note_tier_move(frames, Some(src_node), dst_frame, vpn, end);
         // The page is unmapped for the whole episode: record the window
         // so concurrent touches stall on it.
@@ -357,8 +362,7 @@ impl Kernel {
     ) {
         let Some(src) = src_node else { return };
         let dst = frames.node_of(dst_frame);
-        let topo = self.topology().clone();
-        match (topo.tier_of(src), topo.tier_of(dst)) {
+        match (self.topo.tier_of(src), self.topo.tier_of(dst)) {
             (MemTier::Slow, MemTier::Dram) => {
                 self.counters.bump(Counter::TierPromotions);
                 self.trace.record(
@@ -449,6 +453,62 @@ mod tests {
         assert_eq!(fx.kernel.counters.get(Counter::TierTxnCommits), 1);
         assert_eq!(fx.kernel.counters.get(Counter::TierDemotions), 1);
         assert_eq!(fx.kernel.counters.get(Counter::TierTxnAborts), 0);
+    }
+
+    /// Both tier relocations flip the primary PTE; under eager replicated
+    /// page tables every node's replica must see the flip, and the
+    /// write-through is charged like on every other relocation path.
+    #[test]
+    fn tier_moves_write_through_to_pt_replicas() {
+        use numa_vm::{PtPlacement, PtSyncMode};
+        let mut fx = Fixture::tiered();
+        let nodes = fx.kernel.topology().node_count();
+        fx.space
+            .pt_configure(PtPlacement::Replicated, PtSyncMode::Eager, nodes);
+        let all_agree = |fx: &Fixture| {
+            let replicas = fx.space.pt_replicas().unwrap();
+            fx.kernel
+                .topology()
+                .node_ids()
+                .all(|n| replicas.agrees_with(n, &fx.space.page_table))
+        };
+        let stw = mapped_page(&mut fx);
+        let txn = mapped_page(&mut fx);
+        assert!(all_agree(&fx));
+        let syncs = |fx: &Fixture| fx.kernel.counters.get(Counter::PtReplicaSyncs);
+        let before = syncs(&fx);
+        let mut b = Breakdown::new();
+
+        fx.kernel
+            .tier_stw_page(
+                &mut fx.space,
+                &mut fx.frames,
+                SimTime::ZERO,
+                stw,
+                NodeId(4),
+                &mut b,
+            )
+            .expect("stop-the-world move");
+        assert!(all_agree(&fx), "stop-the-world move left a replica stale");
+        assert_eq!(syncs(&fx), before + 1);
+
+        let copy_end = fx
+            .kernel
+            .tier_txn_begin(
+                &mut fx.space,
+                &mut fx.frames,
+                SimTime::ZERO,
+                txn,
+                NodeId(5),
+                &mut b,
+            )
+            .expect("begin");
+        let (_, outcome) =
+            fx.kernel
+                .tier_txn_commit(&mut fx.space, &mut fx.frames, copy_end, txn, &mut b);
+        assert_eq!(outcome, TxnOutcome::Committed);
+        assert!(all_agree(&fx), "committed transaction left a replica stale");
+        assert_eq!(syncs(&fx), before + 2);
     }
 
     #[test]

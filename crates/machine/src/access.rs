@@ -409,8 +409,8 @@ impl Machine {
         let Some(placement) = self.space.pt_placement() else {
             return now;
         };
-        let topo = self.topology().clone();
-        let cost = topo.cost();
+        // Field borrows of `self.topo`: no `&mut self` calls below.
+        let cost = self.topo.cost();
         let mut now = now;
         let pt_home = match placement {
             numa_vm::PtPlacement::SingleHome(node) => node,
@@ -434,7 +434,7 @@ impl Machine {
                 core_node
             }
         };
-        let hops = topo.hops(core_node, pt_home);
+        let hops = self.topo.hops(core_node, pt_home);
         let miss = match kind {
             MemAccessKind::Stream => cost.tlb_miss_rate_stream,
             MemAccessKind::Blocked => cost.tlb_miss_rate_blocked,
@@ -460,8 +460,7 @@ impl Machine {
         bytes: u64,
         stats: &mut RunStats,
     ) -> SimTime {
-        let topo = self.topology().clone();
-        let cost = topo.cost();
+        let copy_bw = self.topo.cost().user_copy_bw;
         let mut off = 0u64;
         while off < bytes {
             let chunk = (PAGE_SIZE - (src + off).page_offset()).min(bytes - off);
@@ -472,14 +471,10 @@ impl Machine {
                 return now;
             }
             let start = now;
-            let xfer = self.kernel.interconnect.transfer(
-                &topo,
-                now,
-                src_node,
-                dst_node,
-                chunk,
-                cost.user_copy_bw,
-            );
+            let xfer = self
+                .kernel
+                .interconnect
+                .transfer(&self.topo, now, src_node, dst_node, chunk, copy_bw);
             now = xfer.end;
             stats
                 .breakdown

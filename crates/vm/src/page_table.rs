@@ -23,8 +23,9 @@
 //!   end-of-run scans.
 //! * **Replica diffs are word-parallel.** [`PageTable::sync_from`]
 //!   reconciles a replica against the primary with a bitmap-XOR pre-filter
-//!   and whole-slice payload compares, falling back to per-record work
-//!   only where a 64-record block actually differs.
+//!   and slice payload compares bounded by the requested window, falling
+//!   back to per-record work only where a 64-record block actually
+//!   differs inside it.
 //!
 //! Shadow frames (in-flight tier migrations) are rare and short-lived, so
 //! they live out of line in a side map; the dense arrays never widen for
@@ -857,8 +858,10 @@ impl PageTable {
     }
 
     /// Word-parallel diff of one geometry-aligned slab pair: presence XOR
-    /// picks out installs and removals, slice equality skips untouched
-    /// 64-record blocks, and only genuinely-differing records are touched.
+    /// picks out installs and removals, slice equality over the part of
+    /// each 64-record block inside the window skips clean blocks, and only
+    /// genuinely-differing records are touched. Bounding the pre-filter by
+    /// the window keeps a 1-page sync O(1) instead of a 64-record compare.
     /// Returns the number of records written. Fast path only — neither
     /// table may carry shadows here.
     fn sync_aligned(&mut self, ps: &Slab, si: usize, range: PageRange) -> u64 {
@@ -877,10 +880,11 @@ impl PageTable {
             let lo_bit = w * WORD;
             let sw = s.masked_word(w, r_lo, r_hi);
             let pw = ps.masked_word(w, r_lo, r_hi);
-            let hi_rec = (lo_bit + WORD).min(s.records());
+            let lo = lo_bit.max(r_lo);
+            let hi = (lo_bit + WORD).min(r_hi);
             if sw == pw
-                && s.frames[lo_bit..hi_rec] == ps.frames[lo_bit..hi_rec]
-                && s.flags[lo_bit..hi_rec] == ps.flags[lo_bit..hi_rec]
+                && s.frames[lo..hi] == ps.frames[lo..hi]
+                && s.flags[lo..hi] == ps.flags[lo..hi]
             {
                 w += 1;
                 continue;
@@ -1543,6 +1547,30 @@ mod tests {
         assert_eq!(replica.sorted_vpns(), vec![1, 64, 65, 100, 130]);
         assert_eq!(replica.get(130).unwrap().frame, FrameId(999));
         assert_eq!(replica.sync_from(&primary, PageRange::new(0, 192)), 0);
+        assert_stats_consistent(&replica);
+    }
+
+    #[test]
+    fn sync_from_touches_only_the_window() {
+        let mut primary = PageTable::new();
+        let mut replica = PageTable::new();
+        primary.reserve_range(PageRange::new(0, 128));
+        replica.reserve_range(PageRange::new(0, 128));
+        for vpn in 0..64u64 {
+            primary.map(vpn, Pte::present_rw(FrameId(vpn)));
+            replica.map(vpn, Pte::present_rw(FrameId(vpn)));
+        }
+        // Differences in the window's 64-record block, but outside it.
+        replica.get_mut(7).unwrap().frame = FrameId(777);
+        replica.unmap(40);
+        let window = PageRange::new(5, 6);
+        assert_eq!(replica.sync_from(&primary, window), 0);
+        assert_eq!(replica.get(7).unwrap().frame, FrameId(777));
+        assert!(replica.get(40).is_none());
+        primary.get_mut(5).unwrap().frame = FrameId(555);
+        assert_eq!(replica.sync_from(&primary, window), 1);
+        assert_eq!(replica.get(5).unwrap().frame, FrameId(555));
+        assert_eq!(replica.get(7).unwrap().frame, FrameId(777));
         assert_stats_consistent(&replica);
     }
 

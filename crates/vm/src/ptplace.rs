@@ -14,11 +14,13 @@
 //!   radix tree happened to be allocated) or [`PtPlacement::Replicated`]
 //!   per-node copies;
 //! * [`PtReplicaSet`] — the per-node replica tables, kept in sync with the
-//!   primary by a word-parallel bitmap diff over the struct-of-arrays PTE
-//!   slabs ([`PtReplicaSet::sync_range`], delegating to
-//!   [`PageTable::sync_from`]), either eagerly on every update or lazily
-//!   (ranges are marked stale and reconciled on the next walk from that
-//!   node, [`PtSyncMode`]).
+//!   primary by a word-parallel, window-bounded bitmap diff over the
+//!   struct-of-arrays PTE slabs ([`PtReplicaSet::sync_range`], delegating
+//!   to [`PageTable::sync_from`]), either eagerly on every update or
+//!   lazily (ranges are marked stale and reconciled on the next walk from
+//!   that node, [`PtSyncMode`]). Eager replicas are identical by
+//!   construction, so they are stored as one mirror table whose write
+//!   count is charged once per node.
 //!
 //! All *timing* (walk latency, sync charges, shootdowns) lives in the
 //! kernel and machine layers; like the rest of `numa-vm` this file only
@@ -51,38 +53,71 @@ pub enum PtSyncMode {
     Lazy,
 }
 
-/// Per-node page-table replicas plus staleness bookkeeping.
-#[derive(Debug, Clone, Default)]
+/// Page-table replicas for every node, stored as one of two shapes chosen
+/// by [`PtSyncMode`] at [`PtReplicaSet::new`].
+///
+/// Under eager write-through every replica is built as a clone of the
+/// primary and then receives exactly the same [`PtReplicaSet::propagate`]
+/// as every other, so all per-node replicas are identical by construction.
+/// The set therefore keeps a single mirror table standing for all of them
+/// and charges each write once per node: the PTE-write counts equal those
+/// of N independent copies at 1/N of the host work and memory. Lazy
+/// replicas reconcile on their own node's schedule and really do diverge,
+/// so they keep one table and one stale-range list per node.
+#[derive(Debug, Clone)]
 pub struct PtReplicaSet {
-    /// One replica table per NUMA node, indexed by node id.
-    replicas: Vec<PageTable>,
-    /// Stale (not-yet-reconciled) ranges per node, in arrival order.
-    stale: Vec<Vec<PageRange>>,
+    /// Number of replicas (= NUMA nodes).
+    nodes: usize,
+    tables: Replicas,
+}
+
+#[derive(Debug, Clone)]
+enum Replicas {
+    /// Eager: one table equal to every node's replica.
+    Mirror(PageTable),
+    /// Lazy: one table per node, indexed by node id, plus its stale
+    /// (not-yet-reconciled) ranges in arrival order.
+    PerNode {
+        replicas: Vec<PageTable>,
+        stale: Vec<Vec<PageRange>>,
+    },
 }
 
 impl PtReplicaSet {
     /// Build replicas for `nodes` nodes, each starting as a copy of
-    /// `primary`.
-    pub fn new(nodes: usize, primary: &PageTable) -> Self {
-        PtReplicaSet {
-            replicas: vec![primary.clone(); nodes],
-            stale: vec![Vec::new(); nodes],
-        }
+    /// `primary` and kept in sync per `mode`.
+    pub fn new(nodes: usize, primary: &PageTable, mode: PtSyncMode) -> Self {
+        let tables = match mode {
+            PtSyncMode::Eager => Replicas::Mirror(primary.clone()),
+            PtSyncMode::Lazy => Replicas::PerNode {
+                replicas: vec![primary.clone(); nodes],
+                stale: vec![Vec::new(); nodes],
+            },
+        };
+        PtReplicaSet { nodes, tables }
     }
 
     /// Number of replicas (= NUMA nodes).
     pub fn node_count(&self) -> usize {
-        self.replicas.len()
+        self.nodes
     }
 
     /// The replica table of `node` (tests and invariant checks).
     pub fn replica(&self, node: NodeId) -> &PageTable {
-        &self.replicas[node.index()]
+        assert!(node.index() < self.nodes, "no replica on {node}");
+        match &self.tables {
+            Replicas::Mirror(mirror) => mirror,
+            Replicas::PerNode { replicas, .. } => &replicas[node.index()],
+        }
     }
 
     /// Does `node`'s replica have stale ranges awaiting reconciliation?
+    /// Never under eager write-through.
     pub fn is_stale(&self, node: NodeId) -> bool {
-        !self.stale[node.index()].is_empty()
+        match &self.tables {
+            Replicas::Mirror(_) => false,
+            Replicas::PerNode { stale, .. } => !stale[node.index()].is_empty(),
+        }
     }
 
     /// Reconcile one replica with the primary over `range`: entries
@@ -92,67 +127,67 @@ impl PtReplicaSet {
     /// charges for).
     ///
     /// The diff is [`PageTable::sync_from`]: geometry-aligned slab pairs
-    /// are compared word-parallel (presence XOR + whole-slice payload
-    /// equality), so clean 64-record blocks cost two loads instead of 64
-    /// entry compares.
+    /// are compared word-parallel (presence XOR + payload equality over
+    /// the part of each 64-record block inside `range`), so clean blocks
+    /// cost two loads and a short compare instead of per-entry work.
     pub fn sync_range(replica: &mut PageTable, primary: &PageTable, range: PageRange) -> u64 {
         replica.sync_from(primary, range)
     }
 
-    /// Eagerly propagate an update of `range` to every replica. Returns
-    /// the total number of PTEs written across all replicas.
+    /// Propagate an update of the primary over `range`. Eager replicas
+    /// are written through now and the total number of PTEs written
+    /// across all nodes is returned; lazy replicas only mark `range`
+    /// stale on every node and 0 is returned.
     pub fn propagate(&mut self, primary: &PageTable, range: PageRange) -> u64 {
-        let mut changed = 0;
-        for r in &mut self.replicas {
-            changed += Self::sync_range(r, primary, range);
-        }
-        changed
-    }
-
-    /// Lazily mark `range` stale in every replica. Adjacent or overlapping
-    /// back-to-back updates are coalesced into the last recorded range so
-    /// page-at-a-time fault storms do not grow the list without bound.
-    pub fn mark_stale(&mut self, range: PageRange) {
-        if range.is_empty() {
-            return;
-        }
-        for list in &mut self.stale {
-            if let Some(last) = list.last_mut() {
-                if range.start_vpn <= last.end_vpn && last.start_vpn <= range.end_vpn {
-                    last.start_vpn = last.start_vpn.min(range.start_vpn);
-                    last.end_vpn = last.end_vpn.max(range.end_vpn);
-                    continue;
-                }
+        match &mut self.tables {
+            Replicas::Mirror(mirror) => {
+                self.nodes as u64 * Self::sync_range(mirror, primary, range)
             }
-            list.push(range);
+            Replicas::PerNode { stale, .. } => {
+                mark_stale(stale, range);
+                0
+            }
         }
     }
 
     /// Reconcile every stale range of `node`'s replica against the
-    /// primary. Returns the number of PTEs written (0 when it was clean).
+    /// primary. Returns the number of PTEs written (0 when it was clean,
+    /// and always 0 under eager write-through).
     pub fn reconcile(&mut self, node: NodeId, primary: &PageTable) -> u64 {
-        let ranges = std::mem::take(&mut self.stale[node.index()]);
-        let replica = &mut self.replicas[node.index()];
-        let mut changed = 0;
-        for range in ranges {
-            changed += Self::sync_range(replica, primary, range);
-        }
-        changed
+        let Replicas::PerNode { replicas, stale } = &mut self.tables else {
+            return 0;
+        };
+        let replica = &mut replicas[node.index()];
+        std::mem::take(&mut stale[node.index()])
+            .into_iter()
+            .map(|range| Self::sync_range(replica, primary, range))
+            .sum()
     }
 
     /// Do the mapped entries of `node`'s replica equal the primary's,
     /// PTE for PTE? (Lockstep-test support; storage layout may differ, so
     /// equality is over the mapped-entry sequences.)
     pub fn agrees_with(&self, node: NodeId, primary: &PageTable) -> bool {
-        let mut a = self.replicas[node.index()].iter();
-        let mut b = primary.iter();
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return true,
-                (Some((va, pa)), Some((vb, pb))) if va == vb && pa == pb => {}
-                _ => return false,
+        self.replica(node).iter().eq(primary.iter())
+    }
+}
+
+/// Mark `range` stale on every node. Adjacent or overlapping back-to-back
+/// updates are coalesced into the last recorded range so page-at-a-time
+/// fault storms do not grow the lists without bound.
+fn mark_stale(stale: &mut [Vec<PageRange>], range: PageRange) {
+    if range.is_empty() {
+        return;
+    }
+    for list in stale {
+        if let Some(last) = list.last_mut() {
+            if range.start_vpn <= last.end_vpn && last.start_vpn <= range.end_vpn {
+                last.start_vpn = last.start_vpn.min(range.start_vpn);
+                last.end_vpn = last.end_vpn.max(range.end_vpn);
+                continue;
             }
         }
+        list.push(range);
     }
 }
 
@@ -181,10 +216,7 @@ mod tests {
         assert_eq!(changed, 4);
         assert_eq!(replica.sorted_vpns(), vec![1, 2, 5]);
         assert_eq!(replica.get(2).unwrap().frame, FrameId(99));
-        let set = PtReplicaSet {
-            replicas: vec![replica],
-            stale: vec![Vec::new()],
-        };
+        let set = PtReplicaSet::new(1, &replica, PtSyncMode::Lazy);
         assert!(set.agrees_with(NodeId(0), &primary));
     }
 
@@ -199,21 +231,28 @@ mod tests {
     #[test]
     fn eager_propagate_hits_all_nodes() {
         let mut primary = PageTable::new();
-        let mut set = PtReplicaSet::new(3, &primary);
+        let mut set = PtReplicaSet::new(3, &primary, PtSyncMode::Eager);
         primary.map(8, Pte::present_rw(FrameId(1)));
         let changed = set.propagate(&primary, PageRange::new(8, 9));
         assert_eq!(changed, 3, "one write per replica");
         for n in 0..3 {
             assert!(set.agrees_with(NodeId(n), &primary));
+            assert!(!set.is_stale(NodeId(n)));
         }
+        assert_eq!(set.propagate(&primary, PageRange::new(8, 9)), 0);
+        assert_eq!(
+            set.reconcile(NodeId(0), &primary),
+            0,
+            "eager is never stale"
+        );
     }
 
     #[test]
     fn lazy_marks_then_reconciles_per_node() {
         let mut primary = PageTable::new();
-        let mut set = PtReplicaSet::new(2, &primary);
+        let mut set = PtReplicaSet::new(2, &primary, PtSyncMode::Lazy);
         primary.map(3, Pte::present_rw(FrameId(1)));
-        set.mark_stale(PageRange::new(3, 4));
+        assert_eq!(set.propagate(&primary, PageRange::new(3, 4)), 0);
         assert!(set.is_stale(NodeId(0)) && set.is_stale(NodeId(1)));
         assert!(!set.agrees_with(NodeId(0), &primary), "stale until walked");
         assert_eq!(set.reconcile(NodeId(0), &primary), 1);
@@ -225,13 +264,12 @@ mod tests {
 
     #[test]
     fn adjacent_stale_ranges_coalesce() {
-        let mut set = PtReplicaSet::new(1, &PageTable::new());
-        set.mark_stale(PageRange::new(0, 1));
-        set.mark_stale(PageRange::new(1, 2));
-        set.mark_stale(PageRange::new(2, 3));
-        assert_eq!(set.stale[0].len(), 1);
-        assert_eq!(set.stale[0][0], PageRange::new(0, 3));
-        set.mark_stale(PageRange::new(10, 11));
-        assert_eq!(set.stale[0].len(), 2, "disjoint ranges stay separate");
+        let mut stale = vec![Vec::new()];
+        mark_stale(&mut stale, PageRange::new(0, 1));
+        mark_stale(&mut stale, PageRange::new(1, 2));
+        mark_stale(&mut stale, PageRange::new(2, 3));
+        assert_eq!(stale[0], vec![PageRange::new(0, 3)]);
+        mark_stale(&mut stale, PageRange::new(10, 11));
+        assert_eq!(stale[0].len(), 2, "disjoint ranges stay separate");
     }
 }

@@ -63,8 +63,6 @@ pub struct AddressSpace {
     /// Where this space's page table lives (`None` = placement untracked,
     /// the pre-subsystem behaviour: translation is free).
     pt_placement: Option<PtPlacement>,
-    /// Replica update discipline when replicated.
-    pt_sync_mode: PtSyncMode,
     /// Per-node replicas, present iff placement is
     /// [`PtPlacement::Replicated`].
     pt_replicas: Option<PtReplicaSet>,
@@ -82,19 +80,18 @@ impl AddressSpace {
             generation: 0,
             has_huge: false,
             pt_placement: None,
-            pt_sync_mode: PtSyncMode::Eager,
             pt_replicas: None,
         }
     }
 
     /// Configure page-table placement. With [`PtPlacement::Replicated`],
     /// one replica per node is built from the current primary table and
-    /// kept in sync per `mode`; with [`PtPlacement::SingleHome`] the table
-    /// is pinned to that node and walks from elsewhere pay the distance.
+    /// kept in sync per `mode` (eager replicas share one mirror table);
+    /// with [`PtPlacement::SingleHome`] the table is pinned to that node,
+    /// walks from elsewhere pay the distance and `mode` is unused.
     pub fn pt_configure(&mut self, placement: PtPlacement, mode: PtSyncMode, nodes: usize) {
-        self.pt_sync_mode = mode;
         self.pt_replicas = match placement {
-            PtPlacement::Replicated => Some(PtReplicaSet::new(nodes, &self.page_table)),
+            PtPlacement::Replicated => Some(PtReplicaSet::new(nodes, &self.page_table, mode)),
             PtPlacement::SingleHome(_) => None,
         };
         self.pt_placement = Some(placement);
@@ -103,11 +100,6 @@ impl AddressSpace {
     /// Current page-table placement (`None` = subsystem disabled).
     pub fn pt_placement(&self) -> Option<PtPlacement> {
         self.pt_placement
-    }
-
-    /// Replica update discipline.
-    pub fn pt_sync_mode(&self) -> PtSyncMode {
-        self.pt_sync_mode
     }
 
     /// Re-home a single-homed page table (numaPTE-style migration when the
@@ -124,15 +116,9 @@ impl AddressSpace {
     /// under lazy replication the range is marked stale everywhere and 0
     /// is returned. Without replicas this is free and returns 0.
     pub fn pt_note_update(&mut self, range: PageRange) -> u64 {
-        let Some(replicas) = self.pt_replicas.as_mut() else {
-            return 0;
-        };
-        match self.pt_sync_mode {
-            PtSyncMode::Eager => replicas.propagate(&self.page_table, range),
-            PtSyncMode::Lazy => {
-                replicas.mark_stale(range);
-                0
-            }
+        match self.pt_replicas.as_mut() {
+            Some(replicas) => replicas.propagate(&self.page_table, range),
+            None => 0,
         }
     }
 

@@ -14,9 +14,15 @@
 //!   is its `pt_sync_node` reconcile. Reconciling a rotating node after
 //!   each op exercises staleness accumulated across many ops; a final
 //!   reconcile of all nodes must converge everything.
+//! * Eager storage: the replica set keeps one mirror table for all nodes.
+//!   A reference model of N independent per-node tables, each synced on
+//!   its own, must write the same number of PTEs after every op.
 
 use numa_topology::NodeId;
-use numa_vm::{AddressSpace, FrameId, PageRange, PtPlacement, PtSyncMode, Pte, PteFlags};
+use numa_vm::{
+    AddressSpace, FrameId, PageRange, PageTable, PtPlacement, PtReplicaSet, PtSyncMode, Pte,
+    PteFlags,
+};
 use proptest::prelude::*;
 
 const NODES: usize = 4;
@@ -170,6 +176,34 @@ proptest! {
             let e: Vec<(u64, Pte)> = er.iter().collect();
             let l: Vec<(u64, Pte)> = lr.iter().collect();
             prop_assert_eq!(e, l, "eager and lazy replicas diverged on {}", node);
+        }
+    }
+
+    /// The eager mirror against a reference model of one independent
+    /// table per node: after every op the mirror's write count equals
+    /// the sum of the per-node syncs, and every node agrees with the
+    /// primary in both.
+    #[test]
+    fn eager_mirror_matches_per_node_reference(ops in op_strategy()) {
+        let mut space = AddressSpace::new();
+        space.pt_configure(PtPlacement::Replicated, PtSyncMode::Eager, NODES);
+        let mut reference = vec![space.page_table.clone(); NODES];
+        let mut next_frame = 0u64;
+        for (kind, start, len, salt) in ops {
+            let range = apply(&mut space, kind, start, len, salt, &mut next_frame);
+            let written = space.pt_note_update(range);
+            let expected: u64 = reference
+                .iter_mut()
+                .map(|t: &mut PageTable| PtReplicaSet::sync_range(t, &space.page_table, range))
+                .sum();
+            prop_assert_eq!(written, expected, "write count diverged after {}({}+{})", kind, start, len);
+            let replicas = space.pt_replicas().unwrap();
+            prop_assert_eq!(replicas.node_count(), NODES);
+            for (node, table) in reference.iter().enumerate() {
+                let node = NodeId(node as u16);
+                prop_assert!(replicas.agrees_with(node, &space.page_table));
+                prop_assert!(table.iter().eq(space.page_table.iter()), "reference on {} diverged", node);
+            }
         }
     }
 }
