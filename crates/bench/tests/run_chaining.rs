@@ -8,7 +8,7 @@
 //! single-micro run chained on top of it. Two paths do this:
 //!
 //! * a transient (`-EBUSY`-like) per-page copy failure re-queues the
-//!   same `MovePage`/`MigratePage` micro for another attempt;
+//!   same `Relocate` micro for another attempt;
 //! * a tier-transaction abort re-queues `TierTxnBegin` *and*
 //!   `TierTxnCommit` (two chained runs, drained begin-first).
 //!

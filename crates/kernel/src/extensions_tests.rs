@@ -227,3 +227,43 @@ fn huge_pages_skipped_by_migrate_pages_when_disabled() {
     assert_eq!(r.moved, 0, "huge page must be skipped");
     assert_eq!(fx.frames.live_on(NodeId(0)), 1);
 }
+
+/// `migrate_pages` moves a huge page whole and counts it as a huge move,
+/// like `move_pages`, evacuation and the next-touch fault do.
+#[test]
+fn huge_page_moved_by_migrate_pages_is_counted() {
+    let mut fx = Fixture::with_config(KernelConfig {
+        huge_page_migration: true,
+        ..KernelConfig::default()
+    });
+    let addr = fx
+        .kernel
+        .mmap_huge(&mut fx.space, 2 << 20, MemPolicy::Bind(NodeId(0)))
+        .unwrap();
+    fx.kernel.handle_fault(
+        &mut fx.space,
+        &mut fx.frames,
+        &mut fx.tlb,
+        SimTime::ZERO,
+        CoreId(0),
+        addr,
+        true,
+        &mut Breakdown::new(),
+    );
+    let r = fx
+        .kernel
+        .migrate_pages(
+            &mut fx.space,
+            &mut fx.frames,
+            &mut fx.tlb,
+            SimTime::ZERO,
+            CoreId(0),
+            &[NodeId(0)],
+            &[NodeId(1)],
+        )
+        .unwrap();
+    assert_eq!(r.moved, 1);
+    assert_eq!(fx.frames.live_on(NodeId(1)), 1);
+    assert_eq!(fx.kernel.counters.get(Counter::PagesMovedProcess), 1);
+    assert_eq!(fx.kernel.counters.get(Counter::HugePagesMoved), 1);
+}

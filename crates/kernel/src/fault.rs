@@ -14,13 +14,13 @@
 //!    `PROT_NONE` region is reported to the machine layer, which delivers
 //!    the signal to the user-space next-touch library.
 
-use crate::Kernel;
+use crate::{Kernel, PageStatus, RelocSite};
 use numa_sim::{SimTime, TraceEventKind};
 use numa_stats::{Breakdown, CostComponent, Counter};
 use numa_topology::{CoreId, NodeId};
 use numa_vm::{
     AddressSpace, FrameAllocator, MemPolicy, PageRange, Protection, Pte, PteFlags, Tlb, VirtAddr,
-    VmError, Vma, PAGES_PER_HUGE, PAGE_SIZE,
+    VmError, Vma, PAGES_PER_HUGE,
 };
 
 /// Why the MMU trapped.
@@ -114,7 +114,6 @@ impl Kernel {
             (policy.choose_node(vpn, local), policy.fallback_node(local))
         };
         let pages_covered = if huge { PAGES_PER_HUGE } else { 1 };
-        let bytes = pages_covered * PAGE_SIZE;
 
         match space.page_table.get(vpn) {
             // ---------------------------------------------- first touch
@@ -213,70 +212,23 @@ impl Kernel {
             // ------------------------------------- kernel next-touch hit
             Some(pte) if pte.is_next_touch() => {
                 b.add(CostComponent::FaultControl, fault_ns);
-                let mut t = now + fault_ns;
+                // Move the page to the toucher's node. A full local bank
+                // (or an injected fault) leaves it where it is — the
+                // paper's silent degradation.
                 let src = frames.node_of(pte.frame);
-                let mut migrated = false;
-                let mut node = src;
-                if src == local {
-                    t = self.locks.pt_serialized(
-                        t,
-                        self.topo.cost().nt_fault_control_ns * pages_covered,
-                        lock_fraction,
-                        CostComponent::FaultControl,
-                        b,
-                    );
-                } else {
-                    // Allocate on the toucher's node; fall back to leaving
-                    // the page where it is if the local bank is full — the
-                    // paper's silent degradation, which the fault plan can
-                    // also force (injection decided before any side effect).
-                    let injected = self.inject(t, numa_sim::FaultSite::NextTouchFault);
-                    let new_frame = if injected.is_some() {
-                        None
-                    } else {
-                        self.alloc_frame(frames, local, None)
-                    };
-                    if let Some(new_frame) = new_frame {
-                        t = self.locked_migration_copy(
-                            t,
-                            src,
-                            local,
-                            bytes,
-                            self.topo.cost().nt_fault_control_ns * pages_covered,
-                            CostComponent::FaultControl,
-                            CostComponent::FaultCopy,
-                            b,
-                        );
-                        frames.copy_contents(pte.frame, new_frame);
-                        match space.page_table.get_mut(vpn) {
-                            Some(mut entry) => {
-                                entry.frame = new_frame;
-                                frames.free(pte.frame);
-                                self.counters.bump(Counter::FramesFreed);
-                                migrated = true;
-                                node = local;
-                                self.counters.bump(Counter::PagesMovedFault);
-                                if huge {
-                                    self.counters.bump(Counter::HugePagesMoved);
-                                }
-                            }
-                            None => {
-                                // Mapping vanished mid-copy: discard the
-                                // copy; the fault resolution below reports
-                                // the page un-migrated.
-                                frames.free(new_frame);
-                                self.counters.bump(Counter::FramesFreed);
-                                self.degrade(t, vpn, "racing_unmap");
-                            }
-                        }
-                    } else {
-                        let reason = injected.map_or("frame_exhausted", |k| k.name());
-                        self.degrade(t, vpn, reason);
-                    }
-                }
-                if src == local {
-                    self.counters.bump(Counter::PagesAlreadyPlaced);
-                }
+                let (mut t, status) = self.relocate_page(
+                    space,
+                    frames,
+                    now + fault_ns,
+                    vpn,
+                    Some(local),
+                    RelocSite::NextTouch,
+                    b,
+                );
+                let (migrated, node) = match status {
+                    PageStatus::Moved(dst) => (true, dst),
+                    _ => (false, src),
+                };
                 // Restore protection per the VMA; only the faulting core's
                 // TLB needs invalidating (the madvise already shot down the
                 // stale entries) — the cheapness of this path is the whole
@@ -369,7 +321,7 @@ impl Kernel {
 mod tests {
     use super::*;
     use crate::test_util::Fixture;
-    use numa_vm::{PageRange, VmaKind};
+    use numa_vm::{PageRange, VmaKind, PAGE_SIZE};
 
     #[test]
     fn first_touch_allocates_locally() {

@@ -13,6 +13,8 @@
 //! * [`Kernel::handle_fault`] — the page-fault handler: first-touch
 //!   placement, kernel next-touch migration, and SIGSEGV delivery;
 //! * [`Kernel::mbind`] / [`Kernel::set_mempolicy`] — placement policies;
+//! * [`Kernel::relocate_page`] — the one page-relocation sequence behind
+//!   all of the above that move pages, plus reclaim and hot-remove;
 //! * extensions the paper lists as future work (§6): huge-page migration
 //!   and read-only page replication.
 //!
@@ -29,6 +31,7 @@ pub mod fault;
 pub mod interconnect;
 pub mod locks;
 pub mod pressure;
+pub mod relocate;
 pub mod syscalls;
 pub mod tier;
 
@@ -37,6 +40,7 @@ pub use fault::{AccessKind, FaultResolution};
 pub use interconnect::Interconnect;
 pub use locks::LockSet;
 pub use pressure::{PressureSettings, WatchdogConfig};
+pub use relocate::RelocSite;
 pub use syscalls::{MovePagesResult, PageStatus, SyscallOutcome};
 pub use tier::{TierTxn, TxnOutcome};
 
@@ -187,53 +191,6 @@ impl Kernel {
         let mut order: Vec<NodeId> = self.topo.node_ids().filter(|n| *n != node).collect();
         order.sort_by_key(|n| (self.topo.hops(node, *n), n.0));
         order
-    }
-
-    /// The control + copy of one page migration, with the cost-model
-    /// fraction of the **entire** work serialized under the page-table
-    /// lock.
-    ///
-    /// The 2.6.27 migration path held the page-table/zone/LRU locks
-    /// through most of the per-page work — unmapping, copying, remapping —
-    /// which is why the paper measures only a 50–60 % aggregate gain from
-    /// 4 threads (Fig. 7) and why its LU overhead numbers imply nearly
-    /// serialized fault handling at 16 threads. The serialized quantum is
-    /// `pt_lock_fraction * (control + copy)`; the remainder of the control
-    /// runs unlocked and the remainder of the copy streams through the
-    /// interconnect concurrently with other threads.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn locked_migration_copy(
-        &mut self,
-        now: numa_sim::SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        control_ns: u64,
-        control_component: numa_stats::CostComponent,
-        copy_component: numa_stats::CostComponent,
-        b: &mut numa_stats::Breakdown,
-    ) -> numa_sim::SimTime {
-        let q = self.quanta.get(self.topo.cost(), control_ns, bytes);
-        let acq = self.locks.pt.acquire(now, q.serial_ns);
-        b.add(control_component, control_ns);
-        b.add(numa_stats::CostComponent::LockWait, acq.wait_ns);
-        self.trace.record(
-            now,
-            numa_sim::TraceEventKind::LockAcquire {
-                name: "pt_lock",
-                wait_ns: acq.wait_ns,
-                hold_ns: q.serial_ns,
-            },
-        );
-        let t = acq.end + q.parallel_ctl_ns;
-        // The unlocked remainder of the copy: same bytes through the
-        // links, initiator time scaled so control+copy totals are
-        // preserved.
-        let xfer = self
-            .interconnect
-            .transfer(&self.topo, t, src, dst, bytes, q.copy_bw);
-        b.add(copy_component, q.nominal_copy_ns + xfer.wait_ns);
-        xfer.end
     }
 
     /// Record that the primary page table changed over `range` and, when

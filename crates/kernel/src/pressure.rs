@@ -31,11 +31,11 @@
 //! migrating the page to another node's frames.
 
 use crate::syscalls::PageStatus;
-use crate::Kernel;
-use numa_sim::{FaultKind, FaultSite, SimTime, TraceEventKind};
+use crate::{Kernel, RelocSite};
+use numa_sim::{SimTime, TraceEventKind};
 use numa_stats::{Breakdown, CostComponent, Counter};
 use numa_topology::{MemTier, NodeId};
-use numa_vm::{AddressSpace, FrameAllocator, PageRange, PteFlags, PAGE_SIZE};
+use numa_vm::{AddressSpace, FrameAllocator, PteFlags};
 use serde::{Deserialize, Serialize};
 
 /// Tuning of the retry-livelock watchdog.
@@ -232,7 +232,7 @@ impl Kernel {
     /// in ascending-vpn order (deterministic; the cold end of the heap
     /// for the sequential workloads the pressure experiments run),
     /// skipping huge, replicated, next-touch-marked, tier-in-flight and
-    /// the `protect_vpn` page. Per-victim [`FaultSite::Reclaim`]
+    /// the `protect_vpn` page. Per-victim [`numa_sim::FaultSite::Reclaim`]
     /// injections skip that victim (a pinned page), costing only the
     /// failed isolate.
     ///
@@ -247,37 +247,23 @@ impl Kernel {
         b: &mut Breakdown,
     ) -> (SimTime, u64) {
         self.counters.bump(Counter::DirectReclaims);
-        let batch = u64::from(self.config.pressure.reclaim_batch);
-        let prefer_slow = self.config.tiering && self.topo.is_tiered();
-        let control_ns = self.topo.cost().migrate_pages_control_ns;
         let mut t = now;
         let mut scanned = 0u64;
         let mut reclaimed = 0u64;
 
-        let mut victims = Vec::new();
-        for vpn in space.page_table.sorted_vpns() {
-            if victims.len() as u64 >= batch {
-                break;
-            }
-            if Some(vpn) == protect_vpn {
-                continue;
-            }
-            let Some(pte) = space.page_table.get(vpn) else {
-                continue;
-            };
-            if pte.flags.contains(PteFlags::HUGE)
-                || pte.flags.contains(PteFlags::REPLICA)
-                || pte.shadow.is_some()
-                || pte.is_next_touch()
-            {
-                continue;
-            }
-            if frames.node_of(pte.frame) != node {
-                continue;
-            }
-            victims.push(vpn);
-        }
-
+        let victims: Vec<u64> = space
+            .page_table
+            .iter()
+            .filter(|&(vpn, pte)| {
+                Some(vpn) != protect_vpn
+                    && !pte.flags.intersects(PteFlags::HUGE | PteFlags::REPLICA)
+                    && pte.shadow.is_none()
+                    && !pte.is_next_touch()
+                    && frames.node_of(pte.frame) == node
+            })
+            .map(|(vpn, _)| vpn)
+            .take(self.config.pressure.reclaim_batch as usize)
+            .collect();
         for vpn in victims {
             // Enough: back above low (with watermarks) or one frame free
             // (without — the bare alloc-failure retry needs just one).
@@ -286,45 +272,16 @@ impl Kernel {
             }
             scanned += 1;
             self.counters.bump(Counter::ReclaimScans);
-            if self.inject(t, FaultSite::Reclaim).is_some() {
-                // Injected failure: the victim is pinned/busy. Skip it,
-                // charging only the failed isolate attempt.
-                self.charge_failed_page(&mut t, b, CostComponent::MigratePagesWalk);
-                continue;
+            let (end, status) =
+                self.relocate_page(space, frames, t, vpn, None, RelocSite::Reclaim, b);
+            t = end;
+            match status {
+                PageStatus::Moved(_) => reclaimed += 1,
+                // Nowhere to put pages; the OOM path takes over.
+                PageStatus::NoMemory => break,
+                // A pinned victim is skipped.
+                _ => {}
             }
-            let Some(pte) = space.page_table.get(vpn) else {
-                continue;
-            };
-            let old_frame = pte.frame;
-            let Some(dest) = self.pick_dest(frames, node, prefer_slow) else {
-                break; // nowhere to put pages; the OOM path takes over
-            };
-            let Some(new_frame) = self.alloc_frame(frames, dest, None) else {
-                break;
-            };
-            t = self.locked_migration_copy(
-                t,
-                node,
-                dest,
-                PAGE_SIZE,
-                control_ns,
-                CostComponent::MigratePagesWalk,
-                CostComponent::FaultCopy,
-                b,
-            );
-            frames.copy_contents(old_frame, new_frame);
-            let Some(mut entry) = space.page_table.get_mut(vpn) else {
-                frames.free(new_frame);
-                self.counters.bump(Counter::FramesFreed);
-                continue;
-            };
-            entry.frame = new_frame;
-            drop(entry); // write back before the replica sync reads it
-            frames.free(old_frame);
-            self.counters.bump(Counter::FramesFreed);
-            self.counters.bump(Counter::PagesReclaimed);
-            t = self.pt_note_update(space, t, PageRange::new(vpn, vpn + 1));
-            reclaimed += 1;
         }
 
         self.trace.record(
@@ -373,110 +330,28 @@ impl Kernel {
         node: NodeId,
     ) -> (SimTime, Breakdown, Option<PageStatus>) {
         let mut b = Breakdown::new();
-        let mut t = now;
         let Some(pte) = space.page_table.get(vpn) else {
-            return (t, b, None);
+            return (now, b, None);
         };
         if frames.node_of(pte.frame) != node {
-            return (t, b, None);
+            return (now, b, None);
         }
         let huge = pte.flags.contains(PteFlags::HUGE);
         if (huge && !self.config.huge_page_migration) || pte.flags.contains(PteFlags::REPLICA) {
             // Unmovable here: huge without the migration extension, or a
             // replicated page (its replica set pins the home frame).
-            return (t, b, None);
+            return (now, b, None);
         }
         if pte.shadow.is_some() {
             // A transactional tier migration is mid-flight on this page;
             // come back after it commits or aborts.
+            let mut t = now;
             self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
             return (t, b, Some(PageStatus::Busy));
         }
-        let old_frame = pte.frame;
-        // Scalar copies instead of an `Arc<Topology>` clone per page.
-        let control_ns = self.topo.cost().migrate_pages_control_ns;
-        let bytes = if huge {
-            self.topo.cost().huge_page_size
-        } else {
-            PAGE_SIZE
-        };
-
-        // Injection decision precedes all side effects (see move_one_page).
-        match self.inject(t, FaultSite::Evacuation) {
-            Some(FaultKind::TransientCopy) => {
-                self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
-                return (t, b, Some(PageStatus::Busy));
-            }
-            Some(FaultKind::FrameExhausted) => {
-                self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
-                self.degrade(t, vpn, "frame_exhausted");
-                return (t, b, Some(PageStatus::NoMemory));
-            }
-            Some(FaultKind::RacingUnmap) => {
-                // Discovered mid-copy: the wasted copy work is real.
-                t = self.locked_migration_copy(
-                    t,
-                    node,
-                    node,
-                    bytes,
-                    control_ns,
-                    CostComponent::MigratePagesWalk,
-                    CostComponent::FaultCopy,
-                    &mut b,
-                );
-                self.degrade(t, vpn, "racing_unmap");
-                return (t, b, Some(PageStatus::NotPresent));
-            }
-            None => {}
-        }
-
-        let Some(dest) = self.pick_dest(frames, node, false) else {
-            self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
-            self.degrade(t, vpn, "no_destination");
-            return (t, b, Some(PageStatus::NoMemory));
-        };
-        let Some(new_frame) = self.alloc_frame(frames, dest, None) else {
-            self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
-            self.degrade(t, vpn, "frame_exhausted");
-            return (t, b, Some(PageStatus::NoMemory));
-        };
-        let copy_start = t;
-        t = self.locked_migration_copy(
-            t,
-            node,
-            dest,
-            bytes,
-            control_ns,
-            CostComponent::MigratePagesWalk,
-            CostComponent::FaultCopy,
-            &mut b,
-        );
-        self.trace.record(
-            copy_start,
-            TraceEventKind::MigrationCopy {
-                page: vpn,
-                from: node.0,
-                to: dest.0,
-                dur_ns: t.since(copy_start),
-            },
-        );
-        frames.copy_contents(old_frame, new_frame);
-        let Some(mut entry) = space.page_table.get_mut(vpn) else {
-            frames.free(new_frame);
-            self.counters.bump(Counter::FramesFreed);
-            self.degrade(t, vpn, "racing_unmap");
-            return (t, b, Some(PageStatus::NotPresent));
-        };
-        entry.frame = new_frame;
-        drop(entry); // write back before the replica sync reads it
-        frames.free(old_frame);
-        self.counters.bump(Counter::FramesFreed);
-        self.counters.bump(Counter::PagesEvacuated);
-        if huge {
-            self.counters.bump(Counter::HugePagesMoved);
-        }
-        t = self.pt_note_update(space, t, PageRange::new(vpn, vpn + 1));
-        (t, b, Some(PageStatus::Moved(dest)))
+        let (t, status) =
+            self.relocate_page(space, frames, now, vpn, None, RelocSite::Evacuate, &mut b);
+        (t, b, Some(status))
     }
 }
 
@@ -487,7 +362,7 @@ mod tests {
     use crate::{FaultResolution, KernelConfig};
     use numa_sim::FaultPlan;
     use numa_topology::{presets, CoreId};
-    use numa_vm::VmError;
+    use numa_vm::{VmError, PAGE_SIZE};
     use std::sync::Arc;
 
     fn pressured() -> KernelConfig {
@@ -564,6 +439,52 @@ mod tests {
             "counter matches return value"
         );
         assert_eq!(fx.kernel.counters.get(Counter::DirectReclaims), 1);
+    }
+
+    /// Reclaim copies pages like every other relocation path, so a traced
+    /// run shows one `MigrationCopy` per reclaimed page.
+    #[test]
+    fn traced_reclaim_records_one_copy_per_reclaimed_page() {
+        let mut fx = small_fixture(pressured(), 4);
+        let addr = fx
+            .space
+            .mmap(
+                4 * PAGE_SIZE,
+                numa_vm::Protection::ReadWrite,
+                numa_vm::VmaKind::PrivateAnonymous,
+                numa_vm::MemPolicy::Bind(NodeId(0)),
+            )
+            .unwrap();
+        for p in 0..4 {
+            touch(&mut fx, addr + p * PAGE_SIZE, CoreId(0));
+        }
+        // Low watermark 2: reclaim runs until three frames are free.
+        fx.frames.set_watermarks(NodeId(0), 2, 1);
+        fx.kernel.trace.enable(1 << 10);
+        let (_, reclaimed) = fx.kernel.direct_reclaim(
+            &mut fx.space,
+            &mut fx.frames,
+            SimTime::ZERO,
+            NodeId(0),
+            None,
+            &mut Breakdown::new(),
+        );
+        assert_eq!(reclaimed, 3);
+        let copies: Vec<u64> = fx
+            .kernel
+            .trace
+            .snapshot()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::MigrationCopy { page, from, .. } => {
+                    assert_eq!(from, 0, "copies leave the strapped node");
+                    Some(page)
+                }
+                _ => None,
+            })
+            .collect();
+        let base = addr.vpn();
+        assert_eq!(copies, vec![base, base + 1, base + 2]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`Kernel::mmap_huge`] and [`Kernel::replicate_read_only`] — the §6
 //!   future-work extensions.
 
-use crate::Kernel;
+use crate::{Kernel, RelocSite};
 use numa_sim::{SimTime, TraceEventKind};
 use numa_stats::{Breakdown, CostComponent, Counter};
 use numa_topology::{CoreId, NodeId};
@@ -84,7 +84,8 @@ impl Kernel {
         }
         self.trace
             .record(now, TraceEventKind::SyscallEnter { name: "move_pages" });
-        let (mut t, mut b) = self.move_pages_begin(now);
+        let mut b = Breakdown::new();
+        let mut t = self.migration_begin(now, RelocSite::MovePages, &mut b);
 
         let n = pages.len();
         let unpatched_n = if self.config.patched_move_pages { 0 } else { n };
@@ -100,59 +101,42 @@ impl Kernel {
             } else {
                 quadratic_lookup(dest, i)
             };
-            let (end, sb, st) = self.move_page_step(space, frames, t, *addr, dst, unpatched_n);
+            let (end, st) = self.move_page_step(space, frames, t, *addr, dst, unpatched_n, &mut b);
             t = end;
-            b.merge(&sb);
             if matches!(st, PageStatus::Moved(_)) {
                 moved += 1;
             }
             status.push(st);
         }
-
-        // One batched shootdown for the whole call.
-        let (end, sb) = self.migration_shootdown(tlb, t, core);
-        t = end;
-        b.merge(&sb);
-
-        self.trace.record(
-            now,
-            TraceEventKind::SyscallExit {
-                name: "move_pages",
-                pages: moved,
-                dur_ns: t.since(now),
-            },
-        );
-        Ok(MovePagesResult {
-            outcome: SyscallOutcome {
-                end: t,
-                breakdown: b,
-            },
-            status,
-            moved,
-        })
+        Ok(self.migration_syscall_end("move_pages", tlb, now, t, core, b, status, moved))
     }
 
-    /// The base bookkeeping of a `move_pages` call (taking the mmap lock),
-    /// exposed so the machine engine can execute syscalls page-by-page and
-    /// keep concurrent callers correctly interleaved in virtual time.
-    pub fn move_pages_begin(&mut self, now: SimTime) -> (SimTime, Breakdown) {
-        let mut b = Breakdown::new();
-        let cost = self.topology().cost();
-        let base = cost.move_pages_base_ns;
-        let end = if cost.mmap_lock_serializes_base {
-            self.locks
-                .mmap_locked(now, base, CostComponent::MovePagesControl, &mut b)
-        } else {
-            b.add(CostComponent::MovePagesControl, base);
-            now + base
+    /// The base bookkeeping of a `move_pages` (or, for
+    /// [`RelocSite::MigratePages`], a `migrate_pages`) call, taking the
+    /// mmap lock. Exposed so the machine engine can execute syscalls
+    /// page-by-page and keep concurrent callers correctly interleaved in
+    /// virtual time.
+    pub fn migration_begin(&mut self, now: SimTime, site: RelocSite, b: &mut Breakdown) -> SimTime {
+        let cost = self.topo.cost();
+        let (base, component) = match site {
+            RelocSite::MigratePages => {
+                (cost.migrate_pages_base_ns, CostComponent::MigratePagesWalk)
+            }
+            _ => (cost.move_pages_base_ns, CostComponent::MovePagesControl),
         };
-        (end, b)
+        if cost.mmap_lock_serializes_base {
+            self.locks.mmap_locked(now, base, component, b)
+        } else {
+            b.add(component, base);
+            now + base
+        }
     }
 
     /// Migrate one page of an in-progress `move_pages` call (engine
     /// micro-step). `unpatched_n` is the destination-array length, used to
     /// charge the historical quadratic lookup when the kernel is
-    /// un-patched. Returns the completion time, costs, and the page status.
+    /// un-patched. Costs are added to `b`; returns the completion time and
+    /// the page status. Huge mappings move their whole huge page.
     #[allow(clippy::too_many_arguments)]
     pub fn move_page_step(
         &mut self,
@@ -162,8 +146,8 @@ impl Kernel {
         addr: VirtAddr,
         dest: NodeId,
         unpatched_n: usize,
-    ) -> (SimTime, Breakdown, PageStatus) {
-        let mut b = Breakdown::new();
+        b: &mut Breakdown,
+    ) -> (SimTime, PageStatus) {
         let mut t = now;
         if !self.config.patched_move_pages && unpatched_n > 0 {
             let per_entry = self.topo.cost().unpatched_lookup_ns_per_entry;
@@ -171,11 +155,21 @@ impl Kernel {
             b.add(CostComponent::QuadraticLookup, lookup_ns);
             t += lookup_ns;
         }
-        let status = self.move_one_page(space, frames, &mut t, &mut b, addr, dest);
-        if matches!(status, PageStatus::Moved(_)) {
-            self.counters.add(Counter::PagesMovedSyscall, 1);
+        let Some(vma) = space.find_vma(addr) else {
+            return (t, PageStatus::NoVma);
+        };
+        let vpn = if vma.huge {
+            huge_head(vma.range.start_vpn, addr.vpn())
+        } else {
+            addr.vpn()
+        };
+        if space.page_table.get(vpn).is_none() {
+            // A not-present page still costs the lookup and isolate
+            // attempt under the page-table lock (cheaper than a move).
+            self.charge_failed_page(&mut t, b, CostComponent::MovePagesControl);
+            return (t, PageStatus::NotPresent);
         }
-        (t, b, status)
+        self.relocate_page(space, frames, t, vpn, Some(dest), RelocSite::MovePages, b)
     }
 
     /// The batched TLB shootdown that ends a migration syscall (engine
@@ -185,35 +179,52 @@ impl Kernel {
         tlb: &mut Tlb,
         now: SimTime,
         core: CoreId,
-    ) -> (SimTime, Breakdown) {
-        let mut b = Breakdown::new();
+        b: &mut Breakdown,
+    ) -> SimTime {
         let hit = tlb.shootdown_all(core);
         self.counters.bump(Counter::TlbShootdowns);
-        let flush = self.topology().cost().tlb_flush_ns(hit);
+        let flush = self.topo.cost().tlb_flush_ns(hit);
         b.add(CostComponent::TlbFlush, flush);
         self.trace
             .record(now, TraceEventKind::TlbShootdown { dur_ns: flush });
-        (now + flush, b)
+        now + flush
     }
 
-    /// The base bookkeeping of `migrate_pages` (engine micro-path).
-    pub fn migrate_pages_begin(&mut self, now: SimTime) -> (SimTime, Breakdown) {
-        let mut b = Breakdown::new();
-        let cost = self.topology().cost();
-        let base = cost.migrate_pages_base_ns;
-        let end = if cost.mmap_lock_serializes_base {
-            self.locks
-                .mmap_locked(now, base, CostComponent::MigratePagesWalk, &mut b)
-        } else {
-            b.add(CostComponent::MigratePagesWalk, base);
-            now + base
-        };
-        (end, b)
+    /// End a migration syscall that started at `now` and finished its
+    /// pages at `t`: one batched shootdown for the whole call, the exit
+    /// trace and the result.
+    #[allow(clippy::too_many_arguments)]
+    fn migration_syscall_end(
+        &mut self,
+        name: &'static str,
+        tlb: &mut Tlb,
+        now: SimTime,
+        t: SimTime,
+        core: CoreId,
+        mut b: Breakdown,
+        status: Vec<PageStatus>,
+        moved: u64,
+    ) -> MovePagesResult {
+        let end = self.migration_shootdown(tlb, t, core, &mut b);
+        self.trace.record(
+            now,
+            TraceEventKind::SyscallExit {
+                name,
+                pages: moved,
+                dur_ns: end.since(now),
+            },
+        );
+        MovePagesResult {
+            outcome: SyscallOutcome { end, breakdown: b },
+            status,
+            moved,
+        }
     }
 
     /// Migrate one page of an in-progress `migrate_pages` walk (engine
     /// micro-step): move the page at `vpn` if its frame is on a node in
-    /// `from`, to the positionally-corresponding node in `to`.
+    /// `from`, to the positionally-corresponding node in `to`. Costs are
+    /// added to `b`; the status is `None` when the page is out of scope.
     #[allow(clippy::too_many_arguments)]
     pub fn migrate_page_step(
         &mut self,
@@ -223,268 +234,28 @@ impl Kernel {
         vpn: u64,
         from: &[NodeId],
         to: &[NodeId],
-    ) -> (SimTime, Breakdown, Option<PageStatus>) {
-        let mut b = Breakdown::new();
-        let mut t = now;
+        b: &mut Breakdown,
+    ) -> (SimTime, Option<PageStatus>) {
         let Some(pte) = space.page_table.get(vpn) else {
-            return (t, b, None);
+            return (now, None);
         };
         if pte.flags.contains(PteFlags::HUGE) && !self.config.huge_page_migration {
-            return (t, b, None);
+            return (now, None);
         }
-        let old_frame = pte.frame;
-        let huge = pte.flags.contains(PteFlags::HUGE);
-        let src = frames.node_of(old_frame);
+        let src = frames.node_of(pte.frame);
         let Some(pos) = from.iter().position(|n| *n == src) else {
-            return (t, b, None);
+            return (now, None);
         };
-        let dst = to[pos];
-        // Scalar copies instead of an `Arc<Topology>` clone per page.
-        let control_ns = self.topo.cost().migrate_pages_control_ns;
-        if src == dst {
-            t = self.locks.pt_serialized(
-                t,
-                control_ns,
-                self.topo.cost().pt_lock_fraction,
-                CostComponent::MigratePagesWalk,
-                &mut b,
-            );
-            self.counters.bump(Counter::PagesAlreadyPlaced);
-            return (t, b, Some(PageStatus::AlreadyThere(dst)));
-        }
-        let bytes = if huge {
-            self.topo.cost().huge_page_size
-        } else {
-            PAGE_SIZE
-        };
-        // Injection decision precedes all side effects (see move_one_page).
-        match self.inject(t, numa_sim::FaultSite::MigratePagesCopy) {
-            Some(numa_sim::FaultKind::TransientCopy) => {
-                self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
-                return (t, b, Some(PageStatus::Busy));
-            }
-            Some(numa_sim::FaultKind::FrameExhausted) => {
-                self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
-                self.degrade(t, vpn, "frame_exhausted");
-                return (t, b, Some(PageStatus::NoMemory));
-            }
-            Some(numa_sim::FaultKind::RacingUnmap) => {
-                t = self.locked_migration_copy(
-                    t,
-                    src,
-                    dst,
-                    bytes,
-                    control_ns,
-                    CostComponent::MigratePagesWalk,
-                    CostComponent::FaultCopy,
-                    &mut b,
-                );
-                self.degrade(t, vpn, "racing_unmap");
-                return (t, b, Some(PageStatus::NotPresent));
-            }
-            None => {}
-        }
-        let Some(new_frame) = self.alloc_frame(frames, dst, None) else {
-            self.charge_failed_page(&mut t, &mut b, CostComponent::MigratePagesWalk);
-            self.degrade(t, vpn, "frame_exhausted");
-            return (t, b, Some(PageStatus::NoMemory));
-        };
-        let copy_start = t;
-        t = self.locked_migration_copy(
-            t,
-            src,
-            dst,
-            bytes,
-            control_ns,
-            CostComponent::MigratePagesWalk,
-            CostComponent::FaultCopy,
-            &mut b,
-        );
-        self.trace.record(
-            copy_start,
-            TraceEventKind::MigrationCopy {
-                page: vpn,
-                from: src.0,
-                to: dst.0,
-                dur_ns: t.since(copy_start),
-            },
-        );
-        frames.copy_contents(old_frame, new_frame);
-        let Some(mut entry) = space.page_table.get_mut(vpn) else {
-            // Mapping vanished mid-copy: discard the copy, report the
-            // page gone (typed status, not an abort).
-            frames.free(new_frame);
-            self.counters.bump(Counter::FramesFreed);
-            self.degrade(t, vpn, "racing_unmap");
-            return (t, b, Some(PageStatus::NotPresent));
-        };
-        entry.frame = new_frame;
-        drop(entry); // write back before the replica sync reads it
-        frames.free(old_frame);
-        self.counters.bump(Counter::FramesFreed);
-        self.counters.add(Counter::PagesMovedProcess, 1);
-        t = self.pt_note_update(space, t, PageRange::new(vpn, vpn + 1));
-        (t, b, Some(PageStatus::Moved(dst)))
-    }
-
-    /// Migrate a single page for `move_pages`; shared by the huge-page
-    /// extension (which moves `PAGES_PER_HUGE` base pages at once).
-    #[allow(clippy::too_many_arguments)]
-    fn move_one_page(
-        &mut self,
-        space: &mut AddressSpace,
-        frames: &mut FrameAllocator,
-        t: &mut SimTime,
-        b: &mut Breakdown,
-        addr: VirtAddr,
-        dst: NodeId,
-    ) -> PageStatus {
-        let Some(vma) = space.find_vma(addr) else {
-            return PageStatus::NoVma;
-        };
-        let huge = vma.huge;
-        let vma_start = vma.range.start_vpn;
-        let vpn = if huge {
-            huge_head(vma_start, addr.vpn())
-        } else {
-            addr.vpn()
-        };
-        let Some(pte) = space.page_table.get(vpn) else {
-            // A not-present page still costs the lookup and isolate
-            // attempt under the page-table lock (cheaper than a move).
-            self.charge_failed_page(t, b, CostComponent::MovePagesControl);
-            return PageStatus::NotPresent;
-        };
-        let old_frame = pte.frame;
-        let src = frames.node_of(old_frame);
-        // Scalar copies: the `&mut self` calls below cannot overlap a
-        // borrow of `self.topo`, and an `Arc` clone per page is host cost.
-        let control_ns = self.topo.cost().move_pages_control_ns;
-        let bytes = if huge {
-            self.topo.cost().huge_page_size
-        } else {
-            PAGE_SIZE
-        };
-
-        if src == dst {
-            // Control work only, partially serialized on the page-table
-            // lock (§4.2: "intensive locking and page-table
-            // manipulations").
-            *t = self.locks.pt_serialized(
-                *t,
-                control_ns,
-                self.topo.cost().pt_lock_fraction,
-                CostComponent::MovePagesControl,
-                b,
-            );
-            self.counters.bump(Counter::PagesAlreadyPlaced);
-            return PageStatus::AlreadyThere(dst);
-        }
-
-        // Fault injection is decided before any side effect (allocation,
-        // lock, interconnect), so a disabled injector leaves this path
-        // byte-identical and an injected fault charges only failure costs.
-        match self.inject(*t, numa_sim::FaultSite::MovePagesCopy) {
-            Some(numa_sim::FaultKind::TransientCopy) => {
-                self.charge_failed_page(t, b, CostComponent::MovePagesControl);
-                return PageStatus::Busy;
-            }
-            Some(numa_sim::FaultKind::FrameExhausted) => {
-                self.charge_failed_page(t, b, CostComponent::MovePagesControl);
-                self.degrade(*t, vpn, "frame_exhausted");
-                return PageStatus::NoMemory;
-            }
-            Some(numa_sim::FaultKind::RacingUnmap) => {
-                // The unmap is discovered mid-copy: the copy work is
-                // wasted but its cost (and contention) is real.
-                *t = self.locked_migration_copy(
-                    *t,
-                    src,
-                    dst,
-                    bytes,
-                    control_ns,
-                    CostComponent::MovePagesControl,
-                    CostComponent::MovePagesCopy,
-                    b,
-                );
-                self.degrade(*t, vpn, "racing_unmap");
-                return PageStatus::NotPresent;
-            }
-            None => {}
-        }
-
-        let Some(new_frame) = self.alloc_frame(frames, dst, None) else {
-            self.charge_failed_page(t, b, CostComponent::MovePagesControl);
-            self.degrade(*t, vpn, "frame_exhausted");
-            return PageStatus::NoMemory;
-        };
-        let copy_start = *t;
-        *t = self.locked_migration_copy(
-            *t,
-            src,
-            dst,
-            bytes,
-            control_ns,
-            CostComponent::MovePagesControl,
-            CostComponent::MovePagesCopy,
+        let (end, status) = self.relocate_page(
+            space,
+            frames,
+            now,
+            vpn,
+            Some(to[pos]),
+            RelocSite::MigratePages,
             b,
         );
-        self.trace.record(
-            copy_start,
-            TraceEventKind::MigrationCopy {
-                page: vpn,
-                from: src.0,
-                to: dst.0,
-                dur_ns: t.since(copy_start),
-            },
-        );
-
-        frames.copy_contents(old_frame, new_frame);
-        // Typed propagation instead of an `expect`: if the mapping
-        // vanished while the copy ran, discard the copy and report the
-        // page gone rather than aborting the simulation.
-        let Some(mut entry) = space.page_table.get_mut(vpn) else {
-            frames.free(new_frame);
-            self.counters.bump(Counter::FramesFreed);
-            self.degrade(*t, vpn, "racing_unmap");
-            return PageStatus::NotPresent;
-        };
-        entry.frame = new_frame;
-        drop(entry); // write back before the replica sync reads it
-        frames.free(old_frame);
-        self.counters.bump(Counter::FramesFreed);
-        if huge {
-            self.counters.bump(Counter::HugePagesMoved);
-        }
-        *t = self.pt_note_update(space, *t, PageRange::new(vpn, vpn + 1));
-        PageStatus::Moved(dst)
-    }
-
-    /// Charge the (cheaper) cost of a page that could not be migrated:
-    /// the kernel still walked the page tables and attempted the isolate
-    /// under the page-table lock before bailing, but no copy ever ran.
-    pub(crate) fn charge_failed_page(
-        &mut self,
-        t: &mut SimTime,
-        b: &mut Breakdown,
-        component: CostComponent,
-    ) {
-        let cost = self.topo.cost();
-        *t = self.locks.pt_serialized(
-            *t,
-            cost.move_pages_control_ns,
-            cost.pt_lock_fraction,
-            component,
-            b,
-        );
-    }
-
-    /// Account a migration that degraded gracefully: the page stays on
-    /// its source node and the caller keeps running.
-    pub(crate) fn degrade(&mut self, now: SimTime, vpn: u64, reason: &'static str) {
-        self.counters.bump(Counter::MigrationsDegraded);
-        self.trace
-            .record(now, TraceEventKind::MigrationDegraded { page: vpn, reason });
+        (end, Some(status))
     }
 
     /// `migrate_pages(2)`: move every page currently on a node in `from`
@@ -510,16 +281,16 @@ impl Kernel {
                 name: "migrate_pages",
             },
         );
-        let (mut t, mut b) = self.migrate_pages_begin(now);
+        let mut b = Breakdown::new();
+        let mut t = self.migration_begin(now, RelocSite::MigratePages, &mut b);
 
         let mut moved = 0u64;
         let mut status = Vec::new();
         // The ordered walk is what gives migrate_pages its better locality
         // and lower per-page control cost (§4.2).
         for vpn in space.page_table.sorted_vpns() {
-            let (end, sb, st) = self.migrate_page_step(space, frames, t, vpn, from, to);
+            let (end, st) = self.migrate_page_step(space, frames, t, vpn, from, to, &mut b);
             t = end;
-            b.merge(&sb);
             if let Some(st) = st {
                 if matches!(st, PageStatus::Moved(_)) {
                     moved += 1;
@@ -527,27 +298,7 @@ impl Kernel {
                 status.push(st);
             }
         }
-
-        let (end, sb) = self.migration_shootdown(tlb, t, core);
-        t = end;
-        b.merge(&sb);
-
-        self.trace.record(
-            now,
-            TraceEventKind::SyscallExit {
-                name: "migrate_pages",
-                pages: moved,
-                dur_ns: t.since(now),
-            },
-        );
-        Ok(MovePagesResult {
-            outcome: SyscallOutcome {
-                end: t,
-                breakdown: b,
-            },
-            status,
-            moved,
-        })
+        Ok(self.migration_syscall_end("migrate_pages", tlb, now, t, core, b, status, moved))
     }
 
     /// `madvise(addr, len, MADV_MIGRATE_NEXT_TOUCH)` (§3.3): clear the
@@ -793,7 +544,8 @@ impl Kernel {
     ) -> Result<MovePagesResult, VmError> {
         self.mbind(space, now, range, policy.clone())?;
         let local = self.topology().node_of_core(core);
-        let (mut t, mut b) = self.move_pages_begin(now);
+        let mut b = Breakdown::new();
+        let mut t = self.migration_begin(now, RelocSite::MovePages, &mut b);
         let mut moved = 0u64;
         let mut status = Vec::new();
         // One linear walk snapshots the mapped vpns of the range; the
@@ -810,23 +562,17 @@ impl Kernel {
                 status.push(PageStatus::AlreadyThere(want));
                 continue;
             }
-            let (end, sb, st) =
-                self.move_page_step(space, frames, t, VirtAddr::from_vpn(vpn), want, 0);
+            let (end, st) =
+                self.move_page_step(space, frames, t, VirtAddr::from_vpn(vpn), want, 0, &mut b);
             t = end;
-            b.merge(&sb);
             if matches!(st, PageStatus::Moved(_)) {
                 moved += 1;
             }
             status.push(st);
         }
-        let (end, sb) = self.migration_shootdown(tlb, t, core);
-        t = end;
-        b.merge(&sb);
+        let end = self.migration_shootdown(tlb, t, core, &mut b);
         Ok(MovePagesResult {
-            outcome: SyscallOutcome {
-                end: t,
-                breakdown: b,
-            },
+            outcome: SyscallOutcome { end, breakdown: b },
             status,
             moved,
         })

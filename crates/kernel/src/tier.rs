@@ -27,11 +27,11 @@
 //! They also write the PTE flip through to Mitosis-style page-table
 //! replicas ([`Kernel::pt_note_update`]), like every other relocation path.
 
-use crate::Kernel;
+use crate::{Kernel, PageStatus, RelocSite};
 use numa_sim::{SimTime, TraceEventKind};
 use numa_stats::{Breakdown, CostComponent, Counter};
 use numa_topology::{MemTier, NodeId};
-use numa_vm::{AddressSpace, FrameAllocator, FrameId, PageRange, PteFlags, PAGE_SIZE};
+use numa_vm::{AddressSpace, FrameAllocator, FrameId, PageRange, Pte, PteFlags, PAGE_SIZE};
 
 /// An in-flight transactional tier migration for one page.
 #[derive(Debug, Clone, Copy)]
@@ -78,19 +78,8 @@ impl Kernel {
         b: &mut Breakdown,
     ) -> Option<SimTime> {
         debug_assert!(self.config.tiering, "tiering disabled in KernelConfig");
-        let pte = space.page_table.get(vpn)?;
-        if !pte.flags.contains(PteFlags::PRESENT)
-            || pte.flags.contains(PteFlags::HUGE)
-            || pte.is_next_touch()
-            || pte.has_shadow()
-        {
-            return None;
-        }
+        let pte = self.tier_movable(space, frames, vpn, dst_node)?;
         let src_node = frames.node_of(pte.frame);
-        if src_node == dst_node {
-            self.counters.bump(Counter::PagesAlreadyPlaced);
-            return None;
-        }
         // Injection decided before any side effect. Frame exhaustion and
         // unmap races degrade exactly like a full destination bank: the
         // page stays put, the daemon moves on. A transient-copy injection
@@ -229,7 +218,7 @@ impl Kernel {
                     dur_ns: end.since(now),
                 },
             );
-            self.note_tier_move(frames, Some(src_node), txn.dst_frame, vpn, end);
+            self.note_tier_move(src_node, frames.node_of(txn.dst_frame), vpn, end);
             (end, TxnOutcome::Committed)
         } else {
             // Abort: discard the copy; the mapping was never disturbed,
@@ -270,66 +259,24 @@ impl Kernel {
         b: &mut Breakdown,
     ) -> Option<SimTime> {
         debug_assert!(self.config.tiering, "tiering disabled in KernelConfig");
-        let pte = space.page_table.get(vpn)?;
-        if !pte.flags.contains(PteFlags::PRESENT)
-            || pte.flags.contains(PteFlags::HUGE)
-            || pte.is_next_touch()
-            || pte.has_shadow()
-        {
-            return None;
-        }
+        let pte = self.tier_movable(space, frames, vpn, dst_node)?;
+        // Stop-the-world has no in-flight state to retry from, so every
+        // failure degrades: the page stays in its current tier and the
+        // daemon moves on.
         let src_node = frames.node_of(pte.frame);
-        if src_node == dst_node {
-            self.counters.bump(Counter::PagesAlreadyPlaced);
-            return None;
-        }
-        // Injection decided before any side effect. Stop-the-world has no
-        // in-flight state to retry from, so every injected kind degrades:
-        // the page stays in its current tier and the daemon moves on.
-        if let Some(kind) = self.inject(now, numa_sim::FaultSite::TierPromotion) {
-            self.degrade(now, vpn, kind.name());
-            return None;
-        }
-        let Some(dst_frame) = self.alloc_frame(frames, dst_node, None) else {
-            self.degrade(now, vpn, "frame_exhausted");
-            return None;
-        };
-
-        let cost_control = self.topo.cost().move_pages_control_ns;
-        let end = self.locked_migration_copy(
+        let (end, status) = self.relocate_page(
+            space,
+            frames,
             now,
-            src_node,
-            dst_node,
-            PAGE_SIZE,
-            cost_control,
-            CostComponent::MovePagesControl,
-            CostComponent::MovePagesCopy,
+            vpn,
+            Some(dst_node),
+            RelocSite::TierStw,
             b,
         );
-        self.trace.record(
-            now,
-            TraceEventKind::MigrationCopy {
-                page: vpn,
-                from: src_node.0,
-                to: dst_node.0,
-                dur_ns: end.since(now),
-            },
-        );
-        frames.copy_contents(pte.frame, dst_frame);
-        let Some(mut entry) = space.page_table.get_mut(vpn) else {
-            // The mapping vanished while the page was unmapped for the
-            // copy: discard the copy, leave whatever the racer installed.
-            frames.free(dst_frame);
-            self.counters.bump(Counter::FramesFreed);
-            self.degrade(end, vpn, "racing_unmap");
+        let PageStatus::Moved(dst) = status else {
             return None;
         };
-        entry.frame = dst_frame;
-        drop(entry); // write back before the replica sync reads it
-        frames.free(pte.frame);
-        self.counters.bump(Counter::FramesFreed);
-        let end = self.pt_note_update(space, end, PageRange::new(vpn, vpn + 1));
-        self.note_tier_move(frames, Some(src_node), dst_frame, vpn, end);
+        self.note_tier_move(src_node, dst, vpn, end);
         // The page is unmapped for the whole episode: record the window
         // so concurrent touches stall on it.
         self.in_flight_stw.insert(vpn, end);
@@ -350,43 +297,48 @@ impl Kernel {
         }
     }
 
+    /// The PTE of `vpn` if a tier move to `dst` may start on it: mapped
+    /// and present, not huge, not next-touch-marked, not already in a
+    /// transaction and not already on `dst` (counted as already placed).
+    fn tier_movable(
+        &mut self,
+        space: &AddressSpace,
+        frames: &FrameAllocator,
+        vpn: u64,
+        dst: NodeId,
+    ) -> Option<Pte> {
+        let pte = space.page_table.get(vpn)?;
+        if !pte.flags.contains(PteFlags::PRESENT)
+            || pte.flags.contains(PteFlags::HUGE)
+            || pte.is_next_touch()
+            || pte.has_shadow()
+        {
+            return None;
+        }
+        if frames.node_of(pte.frame) == dst {
+            self.counters.bump(Counter::PagesAlreadyPlaced);
+            return None;
+        }
+        Some(pte)
+    }
+
     /// Classify a completed move as promotion or demotion by the tiers of
     /// its endpoints.
-    fn note_tier_move(
-        &mut self,
-        frames: &FrameAllocator,
-        src_node: Option<NodeId>,
-        dst_frame: FrameId,
-        vpn: u64,
-        at: SimTime,
-    ) {
-        let Some(src) = src_node else { return };
-        let dst = frames.node_of(dst_frame);
-        match (self.topo.tier_of(src), self.topo.tier_of(dst)) {
-            (MemTier::Slow, MemTier::Dram) => {
-                self.counters.bump(Counter::TierPromotions);
-                self.trace.record(
-                    at,
-                    TraceEventKind::TierPromote {
-                        page: vpn,
-                        from: src.0,
-                        to: dst.0,
-                    },
-                );
-            }
-            (MemTier::Dram, MemTier::Slow) => {
-                self.counters.bump(Counter::TierDemotions);
-                self.trace.record(
-                    at,
-                    TraceEventKind::TierDemote {
-                        page: vpn,
-                        from: src.0,
-                        to: dst.0,
-                    },
-                );
-            }
-            _ => {}
-        }
+    fn note_tier_move(&mut self, src: NodeId, dst: NodeId, vpn: u64, at: SimTime) {
+        let (page, from, to) = (vpn, src.0, dst.0);
+        let (counter, event) = match (self.topo.tier_of(src), self.topo.tier_of(dst)) {
+            (MemTier::Slow, MemTier::Dram) => (
+                Counter::TierPromotions,
+                TraceEventKind::TierPromote { page, from, to },
+            ),
+            (MemTier::Dram, MemTier::Slow) => (
+                Counter::TierDemotions,
+                TraceEventKind::TierDemote { page, from, to },
+            ),
+            _ => return,
+        };
+        self.counters.bump(counter);
+        self.trace.record(at, event);
     }
 }
 

@@ -361,17 +361,17 @@ Evacuate/repl/Injected(TransientCopy): end=2500 Some(Busy) bd=[migrate_pages() W
 Evacuate/repl/Injected(FrameExhausted): end=2500 Some(NoMemory) bd=[migrate_pages() Walk=2500 ] ctr=[FaultsInjected=1 MigrationsDegraded=1 ] trace=[fault:frame_exhausted@evacuation lock:pt_lock migration_degraded ]\n\
 Evacuate/repl/Injected(RacingUnmap): end=5245 Some(NotPresent) bd=[Copy Page=4096 migrate_pages() Walk=1150 ] ctr=[FaultsInjected=1 MigrationsDegraded=1 ] trace=[fault:racing_unmap@evacuation lock:pt_lock migration_degraded ]\n\
 Evacuate/repl/FullBank: end=2500 Some(NoMemory) bd=[migrate_pages() Walk=2500 ] ctr=[MigrationsDegraded=1 ] trace=[lock:pt_lock migration_degraded ]\n\
-Reclaim/single/Moved: end=5245 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=1150 ] ctr=[FramesAllocated=1 FramesFreed=1 DirectReclaims=1 ReclaimScans=1 PagesReclaimed=1 ] trace=[lock:pt_lock reclaim_run ]\n\
+Reclaim/single/Moved: end=5245 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=1150 ] ctr=[FramesAllocated=1 FramesFreed=1 DirectReclaims=1 ReclaimScans=1 PagesReclaimed=1 ] trace=[lock:pt_lock migration_copy reclaim_run ]\n\
 Reclaim/single/AlreadyPlaced: end=0 reclaimed=0 bd=[] ctr=[DirectReclaims=1 ] trace=[reclaim_run ]\n\
-Reclaim/single/Injected(TransientCopy): end=7745 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=3650 ] ctr=[FramesAllocated=1 FramesFreed=1 FaultsInjected=1 DirectReclaims=1 ReclaimScans=2 PagesReclaimed=1 ] trace=[fault:transient_copy@reclaim lock:pt_lock lock:pt_lock reclaim_run ]\n\
-Reclaim/single/Injected(FrameExhausted): end=7745 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=3650 ] ctr=[FramesAllocated=1 FramesFreed=1 FaultsInjected=1 DirectReclaims=1 ReclaimScans=2 PagesReclaimed=1 ] trace=[fault:frame_exhausted@reclaim lock:pt_lock lock:pt_lock reclaim_run ]\n\
-Reclaim/single/Injected(RacingUnmap): end=7745 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=3650 ] ctr=[FramesAllocated=1 FramesFreed=1 FaultsInjected=1 DirectReclaims=1 ReclaimScans=2 PagesReclaimed=1 ] trace=[fault:racing_unmap@reclaim lock:pt_lock lock:pt_lock reclaim_run ]\n\
+Reclaim/single/Injected(TransientCopy): end=7745 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=3650 ] ctr=[FramesAllocated=1 FramesFreed=1 FaultsInjected=1 DirectReclaims=1 ReclaimScans=2 PagesReclaimed=1 ] trace=[fault:transient_copy@reclaim lock:pt_lock lock:pt_lock migration_copy reclaim_run ]\n\
+Reclaim/single/Injected(FrameExhausted): end=7745 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=3650 ] ctr=[FramesAllocated=1 FramesFreed=1 FaultsInjected=1 DirectReclaims=1 ReclaimScans=2 PagesReclaimed=1 ] trace=[fault:frame_exhausted@reclaim lock:pt_lock lock:pt_lock migration_copy reclaim_run ]\n\
+Reclaim/single/Injected(RacingUnmap): end=7745 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=3650 ] ctr=[FramesAllocated=1 FramesFreed=1 FaultsInjected=1 DirectReclaims=1 ReclaimScans=2 PagesReclaimed=1 ] trace=[fault:racing_unmap@reclaim lock:pt_lock lock:pt_lock migration_copy reclaim_run ]\n\
 Reclaim/single/FullBank: end=0 reclaimed=0 bd=[] ctr=[DirectReclaims=1 ReclaimScans=1 ] trace=[reclaim_run ]\n\
-Reclaim/repl/Moved: end=5407 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=1150 ] ctr=[FramesAllocated=1 FramesFreed=1 PtReplicaSyncs=1 DirectReclaims=1 ReclaimScans=1 PagesReclaimed=1 ] trace=[lock:pt_lock pt_replica_sync reclaim_run ]\n\
+Reclaim/repl/Moved: end=5407 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=1150 ] ctr=[FramesAllocated=1 FramesFreed=1 PtReplicaSyncs=1 DirectReclaims=1 ReclaimScans=1 PagesReclaimed=1 ] trace=[lock:pt_lock migration_copy pt_replica_sync reclaim_run ]\n\
 Reclaim/repl/AlreadyPlaced: end=0 reclaimed=0 bd=[] ctr=[DirectReclaims=1 ] trace=[reclaim_run ]\n\
-Reclaim/repl/Injected(TransientCopy): end=7907 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=3650 ] ctr=[FramesAllocated=1 FramesFreed=1 FaultsInjected=1 PtReplicaSyncs=1 DirectReclaims=1 ReclaimScans=2 PagesReclaimed=1 ] trace=[fault:transient_copy@reclaim lock:pt_lock lock:pt_lock pt_replica_sync reclaim_run ]\n\
-Reclaim/repl/Injected(FrameExhausted): end=7907 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=3650 ] ctr=[FramesAllocated=1 FramesFreed=1 FaultsInjected=1 PtReplicaSyncs=1 DirectReclaims=1 ReclaimScans=2 PagesReclaimed=1 ] trace=[fault:frame_exhausted@reclaim lock:pt_lock lock:pt_lock pt_replica_sync reclaim_run ]\n\
-Reclaim/repl/Injected(RacingUnmap): end=7907 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=3650 ] ctr=[FramesAllocated=1 FramesFreed=1 FaultsInjected=1 PtReplicaSyncs=1 DirectReclaims=1 ReclaimScans=2 PagesReclaimed=1 ] trace=[fault:racing_unmap@reclaim lock:pt_lock lock:pt_lock pt_replica_sync reclaim_run ]\n\
+Reclaim/repl/Injected(TransientCopy): end=7907 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=3650 ] ctr=[FramesAllocated=1 FramesFreed=1 FaultsInjected=1 PtReplicaSyncs=1 DirectReclaims=1 ReclaimScans=2 PagesReclaimed=1 ] trace=[fault:transient_copy@reclaim lock:pt_lock lock:pt_lock migration_copy pt_replica_sync reclaim_run ]\n\
+Reclaim/repl/Injected(FrameExhausted): end=7907 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=3650 ] ctr=[FramesAllocated=1 FramesFreed=1 FaultsInjected=1 PtReplicaSyncs=1 DirectReclaims=1 ReclaimScans=2 PagesReclaimed=1 ] trace=[fault:frame_exhausted@reclaim lock:pt_lock lock:pt_lock migration_copy pt_replica_sync reclaim_run ]\n\
+Reclaim/repl/Injected(RacingUnmap): end=7907 reclaimed=1 bd=[Copy Page=4096 migrate_pages() Walk=3650 ] ctr=[FramesAllocated=1 FramesFreed=1 FaultsInjected=1 PtReplicaSyncs=1 DirectReclaims=1 ReclaimScans=2 PagesReclaimed=1 ] trace=[fault:racing_unmap@reclaim lock:pt_lock lock:pt_lock migration_copy pt_replica_sync reclaim_run ]\n\
 Reclaim/repl/FullBank: end=0 reclaimed=0 bd=[] ctr=[DirectReclaims=1 ReclaimScans=1 ] trace=[reclaim_run ]\n\
 TierStw/single/Moved: end=6596 Some(SimTime(1006596)) bd=[move_pages() Control=2500 move_pages() Copy Page=4096 ] ctr=[FramesAllocated=1 FramesFreed=1 TierDemotions=1 ] trace=[lock:pt_lock migration_copy tier_demote ]\n\
 TierStw/single/AlreadyPlaced: end=0 None bd=[] ctr=[PagesAlreadyPlaced=1 ] trace=[]\n\

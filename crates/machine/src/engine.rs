@@ -8,9 +8,11 @@
 
 use crate::op::Op;
 use crate::Machine;
+use numa_kernel::{PageStatus, RelocSite};
 use numa_sim::{BarrierOutcome, BarrierState, ReadyQueue, SimTime, TraceEventKind};
 use numa_stats::{Breakdown, CostComponent, Counter, Counters};
-use numa_topology::CoreId;
+use numa_topology::{CoreId, NodeId};
+use numa_vm::VirtAddr;
 
 /// Context passed to a program when the engine asks for its next op.
 pub struct ProgramCtx<'a> {
@@ -91,23 +93,22 @@ enum Micro {
     /// payload out of the enum makes every arena slot a plain 32-byte
     /// copy — drained slots need no sentinel back-fill and no drop glue.
     Whole(u32),
-    /// `move_pages` base bookkeeping.
-    MovePagesBegin,
-    /// Migrate one page of a `move_pages` call; a transient (`EBUSY`)
-    /// failure with retries left re-queues the same micro.
-    MovePage {
+    /// `move_pages` or `migrate_pages` base bookkeeping.
+    MigrationBegin(RelocSite),
+    /// Relocate one page (`move_pages`, `migrate_pages`, node evacuation
+    /// or a stop-the-world tier move). `dest` is the target node, or for
+    /// [`RelocSite::Evacuate`] the node being emptied; a `migrate_pages`
+    /// walk reads its from/to node sets from the thread's
+    /// [`ThreadState::migrate_args`] (one walk in flight per thread), so
+    /// the micro stays pointer-free. A transient (`EBUSY`) failure with
+    /// retries left re-queues the same micro.
+    Relocate {
         addr: numa_vm::VirtAddr,
+        site: RelocSite,
         dest: numa_topology::NodeId,
         unpatched_n: usize,
         retries_left: u32,
     },
-    /// `migrate_pages` base bookkeeping.
-    MigratePagesBegin,
-    /// One page of a `migrate_pages` walk. The from/to node sets live in
-    /// the thread's [`ThreadState::migrate_args`] (one walk in flight per
-    /// thread), so the per-page micro stays pointer-free. Transient
-    /// failures retry like [`Micro::MovePage`].
-    MigratePage { vpn: u64, retries_left: u32 },
     /// The batched TLB shootdown ending a migration syscall.
     MigrationShootdown,
     /// Start the transactional copy of one page (tiering).
@@ -121,11 +122,6 @@ enum Micro {
         vpn: u64,
         dest: numa_topology::NodeId,
         retries_left: u32,
-    },
-    /// Stop-the-world migration of one page (tiering).
-    TierStwPage {
-        vpn: u64,
-        dest: numa_topology::NodeId,
     },
     /// Touch one page of an access op.
     Touch {
@@ -144,14 +140,27 @@ enum Micro {
     /// Mark a node unallocatable before its evacuation walk (the first
     /// step of memory hot-remove).
     NodeOfflineBegin { node: numa_topology::NodeId },
-    /// Evacuate one resident page off an offlining node; transient
-    /// (`EBUSY`) failures retry like [`Micro::MovePage`], permanent ones
-    /// degrade and leave the page in place (partial-failure semantics).
-    EvacuatePage {
-        vpn: u64,
-        node: numa_topology::NodeId,
-        retries_left: u32,
-    },
+}
+
+// Every arena slot is a plain copy of this size (DESIGN.md §13).
+const _: () = assert!(std::mem::size_of::<Micro>() == 32);
+
+impl Micro {
+    /// A first relocation attempt of the page at `addr`.
+    fn relocate(
+        addr: numa_vm::VirtAddr,
+        site: RelocSite,
+        dest: numa_topology::NodeId,
+        unpatched_n: usize,
+    ) -> Self {
+        Micro::Relocate {
+            addr,
+            site,
+            dest,
+            unpatched_n,
+            retries_left: MOVE_PAGE_RETRIES,
+        }
+    }
 }
 
 /// How many times an aborted transactional tier migration is retried
@@ -274,26 +283,10 @@ struct ThreadState {
     program: Program,
     micro: MicroRuns,
     /// The from/to node sets of the thread's in-flight `migrate_pages`
-    /// walk (set at expansion, read by every `Micro::MigratePage`).
+    /// walk (set at expansion, read by each of its `Micro::Relocate`s).
     migrate_args: Option<(Vec<numa_topology::NodeId>, Vec<numa_topology::NodeId>)>,
     /// The op currently being drained and when it started (tracing only).
     op: Option<(&'static str, SimTime)>,
-}
-
-/// Process-wide default for the engine's lookahead fast path. Machines
-/// snapshot it at construction; tests flip it to prove batched and
-/// per-page execution produce bit-identical results.
-static FAST_PATH_DEFAULT: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Set the process-wide default for the lookahead fast path (applies to
-/// machines constructed afterwards).
-pub fn set_fast_path_default(enabled: bool) {
-    FAST_PATH_DEFAULT.store(enabled, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// The current process-wide fast-path default.
-pub fn fast_path_default() -> bool {
-    FAST_PATH_DEFAULT.load(std::sync::atomic::Ordering::SeqCst)
 }
 
 /// A paused-and-resumable engine session over one machine.
@@ -665,7 +658,7 @@ impl Machine {
             }
             Op::MovePages { pages, dest } => {
                 assert_eq!(pages.len(), dest.len(), "pages/dest length mismatch");
-                micros.emit(Micro::MovePagesBegin);
+                micros.emit(Micro::MigrationBegin(RelocSite::MovePages));
                 let n = pages.len();
                 let unpatched_n = if self.kernel.config.patched_move_pages {
                     0
@@ -673,12 +666,7 @@ impl Machine {
                     n
                 };
                 for (addr, d) in pages.into_iter().zip(dest) {
-                    micros.emit(Micro::MovePage {
-                        addr,
-                        dest: d,
-                        unpatched_n,
-                        retries_left: MOVE_PAGE_RETRIES,
-                    });
+                    micros.emit(Micro::relocate(addr, RelocSite::MovePages, d, unpatched_n));
                 }
                 micros.emit(Micro::MigrationShootdown);
             }
@@ -701,7 +689,8 @@ impl Machine {
                             retries_left: TIER_TXN_RETRIES,
                         });
                     } else {
-                        micros.emit(Micro::TierStwPage { vpn, dest });
+                        let addr = VirtAddr::from_vpn(vpn);
+                        micros.emit(Micro::relocate(addr, RelocSite::TierStw, dest, 0));
                     }
                 }
                 micros.emit(Micro::MigrationShootdown);
@@ -711,14 +700,13 @@ impl Machine {
                     !from.is_empty() && from.len() == to.len(),
                     "from/to node sets mismatch"
                 );
-                micros.emit(Micro::MigratePagesBegin);
+                micros.emit(Micro::MigrationBegin(RelocSite::MigratePages));
                 // The ordered address-space walk (§4.2). The node sets are
                 // parked on the thread, not cloned into every micro.
                 for vpn in self.space.page_table.sorted_vpns() {
-                    micros.emit(Micro::MigratePage {
-                        vpn,
-                        retries_left: MOVE_PAGE_RETRIES,
-                    });
+                    let addr = VirtAddr::from_vpn(vpn);
+                    // The node sets live on the thread; `dest` is unused.
+                    micros.emit(Micro::relocate(addr, RelocSite::MigratePages, NodeId(0), 0));
                 }
                 micros.emit(Micro::MigrationShootdown);
                 state.migrate_args = Some((from, to));
@@ -731,15 +719,10 @@ impl Machine {
                 // executes) is simply left behind; Linux's offline loop
                 // has the same window and re-scans, which the caller can
                 // model by issuing the op again.
-                for vpn in self.space.page_table.sorted_vpns() {
-                    if let Some(pte) = self.space.page_table.get(vpn) {
-                        if self.frames.node_of(pte.frame) == node {
-                            micros.emit(Micro::EvacuatePage {
-                                vpn,
-                                node,
-                                retries_left: MOVE_PAGE_RETRIES,
-                            });
-                        }
+                for (vpn, pte) in self.space.page_table.iter() {
+                    if self.frames.node_of(pte.frame) == node {
+                        let addr = VirtAddr::from_vpn(vpn);
+                        micros.emit(Micro::relocate(addr, RelocSite::Evacuate, node, 0));
                     }
                 }
                 micros.emit(Micro::MigrationShootdown);
@@ -807,31 +790,47 @@ impl Machine {
                 let op = state.micro.take_whole(i);
                 self.exec_whole(tid, core, now, op, stats)
             }
-            Micro::MovePagesBegin => {
-                let (end, b) = self.kernel.move_pages_begin(now);
-                stats.breakdown.merge(&b);
-                end
+            Micro::MigrationBegin(site) => {
+                self.kernel.migration_begin(now, site, &mut stats.breakdown)
             }
-            Micro::MovePage {
+            Micro::Relocate {
                 addr,
+                site,
                 dest,
                 unpatched_n,
                 retries_left,
             } => {
-                let (end, b, status) = self.kernel.move_page_step(
-                    &mut self.space,
-                    &mut self.frames,
-                    now,
-                    addr,
-                    dest,
-                    unpatched_n,
-                );
-                stats.breakdown.merge(&b);
-                if status == numa_kernel::PageStatus::Busy
-                    && self.note_transient_failure(end, addr.vpn(), retries_left)
+                let (k, space, frames) = (&mut self.kernel, &mut self.space, &mut self.frames);
+                let (b, vpn) = (&mut stats.breakdown, addr.vpn());
+                let (end, status) = match site {
+                    RelocSite::MovePages => {
+                        let (end, st) =
+                            k.move_page_step(space, frames, now, addr, dest, unpatched_n, b);
+                        (end, Some(st))
+                    }
+                    RelocSite::MigratePages => {
+                        let (from, to) = state.migrate_args.as_ref().expect("walk args");
+                        k.migrate_page_step(space, frames, now, vpn, from, to, b)
+                    }
+                    RelocSite::Evacuate => {
+                        let (end, eb, st) = k.evacuate_page_step(space, frames, now, vpn, dest);
+                        b.merge(&eb);
+                        (end, st)
+                    }
+                    RelocSite::TierStw => {
+                        let end = k.tier_stw_page(space, frames, now, vpn, dest, b);
+                        (end.unwrap_or(now), None)
+                    }
+                    RelocSite::Reclaim | RelocSite::NextTouch => {
+                        unreachable!("{site:?} relocations run inside the kernel")
+                    }
+                };
+                if status == Some(PageStatus::Busy)
+                    && self.note_transient_failure(end, vpn, retries_left)
                 {
-                    state.micro.push_front(Micro::MovePage {
+                    state.micro.push_front(Micro::Relocate {
                         addr,
+                        site,
                         dest,
                         unpatched_n,
                         retries_left: retries_left - 1,
@@ -839,52 +838,14 @@ impl Machine {
                 }
                 end
             }
-            Micro::MigratePagesBegin => {
-                let (end, b) = self.kernel.migrate_pages_begin(now);
-                stats.breakdown.merge(&b);
-                end
-            }
-            Micro::MigratePage { vpn, retries_left } => {
-                let (from, to) = state
-                    .migrate_args
-                    .as_ref()
-                    .expect("migrate_args set when the walk was expanded");
-                let (end, b, status) = self.kernel.migrate_page_step(
-                    &mut self.space,
-                    &mut self.frames,
-                    now,
-                    vpn,
-                    from,
-                    to,
-                );
-                stats.breakdown.merge(&b);
-                if status == Some(numa_kernel::PageStatus::Busy)
-                    && self.note_transient_failure(end, vpn, retries_left)
-                {
-                    state.micro.push_front(Micro::MigratePage {
-                        vpn,
-                        retries_left: retries_left - 1,
-                    });
-                }
-                end
-            }
             Micro::MigrationShootdown => {
-                let (end, b) = self.kernel.migration_shootdown(&mut self.tlb, now, core);
-                stats.breakdown.merge(&b);
-                end
+                self.kernel
+                    .migration_shootdown(&mut self.tlb, now, core, &mut stats.breakdown)
             }
             Micro::TierTxnBegin { vpn, dest } => {
-                let mut b = Breakdown::new();
-                let end = self.kernel.tier_txn_begin(
-                    &mut self.space,
-                    &mut self.frames,
-                    now,
-                    vpn,
-                    dest,
-                    &mut b,
-                );
-                stats.breakdown.merge(&b);
-                match end {
+                let (space, frames) = (&mut self.space, &mut self.frames);
+                let b = &mut stats.breakdown;
+                match self.kernel.tier_txn_begin(space, frames, now, vpn, dest, b) {
                     Some(t) => t,
                     None => {
                         // Ineligible page (unmapped, already placed, bank
@@ -904,15 +865,10 @@ impl Machine {
                 dest,
                 retries_left,
             } => {
-                let mut b = Breakdown::new();
-                let (end, outcome) = self.kernel.tier_txn_commit(
-                    &mut self.space,
-                    &mut self.frames,
-                    now,
-                    vpn,
-                    &mut b,
-                );
-                stats.breakdown.merge(&b);
+                let b = &mut stats.breakdown;
+                let (end, outcome) =
+                    self.kernel
+                        .tier_txn_commit(&mut self.space, &mut self.frames, now, vpn, b);
                 if outcome == numa_kernel::TxnOutcome::Aborted
                     && self.note_transient_failure(end, vpn, retries_left)
                 {
@@ -923,15 +879,6 @@ impl Machine {
                     });
                     state.micro.push_front(Micro::TierTxnBegin { vpn, dest });
                 }
-                end
-            }
-            Micro::TierStwPage { vpn, dest } => {
-                let mut b = Breakdown::new();
-                let end = self
-                    .kernel
-                    .tier_stw_page(&mut self.space, &mut self.frames, now, vpn, dest, &mut b)
-                    .unwrap_or(now);
-                stats.breakdown.merge(&b);
                 end
             }
             Micro::Touch {
@@ -949,30 +896,6 @@ impl Machine {
             Micro::NodeOfflineBegin { node } => {
                 self.kernel.node_offline_begin(&mut self.frames, now, node);
                 now
-            }
-            Micro::EvacuatePage {
-                vpn,
-                node,
-                retries_left,
-            } => {
-                let (end, b, status) = self.kernel.evacuate_page_step(
-                    &mut self.space,
-                    &mut self.frames,
-                    now,
-                    vpn,
-                    node,
-                );
-                stats.breakdown.merge(&b);
-                if status == Some(numa_kernel::PageStatus::Busy)
-                    && self.note_transient_failure(end, vpn, retries_left)
-                {
-                    state.micro.push_front(Micro::EvacuatePage {
-                        vpn,
-                        node,
-                        retries_left: retries_left - 1,
-                    });
-                }
-                end
             }
         }
     }

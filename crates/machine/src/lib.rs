@@ -120,14 +120,14 @@ impl Machine {
             segv_handler: None,
             heat: std::collections::BTreeMap::new(),
             topo,
-            fast_path: engine::fast_path_default(),
+            fast_path: true,
             fastpath_micros: 0,
             oom_kill_pending: false,
         }
     }
 
     /// Force the engine's lookahead fast path on or off for this machine
-    /// (it defaults to [`engine::fast_path_default`]). Results are
+    /// (it defaults to on). Results are
     /// bit-identical either way; the slow path exists to prove that.
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
