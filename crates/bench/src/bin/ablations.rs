@@ -1,98 +1,3 @@
-//! Design-choice ablations (DESIGN.md §6): the move_pages lookup fix in
-//! isolation, the page-table-lock serialized fraction, user next-touch
-//! region granularity, and the paper's §6 future-work extensions
-//! (huge-page migration, read-only replication).
-
-use numa_bench::{mbps, Options};
-use numa_migrate::experiments::ablations;
-use numa_migrate::stats::Table;
-
 fn main() {
-    let opts = Options::parse("ablations", "design-choice ablations");
-    let mut out = opts.open_output("ablations");
-
-    let pages = if opts.full {
-        vec![16, 64, 256, 1024, 4096, 16384]
-    } else {
-        vec![64, 1024, 4096]
-    };
-    let mut t = Table::new(["pages", "patched MB/s", "quadratic MB/s", "ratio"]);
-    for (p, a, b) in ablations::lookup_ablation_jobs(&pages, opts.jobs) {
-        t.row([p.to_string(), mbps(a), mbps(b), format!("{:.1}x", a / b)]);
-    }
-    out.table(
-        "A1. move_pages destination-lookup fix (patched vs quadratic)",
-        &t,
-    );
-
-    let fractions = [0.1, 0.3, 0.55, 0.7, 0.9];
-    let mut t = Table::new(["fraction", "4-thread speedup"]);
-    for (f, s) in ablations::lock_fraction_sweep_jobs(&fractions, 8192, opts.jobs) {
-        t.row([format!("{f:.2}"), format!("{s:.2}x")]);
-    }
-    out.table(
-        "\nA2. page-table-lock serialized fraction vs 4-thread lazy speedup",
-        &t,
-    );
-
-    let (whole, per_chunk) = ablations::user_granularity(64);
-    let mut t = Table::new(["marking granularity", "misplaced pages"]);
-    t.row(["whole buffer".to_string(), whole.to_string()]);
-    t.row(["region per chunk".to_string(), per_chunk.to_string()]);
-    out.table(
-        "\nA3. user next-touch granularity (4 threads on 4 nodes, 64 pages)",
-        &t,
-    );
-
-    let (base, huge) = ablations::huge_page_migration();
-    let mut t = Table::new(["granularity", "time", "throughput MB/s"]);
-    t.row([
-        "512 x 4 kB pages".to_string(),
-        numa_migrate::stats::fmt_ns(base),
-        mbps(numa_migrate::stats::mb_per_s(2 << 20, base)),
-    ]);
-    t.row([
-        "1 x 2 MB huge page".to_string(),
-        numa_migrate::stats::fmt_ns(huge),
-        mbps(numa_migrate::stats::mb_per_s(2 << 20, huge)),
-    ]);
-    out.table(
-        "\nA4. huge-page migration (2 MB payload, lazy next-touch)",
-        &t,
-    );
-
-    let (plain, replicated) = ablations::replication_benefit(64, 4);
-    let mut t = Table::new(["placement", "time"]);
-    t.row([
-        "single copy on node 0".to_string(),
-        numa_migrate::stats::fmt_ns(plain),
-    ]);
-    t.row([
-        "replica per node".to_string(),
-        numa_migrate::stats::fmt_ns(replicated),
-    ]);
-    out.table(
-        "\nA5. read-only replication (16 threads reading a shared table)",
-        &t,
-    );
-
-    let (stat, hooked, auto) = ablations::hooked_vs_auto(4096, 6);
-    let mut t = Table::new(["policy", "time"]);
-    t.row([
-        "static (no migration)".to_string(),
-        numa_migrate::stats::fmt_ns(stat),
-    ]);
-    t.row([
-        "explicit hooks (the paper)".to_string(),
-        numa_migrate::stats::fmt_ns(hooked),
-    ]);
-    t.row([
-        "automatic sampling (AutoNUMA-style)".to_string(),
-        numa_migrate::stats::fmt_ns(auto),
-    ]);
-    out.table(
-        "\nA6. explicit next-touch hooks vs AutoNUMA-style blind scanning",
-        &t,
-    );
-    out.finish();
+    numa_bench::main("ablations")
 }

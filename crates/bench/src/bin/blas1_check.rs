@@ -1,38 +1,3 @@
-//! Regenerates the §4.5 BLAS1 observation: migration never improves
-//! vector operations.
-
-use numa_bench::{percent, secs, Options};
-use numa_migrate::experiments::blas1;
-use numa_migrate::stats::Table;
-
 fn main() {
-    let opts = Options::parse("blas1_check", "the BLAS1 no-improvement check (§4.5)");
-    let sizes = if opts.full {
-        blas1::paper_sizes()
-    } else {
-        vec![1 << 12, 1 << 16]
-    };
-    let mut table = Table::new([
-        "elements",
-        "Static",
-        "Next-touch",
-        "Sync move_pages",
-        "NT improvement",
-    ]);
-    for r in blas1::run(&sizes) {
-        table.row([
-            r.elements.to_string(),
-            secs(r.static_s),
-            secs(r.next_touch_s),
-            secs(r.sync_s),
-            percent(r.nt_improvement_percent()),
-        ]);
-    }
-    let mut out = opts.open_output("blas1_check");
-    out.table(
-        "BLAS1 (daxpy) with 16 threads: migration must never improve\n\
-         (paper \u{00a7}4.5: \"BLAS1 operations never improve thanks to memory migration\")",
-        &table,
-    );
-    out.finish();
+    numa_bench::main("blas1_check")
 }

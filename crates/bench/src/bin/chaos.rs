@@ -1,37 +1,3 @@
-//! Regenerates the chaos sweep: deterministic fault injection across
-//! every migration path (`move_pages`, `migrate_pages`, kernel and
-//! user-space next-touch, tier promotion), with bounded retries and
-//! graceful degradation. Every case runs twice and is audited — page
-//! table consistent, frame accounting balanced, results byte-identical —
-//! so a nonzero `violations` column (or a panic) is a real bug.
-
-use numa_bench::{chaos_table, Options};
-use numa_migrate::experiments::chaos;
-
 fn main() {
-    let opts = Options::parse(
-        "chaos",
-        "the fault-injection sweep (retry/degradation robustness)",
-    );
-    let mut out = opts.open_output("chaos");
-    let rates = chaos::default_rates(opts.full);
-    // --full also sweeps the memory-pressure paths (node evacuation,
-    // direct reclaim); the default workload list — and so the golden
-    // JSON — is unchanged.
-    let mut workloads = chaos::WORKLOADS.to_vec();
-    if opts.full {
-        workloads.extend(chaos::PRESSURE_WORKLOADS);
-    }
-    let table = chaos_table(&workloads, &rates, opts.seed, opts.jobs);
-    out.table(
-        &format!(
-            "Chaos sweep: {} pages per workload; transient-copy (EBUSY), frame-exhausted\n\
-             (ENOMEM) and racing-unmap (ENOENT) faults injected at each swept rate\n\
-             (seed {}); every case audited and executed twice for determinism",
-            chaos::PAGES,
-            opts.seed
-        ),
-        &table,
-    );
-    out.finish();
+    numa_bench::main("chaos")
 }

@@ -1,83 +1,3 @@
-//! Figure 3 counterpart: print the simulated experimentation platform —
-//! nodes, cores, links, routes and NUMA factors — so every other
-//! experiment's context is inspectable.
-
-use numa_bench::Options;
-use numa_migrate::prelude::*;
-use numa_migrate::stats::Table;
-
 fn main() {
-    let opts = Options::parse("fig3", "Figure 3 (the experimentation platform)");
-    let m = Machine::opteron_4p();
-    let topo = m.topology();
-    let cost = topo.cost();
-    let mut out = opts.open_output("fig3");
-
-    println!(
-        "The experimentation host: {} nodes x {} cores ({} total), \
-         {:.1} GHz, {} GB + {} MB L3 per node\n",
-        topo.node_count(),
-        topo.core_count() / topo.node_count(),
-        topo.core_count(),
-        topo.core(CoreId(0)).freq_hz as f64 / 1e9,
-        topo.node(NodeId(0)).memory_bytes >> 30,
-        topo.node(NodeId(0)).l3_bytes >> 20,
-    );
-
-    let mut links = Table::new(["link", "endpoints", "bandwidth GB/s"]);
-    for i in 0..topo.link_count() {
-        let l = topo.link(numa_migrate::topology::LinkId(i as u16));
-        links.row([
-            format!("#{i}"),
-            format!("{} <-> {}", l.a, l.b),
-            format!("{:.1}", l.bandwidth_bytes_per_ns),
-        ]);
-    }
-    out.table("HyperTransport links:", &links);
-
-    let mut routes = Table::new(["from\\to", "node#0", "node#1", "node#2", "node#3"]);
-    for a in topo.node_ids() {
-        let mut row = vec![a.to_string()];
-        for b in topo.node_ids() {
-            row.push(format!(
-                "{} hop(s), x{:.2}",
-                topo.hops(a, b),
-                topo.numa_factor(a, b)
-            ));
-        }
-        routes.row(row);
-    }
-    out.table("\nRoutes and NUMA factors (paper: 1.2-1.4):", &routes);
-
-    let mut consts = Table::new(["constant", "value", "paper source"]);
-    consts.row([
-        "move_pages base".into(),
-        format!("{} us", cost.move_pages_base_ns / 1000),
-        "\u{a7}4.2 (~160 us)".to_string(),
-    ]);
-    consts.row([
-        "migrate_pages base".into(),
-        format!("{} us", cost.migrate_pages_base_ns / 1000),
-        "\u{a7}4.2 (~400 us)".to_string(),
-    ]);
-    consts.row([
-        "kernel copy bandwidth".into(),
-        format!("{:.1} GB/s", cost.kernel_copy_bw),
-        "\u{a7}4.2 (1 GB/s)".to_string(),
-    ]);
-    consts.row([
-        "pt-lock serialized fraction".into(),
-        format!("{:.2}", cost.pt_lock_fraction),
-        "Fig. 7 scaling".to_string(),
-    ]);
-    consts.row([
-        "unpatched lookup per entry".into(),
-        format!("{:.0} ns", cost.unpatched_lookup_ns_per_entry),
-        "Fig. 4 shape".to_string(),
-    ]);
-    out.table(
-        "\nCalibrated kernel constants (DESIGN.md \u{a7}4):",
-        &consts,
-    );
-    out.finish();
+    numa_bench::main("fig3")
 }

@@ -1,39 +1,3 @@
-//! Regenerates Figure 4: migration and memory-copy throughput between
-//! NUMA nodes #0 and #1 (memcpy / migrate_pages / move_pages /
-//! move_pages without the complexity patch).
-
-use numa_bench::{mbps, Options};
-use numa_migrate::experiments::{fig4, fig4_page_counts};
-use numa_migrate::stats::Table;
-
 fn main() {
-    let opts = Options::parse("fig4", "Figure 4 (synchronous migration throughput)");
-    let pages = if opts.full {
-        fig4_page_counts()
-    } else {
-        vec![1, 16, 256, 2048, 8192]
-    };
-    let rows = fig4::run_jobs(&pages, opts.jobs);
-    let mut table = Table::new([
-        "pages",
-        "memcpy MB/s",
-        "migrate_pages MB/s",
-        "move_pages MB/s",
-        "move_pages(no patch) MB/s",
-    ]);
-    for r in rows {
-        table.row([
-            r.pages.to_string(),
-            mbps(r.memcpy_mbps),
-            mbps(r.migrate_pages_mbps),
-            mbps(r.move_pages_mbps),
-            mbps(r.move_pages_nopatch_mbps),
-        ]);
-    }
-    let mut out = opts.open_output("fig4");
-    out.table(
-        "Figure 4: migration and memory copy throughput, node #0 -> node #1",
-        &table,
-    );
-    out.finish();
+    numa_bench::main("fig4")
 }

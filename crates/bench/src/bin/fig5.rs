@@ -1,70 +1,3 @@
-//! Regenerates Figure 5: next-touch migration throughput — user-space
-//! (with and without the move_pages patch) vs the kernel implementation.
-//!
-//! With `--trace`/`--json`, additionally runs one traced kernel-NT
-//! episode and exports its Chrome trace, cost breakdown and resource
-//! utilisation — the trace's per-component span sums reconcile exactly
-//! with the printed breakdown table (asserted in
-//! `tests/trace_reconcile.rs`).
-
-use numa_bench::{embed_counters, mbps, Options};
-use numa_migrate::experiments::fig5::{self, NtVariant};
-use numa_migrate::experiments::fig5_page_counts;
-use numa_migrate::stats::{Json, Table};
-
 fn main() {
-    let opts = Options::parse("fig5", "Figure 5 (next-touch throughput comparison)");
-    let pages = if opts.full {
-        fig5_page_counts()
-    } else {
-        vec![4, 16, 128, 1024, 4096]
-    };
-    let rows = fig5::run_jobs(&pages, opts.jobs);
-    let mut table = Table::new([
-        "pages",
-        "user NT (no patch) MB/s",
-        "user NT MB/s",
-        "kernel NT MB/s",
-    ]);
-    for r in rows {
-        table.row([
-            r.pages.to_string(),
-            mbps(r.user_nopatch_mbps),
-            mbps(r.user_mbps),
-            mbps(r.kernel_mbps),
-        ]);
-    }
-    let mut out = opts.open_output("fig5");
-    out.table("Figure 5: next-touch performance comparison", &table);
-
-    if opts.trace.is_some() || opts.json.is_some() {
-        // One traced episode whose exported trace reconciles with the
-        // breakdown printed below.
-        let episode_pages: u64 = 1024;
-        let (r, m) = fig5::measure_traced(episode_pages, NtVariant::Kernel, 1 << 16);
-        let mut bt = Table::new(["component", "ns", "percent"]);
-        for (c, ns, pct) in r.stats.breakdown.entries() {
-            bt.row([c.label().to_string(), ns.to_string(), format!("{pct:.2}")]);
-        }
-        out.table(
-            &format!("\nTraced episode (kernel NT, {episode_pages} pages): cost breakdown"),
-            &bt,
-        );
-        let util = m.utilisation_report(r.makespan);
-        out.table("\nTraced episode: resource utilisation", &util.to_table());
-        out.meta(
-            "traced_episode",
-            Json::obj()
-                .set("variant", "kernel-nt")
-                .set("pages", episode_pages)
-                .set("makespan_ns", r.makespan.ns())
-                .set("trace_events", m.trace.len() as u64)
-                .set("trace_dropped", m.trace.dropped())
-                .set("utilisation", util.to_json()),
-        );
-        let mut counters = m.kernel.counters.clone();
-        counters.merge(&r.stats.counters);
-        out.set_trace_json(embed_counters(&m.trace.chrome_trace_json(), &counters));
-    }
-    out.finish();
+    numa_bench::main("fig5")
 }

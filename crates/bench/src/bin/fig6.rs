@@ -1,69 +1,3 @@
-//! Regenerates Figure 6: per-component cost breakdown of the two
-//! next-touch implementations (stacked percentages).
-
-use numa_bench::Options;
-use numa_migrate::experiments::fig6;
-use numa_migrate::stats::Table;
-
 fn main() {
-    let opts = Options::parse("fig6", "Figure 6 (next-touch cost breakdowns)");
-    let pages = if opts.full {
-        vec![4, 16, 64, 256, 1024, 4096]
-    } else {
-        vec![16, 256, 1024]
-    };
-    let mut out = opts.open_output("fig6");
-
-    let mut ta = Table::new([
-        "pages",
-        "copy %",
-        "control %",
-        "restore %",
-        "fault+signal %",
-        "mark %",
-        "tlb %",
-        "lock wait %",
-    ]);
-    for r in fig6::run_user(&pages) {
-        use numa_migrate::stats::CostComponent as C;
-        ta.row([
-            r.pages.to_string(),
-            format!("{:.1}", r.percent(C::MovePagesCopy)),
-            format!("{:.1}", r.percent(C::MovePagesControl)),
-            format!("{:.1}", r.percent(C::MprotectRestore)),
-            format!("{:.1}", r.percent(C::PageFaultSignal)),
-            format!("{:.1}", r.percent(C::MprotectMark)),
-            format!("{:.1}", r.percent(C::TlbFlush)),
-            format!("{:.1}", r.percent(C::LockWait)),
-        ]);
-    }
-    out.table(
-        "Figure 6(a): next-touch in user space — cost percentage per component",
-        &ta,
-    );
-
-    let mut tb = Table::new([
-        "pages",
-        "copy %",
-        "fault+control %",
-        "madvise %",
-        "tlb %",
-        "lock wait %",
-    ]);
-    for r in fig6::run_kernel(&pages) {
-        use numa_migrate::stats::CostComponent as C;
-        tb.row([
-            r.pages.to_string(),
-            format!("{:.1}", r.percent(C::FaultCopy)),
-            format!("{:.1}", r.percent(C::FaultControl)),
-            format!("{:.1}", r.percent(C::Madvise)),
-            format!("{:.1}", r.percent(C::TlbFlush)),
-            format!("{:.1}", r.percent(C::LockWait)),
-        ]);
-    }
-    out.table(
-        "\nFigure 6(b): next-touch in the kernel — cost percentage per component",
-        &tb,
-    );
-    out.finish();
+    numa_bench::main("fig6")
 }

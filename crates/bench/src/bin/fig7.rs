@@ -1,33 +1,3 @@
-//! Regenerates Figure 7: aggregate throughput of parallel lazy migration
-//! (kernel next-touch) and synchronous migration (move_pages) with up to
-//! 4 threads on the destination node.
-
-use numa_bench::{mbps, Options};
-use numa_migrate::experiments::{fig7, fig7_page_counts};
-use numa_migrate::stats::Table;
-
 fn main() {
-    let opts = Options::parse("fig7", "Figure 7 (threaded migration scalability)");
-    let pages = if opts.full {
-        fig7_page_counts()
-    } else {
-        vec![64, 512, 4096, 16384]
-    };
-    let rows = fig7::run_jobs(&pages, 4, opts.jobs);
-    let mut table = Table::new([
-        "pages", "sync-1", "sync-2", "sync-3", "sync-4", "lazy-1", "lazy-2", "lazy-3", "lazy-4",
-    ]);
-    for r in rows {
-        let mut cells = vec![r.pages.to_string()];
-        cells.extend(r.sync_mbps.iter().map(|v| mbps(*v)));
-        cells.extend(r.lazy_mbps.iter().map(|v| mbps(*v)));
-        table.row(cells);
-    }
-    let mut out = opts.open_output("fig7");
-    out.table(
-        "Figure 7: aggregate migration throughput (MB/s), node #0 -> node #1,\n\
-         1-4 threads bound to node #1",
-        &table,
-    );
-    out.finish();
+    numa_bench::main("fig7")
 }

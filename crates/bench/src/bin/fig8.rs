@@ -1,35 +1,3 @@
-//! Regenerates Figure 8: execution time of 16 concurrent BLAS3 matrix
-//! multiplications in 16 independent threads — static allocation vs
-//! kernel and user next-touch.
-
-use numa_bench::{secs, Options};
-use numa_migrate::experiments::fig8;
-use numa_migrate::stats::Table;
-
 fn main() {
-    let opts = Options::parse("fig8", "Figure 8 (16 concurrent BLAS3 multiplications)");
-    let sizes = if opts.full {
-        fig8::paper_sizes()
-    } else {
-        vec![128, 256, 512, 1024]
-    };
-    let mut table = Table::new(["N", "Static", "Next-touch kernel", "Next-touch user"]);
-    if opts.verbose {
-        eprintln!("running n in {sizes:?} with {} job(s) ...", opts.jobs);
-    }
-    for row in fig8::run_jobs(&sizes, opts.jobs) {
-        table.row([
-            row.n.to_string(),
-            secs(row.static_s),
-            secs(row.kernel_nt_s),
-            secs(row.user_nt_s),
-        ]);
-    }
-    let mut out = opts.open_output("fig8");
-    out.table(
-        "Figure 8: execution time of 16 concurrent BLAS3 multiplications\n\
-         (NxN doubles per thread, virtual seconds)",
-        &table,
-    );
-    out.finish();
+    numa_bench::main("fig8")
 }

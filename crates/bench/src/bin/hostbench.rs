@@ -323,12 +323,6 @@ fn main() {
                 continue;
             }
             let s = measure(*reps, || run(jobs));
-            if opts.verbose {
-                eprintln!(
-                    "{name} jobs={jobs}: median {:.3}s (spread {:.3}-{:.3}s) checksum={}",
-                    s.median, s.min, s.max, s.checksum
-                );
-            }
             if jobs == 1 {
                 seq_seconds.push((*name, s.median));
             } else {

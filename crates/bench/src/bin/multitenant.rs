@@ -1,45 +1,3 @@
-//! Regenerates the multitenant churn run: 1,000 tenant processes
-//! (2,000 with `--full`) doing mmap → populate → next-touch → migrate →
-//! `move_pages` → munmap generations on the sharded deterministic
-//! engine, coupled through a shared frame-capacity ledger and the
-//! machine-wide L3-thrash model, reconciled at virtual-time window
-//! barriers. `--shards`/`--jobs` parallelise the host work; the table
-//! and JSON are byte-identical for any combination (the regression
-//! suite and the golden checksum both assert this).
-
-use numa_bench::{multitenant_summary, multitenant_table, Options};
-use numa_migrate::experiments::multitenant;
-
 fn main() {
-    let opts = Options::parse(
-        "multitenant",
-        "the 1,000-tenant churn run on the sharded engine",
-    );
-    let mut out = opts.open_output("multitenant");
-    let tenants = if opts.full {
-        multitenant::TENANTS_FULL
-    } else {
-        multitenant::TENANTS
-    };
-    let outcome = multitenant::run(tenants, opts.seed, opts.shards, opts.jobs);
-    out.table(
-        &format!(
-            "Multitenant churn: {} tenant processes (seed {}) in {} cohorts;\n\
-             shared pool {} frames/node, initial slice {} frames/node, refills of {}\n\
-             below {} free, surplus above {} recycled; thrash limit {} misses/window.\n\
-             Output is identical for any --shards/--jobs.",
-            tenants,
-            opts.seed,
-            multitenant::COHORTS,
-            multitenant::POOL_FRAMES_PER_NODE,
-            multitenant::INITIAL_FRAMES_PER_NODE,
-            multitenant::REFILL_FRAMES,
-            multitenant::LOW_FREE_FRAMES,
-            multitenant::KEEP_FREE_FRAMES,
-            multitenant::THRASH_MISS_LIMIT,
-        ),
-        &multitenant_table(&outcome),
-    );
-    out.meta("summary", multitenant_summary(&outcome));
-    out.finish();
+    numa_bench::main("multitenant")
 }

@@ -1,37 +1,3 @@
-//! Regenerates the memory-pressure sweep: three redistribution
-//! strategies (synchronous `move_pages` plus a node hot-remove episode,
-//! kernel next-touch, tiered background reclaim) as working-set
-//! occupancy crosses 100 % of DRAM. Every run has watermarks, direct
-//! reclaim, the OOM killer and the retry-livelock watchdog enabled plus
-//! chaos fault injection, so the table shows the defences engaging —
-//! reclaim and evacuation below capacity, OOM kills and watchdog
-//! firings past it — while every case stays audited, deterministic and
-//! panic-free.
-
-use numa_bench::{pressure_table, Options};
-use numa_migrate::experiments::pressure;
-
 fn main() {
-    let opts = Options::parse(
-        "pressure",
-        "the memory-pressure sweep (reclaim/OOM/watchdog resilience)",
-    );
-    let mut out = opts.open_output("pressure");
-    let occupancies = pressure::default_occupancies(opts.full);
-    let table = pressure_table(&occupancies, opts.seed, opts.jobs);
-    out.table(
-        &format!(
-            "Pressure sweep: 4 threads on {}-frame nodes, occupancy 60%..105% of DRAM;\n\
-             watermarks {}/{} frames, direct reclaim, OOM killer and retry watchdog on,\n\
-             {} ppm chaos injection (seed {}); every case audited and executed twice\n\
-             for determinism",
-            pressure::FRAMES_PER_NODE,
-            pressure::LOW_WATERMARK,
-            pressure::MIN_WATERMARK,
-            pressure::INJECT_PPM,
-            opts.seed
-        ),
-        &table,
-    );
-    out.finish();
+    numa_bench::main("pressure")
 }

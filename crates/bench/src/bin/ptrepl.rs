@@ -1,45 +1,3 @@
-//! Page-table placement comparison (ptplace subsystem): each workload
-//! measured with a co-located single-home page table, Mitosis-style
-//! per-node replicas, and a deliberately remote single home.
-
-use numa_bench::Options;
-use numa_migrate::experiments::ptrepl;
-use numa_migrate::stats::Table;
-
 fn main() {
-    let opts = Options::parse("ptrepl", "the page-table placement comparison");
-    let pages = if opts.full {
-        ptrepl::default_page_counts()
-    } else {
-        vec![64, 512, 2048]
-    };
-    let cases = ptrepl::cases(&pages);
-    let rows = ptrepl::run_jobs(&cases, opts.jobs);
-    let mut table = Table::new([
-        "workload",
-        "pages",
-        "local-ms",
-        "repl-ms",
-        "remote-ms",
-        "remote-x",
-        "repl-recovery",
-    ]);
-    for r in &rows {
-        table.row([
-            r.workload.to_string(),
-            r.pages.to_string(),
-            format!("{:.3}", r.local_ns as f64 / 1e6),
-            format!("{:.3}", r.repl_ns as f64 / 1e6),
-            format!("{:.3}", r.remote_ns as f64 / 1e6),
-            format!("{:.2}x", r.remote_slowdown()),
-            format!("{:+.0} %", r.repl_recovery() * 100.0),
-        ]);
-    }
-    let mut out = opts.open_output("ptrepl");
-    out.table(
-        "Page-table placement: local home vs per-node replicas vs remote home\n\
-         (walk = TLB-walk bound, migrate/next_touch = PTE-rewrite bound, lu = Table 1 app)",
-        &table,
-    );
-    out.finish();
+    numa_bench::main("ptrepl")
 }

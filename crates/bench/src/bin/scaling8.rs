@@ -1,32 +1,3 @@
-//! The §6 outlook experiment: the next-touch improvement as the machine
-//! grows from 2 to 8 NUMA nodes ("larger NUMA machines where data
-//! locality is more critical ... making the Next-touch policy even more
-//! interesting").
-
-use numa_bench::{percent, secs, Options};
-use numa_migrate::experiments::scaling;
-use numa_migrate::stats::Table;
-
 fn main() {
-    let opts = Options::parse("scaling8", "the §6 larger-machines outlook");
-    let n = if opts.full { 1024 } else { 512 };
-    let mut table = Table::new(["nodes", "threads", "Static", "Next-touch", "Improvement"]);
-    for r in scaling::run_jobs(n, opts.jobs) {
-        table.row([
-            r.nodes.to_string(),
-            r.threads.to_string(),
-            secs(r.static_s),
-            secs(r.next_touch_s),
-            percent(r.improvement_percent()),
-        ]);
-    }
-    let mut out = opts.open_output("scaling8");
-    out.table(
-        &format!(
-            "Next-touch improvement vs machine size ({n}x{n} GEMM per thread, one\n\
-             thread per core, data initially on node 0)"
-        ),
-        &table,
-    );
-    out.finish();
+    numa_bench::main("scaling8")
 }

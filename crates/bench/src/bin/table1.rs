@@ -1,45 +1,3 @@
-//! Regenerates Table 1: execution time of the threaded LU factorization
-//! with 16 OpenMP threads — static interleaved allocation vs the kernel
-//! next-touch policy.
-
-use numa_bench::{percent, secs, Options};
-use numa_migrate::experiments::table1;
-use numa_migrate::stats::Table;
-
 fn main() {
-    let opts = Options::parse("table1", "Table 1 (LU factorization times)");
-    let cases = if opts.full {
-        table1::paper_cases()
-    } else {
-        table1::quick_cases()
-    };
-    let mut table = Table::new([
-        "Matrix size",
-        "Block size",
-        "Static",
-        "Next-touch",
-        "Improvement",
-    ]);
-    if opts.verbose {
-        eprintln!(
-            "running {} cases with {} job(s) ...",
-            cases.len(),
-            opts.jobs
-        );
-    }
-    for row in table1::run_jobs(&cases, opts.jobs) {
-        table.row([
-            format!("{}k x {}k", row.n / 1024, row.n / 1024),
-            format!("{} x {}", row.bs, row.bs),
-            secs(row.static_s),
-            secs(row.next_touch_s),
-            percent(row.improvement_percent()),
-        ]);
-    }
-    let mut out = opts.open_output("table1");
-    out.table(
-        "Table 1: LU factorization time, 16 OpenMP threads (virtual seconds)",
-        &table,
-    );
-    out.finish();
+    numa_bench::main("table1")
 }

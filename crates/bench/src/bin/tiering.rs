@@ -1,44 +1,3 @@
-//! Regenerates the tiering experiment: transactional (Nomad-style
-//! non-exclusive copy) vs stop-the-world page promotion under concurrent
-//! writers, and the application-time sweep whose advantage collapses once
-//! the hot working set exceeds DRAM capacity.
-
-use numa_bench::{tiering_capacity_table, tiering_mechanism_table, Options};
-
 fn main() {
-    let opts = Options::parse(
-        "tiering",
-        "heterogeneous-memory tiering (transactional vs stop-the-world promotion)",
-    );
-    let mut out = opts.open_output("tiering");
-    let (writer_counts, pages, hot): (Vec<usize>, u64, u64) = if opts.full {
-        (vec![1, 2, 4, 8, 16], 1024, 256)
-    } else {
-        (vec![1, 4], 256, 64)
-    };
-    let mech = tiering_mechanism_table(&writer_counts, pages, hot, opts.seed, opts.jobs);
-    out.table(
-        &format!(
-            "Tiering mechanism: writer completion time (ms) while {pages} slow-tier pages\n\
-             are promoted; writers hammer the {hot} hottest (seed {})",
-            opts.seed
-        ),
-        &mech,
-    );
-
-    let (hot_counts, dram_per_node, rounds): (Vec<u64>, u64, usize) = if opts.full {
-        (vec![512, 1024, 2048, 4096, 8192, 16384], 512, 6)
-    } else {
-        (vec![1024, 4096, 8192], 512, 4)
-    };
-    let cap = tiering_capacity_table(&hot_counts, dram_per_node, rounds, opts.jobs);
-    out.table(
-        &format!(
-            "\nTiering capacity sweep: 4 readers over a slow-resident hot set,\n\
-             threshold daemon vs static placement, DRAM = {} pages total",
-            4 * dram_per_node
-        ),
-        &cap,
-    );
-    out.finish();
+    numa_bench::main("tiering")
 }

@@ -1,17 +1,33 @@
 //! Shared plumbing for the experiment binaries.
 //!
-//! Each binary regenerates one table or figure of the paper (see
-//! DESIGN.md §5) and prints it as an aligned text table, optionally as
-//! CSV. A tiny hand-rolled flag parser keeps the workspace free of CLI
-//! dependencies.
+//! Each experiment regenerates one table or figure of the paper (see
+//! DESIGN.md §5) and is one row of [`EXPERIMENTS`]; its binary is
+//! `fn main() { numa_bench::main("<name>") }`. Output is an aligned
+//! text table, optionally CSV. A tiny hand-rolled flag parser keeps the
+//! workspace free of CLI dependencies.
 
 pub mod output;
+pub mod registry;
 pub mod trace_run;
 
 pub use output::RunOutput;
+pub use registry::{Experiment, EXPERIMENTS};
 pub use trace_run::{embed_counters, traced_next_touch_episode, TracedEpisode};
 
 use std::env;
+
+/// The flags, as `--help` prints them after `usage: <binary> `.
+const USAGE: &str = "[--csv] [--full] [--seed <u64>] [--trace <file>] [--json <file>] \
+[--jobs <n>] [--shards <n>] | --list
+  --csv           emit CSV instead of an aligned table
+  --full          run the paper-sized sweep (slower)
+  --seed <n>      workload seed (default 0); same seed, same table
+  --trace <file>  write a Chrome/Perfetto event trace
+  --json <file>   write the tables as machine-readable JSON
+  --jobs <n>      host threads for the sweep (default 1); output is identical for any value
+  --shards <n>    shards for the sharded engine (multitenant only, default 1); output is identical for any value
+  --list          print every experiment's binary name and exit
+  (value flags also accept --flag=value)";
 
 /// Parsed common command-line options.
 #[derive(Debug, Clone, Default)]
@@ -21,8 +37,6 @@ pub struct Options {
     /// Run the full paper-sized parameter sweep (default: a reduced sweep
     /// that finishes in seconds).
     pub full: bool,
-    /// Print per-run diagnostics.
-    pub verbose: bool,
     /// Workload seed for experiments with randomized access orders.
     /// The same seed always regenerates byte-identical tables.
     pub seed: u64,
@@ -32,11 +46,10 @@ pub struct Options {
     /// Write the run's tables and metadata as machine-readable JSON to
     /// this file (e.g. `results/fig5.json`).
     pub json: Option<String>,
-    /// Host threads for the sweep runner (`--jobs`, or the
-    /// `NUMA_BENCH_JOBS` environment variable when the flag is absent;
-    /// default 1). Sweeps distribute their independent items over this
-    /// many threads; every simulation stays single-threaded and the
-    /// emitted tables/JSON are byte-identical to a `--jobs 1` run.
+    /// Host threads for the sweep runner (`--jobs`, default 1). Sweeps
+    /// distribute their independent items over this many threads; every
+    /// simulation stays single-threaded and the emitted tables/JSON are
+    /// byte-identical to a `--jobs 1` run.
     pub jobs: usize,
     /// Shards for the sharded engine (`--shards`, default 1). Only the
     /// `multitenant` workload uses it; output is byte-identical for any
@@ -44,14 +57,14 @@ pub struct Options {
     pub shards: usize,
 }
 
-/// Environment variable consulted for the default `--jobs` value.
-pub const JOBS_ENV: &str = "NUMA_BENCH_JOBS";
-
 /// Why [`Options::try_parse_from`] stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
     /// `--help`/`-h` was given; the caller should print usage and exit 0.
     Help,
+    /// `--list` was given; the caller should print the [`EXPERIMENTS`]
+    /// names and exit 0.
+    List,
     /// A real parse error with its message.
     Invalid(String),
 }
@@ -64,7 +77,7 @@ impl Options {
         I: IntoIterator<Item = String>,
     {
         let mut o = Options {
-            jobs: threadpool::jobs_from_env(JOBS_ENV).unwrap_or(1),
+            jobs: 1,
             shards: 1,
             ..Options::default()
         };
@@ -83,7 +96,6 @@ impl Options {
             match flag.as_str() {
                 "--csv" => o.csv = true,
                 "--full" => o.full = true,
-                "--verbose" | "-v" => o.verbose = true,
                 "--seed" => {
                     let v = value("--seed")?;
                     o.seed = v.parse().map_err(|_| {
@@ -105,46 +117,33 @@ impl Options {
                     })?;
                 }
                 "--help" | "-h" => return Err(ParseError::Help),
+                "--list" => return Err(ParseError::List),
                 other => {
                     return Err(ParseError::Invalid(format!(
                         "unknown flag {other} (try --help)"
                     )))
                 }
             }
-            if inline.is_some() && matches!(flag.as_str(), "--csv" | "--full" | "--verbose" | "-v")
-            {
+            if inline.is_some() && matches!(flag.as_str(), "--csv" | "--full") {
                 return Err(ParseError::Invalid(format!("{flag} takes no value")));
             }
         }
         Ok(o)
     }
 
-    /// Parse `std::env::args`, exiting with usage on `--help` or unknown
-    /// flags.
+    /// Parse `std::env::args`, exiting with usage on `--help`, with the
+    /// experiment names on `--list`, or with an error on unknown flags.
     pub fn parse(binary: &str, what: &str) -> Options {
         match Options::try_parse_from(env::args().skip(1)) {
             Ok(o) => o,
             Err(ParseError::Help) => {
-                eprintln!("{binary}: regenerate {what}");
-                eprintln!(
-                    "usage: {binary} [--csv] [--full] [--verbose] [--seed <u64>] \
-                     [--trace <file>] [--json <file>] [--jobs <n>] [--shards <n>]"
-                );
-                eprintln!("  --csv           emit CSV instead of an aligned table");
-                eprintln!("  --full          run the paper-sized sweep (slower)");
-                eprintln!("  --verbose       per-run diagnostics");
-                eprintln!("  --seed <n>      workload seed (default 0); same seed, same table");
-                eprintln!("  --trace <file>  write a Chrome/Perfetto event trace");
-                eprintln!("  --json <file>   write the tables as machine-readable JSON");
-                eprintln!(
-                    "  --jobs <n>      host threads for the sweep (default \
-                     $NUMA_BENCH_JOBS or 1); output is identical for any value"
-                );
-                eprintln!(
-                    "  --shards <n>    shards for the sharded engine (multitenant only, \
-                     default 1); output is identical for any value"
-                );
-                eprintln!("  (value flags also accept --flag=value)");
+                eprintln!("{binary}: regenerate {what}\nusage: {binary} {USAGE}");
+                std::process::exit(0);
+            }
+            Err(ParseError::List) => {
+                for e in EXPERIMENTS {
+                    println!("{}", e.name);
+                }
                 std::process::exit(0);
             }
             Err(ParseError::Invalid(msg)) => {
@@ -153,218 +152,25 @@ impl Options {
             }
         }
     }
+}
 
-    /// Start collecting this run's output. Tables passed to
-    /// [`RunOutput::table`] are printed (honouring `--csv`) and recorded
-    /// for the `--json` file; [`RunOutput::finish`] writes the `--json`
-    /// and `--trace` files.
-    pub fn open_output(&self, binary: &str) -> RunOutput {
-        RunOutput::new(binary, self.clone())
-    }
-
-    /// Print a finished table per the output options.
-    pub fn emit(&self, table: &numa_migrate::stats::Table) {
-        if self.csv {
-            print!("{}", table.to_csv());
-        } else {
-            print!("{table}");
-        }
-    }
+/// Run the [`EXPERIMENTS`] row called `name` as a binary: parse the
+/// command line, print its tables and write the `--json`/`--trace`
+/// files.
+pub fn main(name: &str) {
+    let exp = EXPERIMENTS
+        .iter()
+        .find(|e| e.name == name)
+        .expect("every experiment binary is a registry row");
+    let opts = Options::parse(exp.name, exp.what);
+    let mut out = RunOutput::new(exp, opts.clone());
+    (exp.run)(&opts, &mut out);
+    out.finish();
 }
 
 /// Format MB/s with one decimal.
 pub fn mbps(v: f64) -> String {
     format!("{v:.1}")
-}
-
-/// Build the tiering mechanism-comparison table (transactional vs
-/// stop-the-world promotion under concurrent writers). Shared by the
-/// `tiering` binary and the determinism regression test.
-pub fn tiering_mechanism_table(
-    writer_counts: &[usize],
-    pages: u64,
-    hot: u64,
-    seed: u64,
-    jobs: usize,
-) -> numa_migrate::stats::Table {
-    use numa_migrate::experiments::tiering;
-    let mut table = numa_migrate::stats::Table::new([
-        "writers", "txn-ms", "stw-ms", "commits", "aborts", "stalls", "txn-prom", "stw-prom",
-    ]);
-    for r in tiering::mechanism_jobs(writer_counts, pages, hot, seed, jobs) {
-        table.row([
-            r.writers.to_string(),
-            format!("{:.3}", r.txn_writer_ns as f64 / 1e6),
-            format!("{:.3}", r.stw_writer_ns as f64 / 1e6),
-            r.txn_commits.to_string(),
-            r.txn_aborts.to_string(),
-            r.stw_stalls.to_string(),
-            r.txn_promoted.to_string(),
-            r.stw_promoted.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Build the tiering capacity-sweep table (app time vs hot-set size,
-/// with the crossover where the hot set exceeds DRAM).
-pub fn tiering_capacity_table(
-    hot_page_counts: &[u64],
-    dram_pages_per_node: u64,
-    rounds: usize,
-    jobs: usize,
-) -> numa_migrate::stats::Table {
-    use numa_migrate::experiments::tiering;
-    let mut table = numa_migrate::stats::Table::new([
-        "hot-pages",
-        "dram-pages",
-        "tiered-ms",
-        "static-ms",
-        "speedup",
-        "promotions",
-    ]);
-    for r in tiering::capacity_sweep_jobs(hot_page_counts, dram_pages_per_node, rounds, jobs) {
-        table.row([
-            r.hot_pages.to_string(),
-            r.dram_pages.to_string(),
-            format!("{:.3}", r.tiered_ns as f64 / 1e6),
-            format!("{:.3}", r.static_ns as f64 / 1e6),
-            format!("{:.2}x", r.speedup()),
-            r.promotions.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Build the chaos fault-injection sweep table: every workload at every
-/// injection rate, each case executed twice and audited (see
-/// `experiments::chaos`). Shared by the `chaos` binary and the
-/// determinism regression test.
-pub fn chaos_table(
-    workloads: &[&'static str],
-    rates: &[u32],
-    seed: u64,
-    jobs: usize,
-) -> numa_migrate::stats::Table {
-    use numa_migrate::experiments::chaos;
-    let mut table = numa_migrate::stats::Table::new([
-        "workload",
-        "rate-ppm",
-        "makespan-ms",
-        "injected",
-        "retried",
-        "degraded",
-        "gave-up",
-        "moved",
-        "left",
-        "violations",
-    ]);
-    for r in chaos::sweep_jobs(workloads, rates, seed, jobs) {
-        table.row([
-            r.workload.to_string(),
-            r.rate_ppm.to_string(),
-            format!("{:.3}", r.makespan_ns as f64 / 1e6),
-            r.injected.to_string(),
-            r.retried.to_string(),
-            r.degraded.to_string(),
-            r.gave_up.to_string(),
-            r.moved.to_string(),
-            r.left_behind.to_string(),
-            r.invariant_violations.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Build the memory-pressure sweep table: every redistribution strategy
-/// at every occupancy, full pressure ladder enabled, each case executed
-/// twice and audited (see `experiments::pressure`). Shared by the
-/// `pressure` binary and the determinism regression test.
-pub fn pressure_table(occupancies: &[u32], seed: u64, jobs: usize) -> numa_migrate::stats::Table {
-    use numa_migrate::experiments::pressure;
-    let mut table = numa_migrate::stats::Table::new([
-        "strategy",
-        "occupancy",
-        "makespan-ms",
-        "moved",
-        "reclaimed",
-        "evacuated",
-        "oom-kills",
-        "watchdog",
-        "degraded",
-        "retried",
-        "violations",
-    ]);
-    for r in pressure::sweep_jobs(occupancies, seed, jobs) {
-        table.row([
-            r.strategy.to_string(),
-            format!("{}%", r.occupancy_pct),
-            format!("{:.3}", r.makespan_ns as f64 / 1e6),
-            r.moved.to_string(),
-            r.reclaimed.to_string(),
-            r.evacuated.to_string(),
-            r.oom_kills.to_string(),
-            r.watchdog_firings.to_string(),
-            r.degraded.to_string(),
-            r.retried.to_string(),
-            r.violations.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Build the multitenant cohort table from a finished churn run.
-/// Shared by the `multitenant` binary and the determinism regression
-/// test; contains nothing shard- or job-dependent.
-pub fn multitenant_table(
-    outcome: &numa_migrate::experiments::multitenant::MultitenantOutcome,
-) -> numa_migrate::stats::Table {
-    let mut table = numa_migrate::stats::Table::new([
-        "cohort",
-        "tenants",
-        "makespan-sum-ms",
-        "makespan-max-ms",
-        "local",
-        "remote",
-        "l3-misses",
-    ]);
-    for r in &outcome.rows {
-        table.row([
-            r.cohort.to_string(),
-            r.tenants.to_string(),
-            format!("{:.3}", r.makespan_sum_ns as f64 / 1e6),
-            format!("{:.3}", r.makespan_max_ns as f64 / 1e6),
-            r.local_accesses.to_string(),
-            r.remote_accesses.to_string(),
-            r.cache_misses.to_string(),
-        ]);
-    }
-    table
-}
-
-/// The multitenant run's global fold as `--json` metadata (window
-/// schedule, ledger pressure, kernel counters). Every value is a
-/// deterministic function of (tenants, seed); `--shards`/`--jobs` are
-/// deliberately absent so the file is byte-identical for any host
-/// parallelism.
-pub fn multitenant_summary(
-    outcome: &numa_migrate::experiments::multitenant::MultitenantOutcome,
-) -> numa_migrate::stats::Json {
-    numa_migrate::stats::Json::obj()
-        .set("tenants", outcome.tenants)
-        .set("makespan_ns", outcome.makespan_ns)
-        .set("window_ns", outcome.window_ns)
-        .set("windows", outcome.windows)
-        .set("windows_skipped", outcome.windows_skipped)
-        .set("ledger_grants", outcome.ledger_grants)
-        .set("ledger_denials", outcome.ledger_denials)
-        .set("ledger_yields", outcome.ledger_yields)
-        .set("flush_windows", outcome.flush_windows)
-        .set("moved_syscall", outcome.moved_syscall)
-        .set("moved_fault", outcome.moved_fault)
-        .set("frames_freed", outcome.frames_freed)
-        .set("oom_kills", outcome.oom_kills)
-        .set("tlb_shootdowns", outcome.tlb_shootdowns)
 }
 
 /// Format seconds with adaptive precision (the paper's Table 1 style).

@@ -1,19 +1,20 @@
 //! Per-run output collection: printed tables, the machine-readable
 //! `--json` results file, and the `--trace` Chrome-trace export.
 //!
-//! Every experiment binary opens a [`RunOutput`] from its parsed
-//! [`crate::Options`], feeds each finished table through
-//! [`RunOutput::table`] (which both prints it and records it), and calls
-//! [`RunOutput::finish`] at the end. With neither `--json` nor `--trace`
-//! given, `finish` is a no-op beyond the printing already done.
+//! [`crate::main`] opens a [`RunOutput`] for the experiment's row and
+//! parsed [`crate::Options`]; the row feeds each finished table through
+//! [`RunOutput::table`] (which both prints it and records it), and
+//! `main` calls [`RunOutput::finish`] at the end. With neither `--json`
+//! nor `--trace` given, `finish` is a no-op beyond the printing already
+//! done.
 
-use crate::Options;
+use crate::{Experiment, Options};
 use numa_migrate::stats::{Json, Table};
 use std::path::Path;
 
-/// Collects one binary run's tables and metadata.
+/// Collects one experiment run's tables and metadata.
 pub struct RunOutput {
-    binary: String,
+    exp: &'static Experiment,
     opts: Options,
     tables: Vec<(String, Table)>,
     meta: Vec<(String, Json)>,
@@ -21,10 +22,10 @@ pub struct RunOutput {
 }
 
 impl RunOutput {
-    /// Start collecting for `binary` under the parsed options.
-    pub fn new(binary: &str, opts: Options) -> Self {
+    /// Start collecting for `exp` under the parsed options.
+    pub fn new(exp: &'static Experiment, opts: Options) -> Self {
         RunOutput {
-            binary: binary.to_string(),
+            exp,
             opts,
             tables: Vec::new(),
             meta: Vec::new(),
@@ -38,7 +39,11 @@ impl RunOutput {
     /// consecutive tables.
     pub fn table(&mut self, title: &str, table: &Table) {
         println!("{title}\n");
-        self.opts.emit(table);
+        if self.opts.csv {
+            print!("{}", table.to_csv());
+        } else {
+            print!("{table}");
+        }
         self.tables.push((title.trim().to_string(), table.clone()));
     }
 
@@ -48,7 +53,7 @@ impl RunOutput {
     }
 
     /// Override the `--trace` file contents with a trace produced by this
-    /// binary's own run (the default is a representative seeded
+    /// experiment's own run (the default is a representative seeded
     /// next-touch episode, see [`crate::traced_next_touch_episode`]).
     pub fn set_trace_json(&mut self, chrome_trace: String) {
         self.trace_json = Some(chrome_trace);
@@ -68,7 +73,7 @@ impl RunOutput {
             })
             .collect();
         let mut root = Json::obj()
-            .set("binary", self.binary.as_str())
+            .set("binary", self.exp.name)
             .set("seed", self.opts.seed)
             .set("full", self.opts.full)
             .set("tables", tables);
@@ -82,14 +87,14 @@ impl RunOutput {
     /// parent directories (e.g. `results/`) as needed.
     pub fn finish(self) {
         if let Some(path) = self.opts.json.clone() {
-            write_file(&self.binary, &path, &self.results_json().to_string());
+            write_file(self.exp.name, &path, &self.results_json().to_string());
         }
         if let Some(path) = self.opts.trace.clone() {
             let trace = match self.trace_json {
                 Some(t) => t,
                 None => crate::traced_next_touch_episode(self.opts.seed).chrome_json,
             };
-            write_file(&self.binary, &path, &trace);
+            write_file(self.exp.name, &path, &trace);
         }
     }
 }

@@ -5,7 +5,7 @@
 //! parallel sweep runner) must be invisible in every reported number
 //! (DESIGN.md §10).
 
-use numa_bench::{tiering_capacity_table, tiering_mechanism_table};
+use numa_bench::registry::{tiering_capacity_table, tiering_mechanism_table};
 use numa_migrate::experiments::fig7;
 use numa_migrate::machine::{MemAccessKind, Op, ThreadSpec};
 use numa_migrate::rt::{setup, Buffer};

@@ -7,7 +7,7 @@
 //! `results/multitenant.json` golden checksum enforces the same thing
 //! across commits; this test enforces it across packings in one build.
 
-use numa_bench::{multitenant_summary, multitenant_table};
+use numa_bench::registry::{multitenant_summary, multitenant_table};
 use numa_migrate::experiments::multitenant;
 
 #[test]

@@ -22,8 +22,8 @@ fn value_flags_accept_both_spellings() {
 
 #[test]
 fn boolean_flags_parse_and_reject_inline_values() {
-    let o = parse(&["--csv", "--full", "-v"]).unwrap();
-    assert!(o.csv && o.full && o.verbose);
+    let o = parse(&["--csv", "--full"]).unwrap();
+    assert!(o.csv && o.full);
     assert!(matches!(parse(&["--csv=yes"]), Err(ParseError::Invalid(_))));
     assert!(matches!(parse(&["--full=1"]), Err(ParseError::Invalid(_))));
 }
@@ -44,6 +44,6 @@ fn errors_are_reported_not_ignored() {
 fn defaults_are_stable() {
     let o = parse(&[]).unwrap();
     assert_eq!(o.seed, 0);
-    assert!(!o.csv && !o.full && !o.verbose);
+    assert!(!o.csv && !o.full);
     assert!(o.trace.is_none() && o.json.is_none());
 }

@@ -105,17 +105,6 @@ pub fn available_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The worker count requested via an environment variable (e.g.
-/// `NUMA_BENCH_JOBS`), if set and parseable as a positive integer.
-pub fn jobs_from_env(var: &str) -> Option<usize> {
-    std::env::var(var)
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&j| j > 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,17 +153,6 @@ mod tests {
         let f = |i: usize, v: &u64| i as u64 + v * 7;
         assert_eq!(par_map(4096, &items, f), par_map(1, &items, f));
         assert!(available_parallelism() >= 1);
-    }
-
-    #[test]
-    fn jobs_from_env_parses() {
-        std::env::set_var("TP_TEST_JOBS_OK", "3");
-        std::env::set_var("TP_TEST_JOBS_BAD", "zero");
-        std::env::set_var("TP_TEST_JOBS_ZERO", "0");
-        assert_eq!(jobs_from_env("TP_TEST_JOBS_OK"), Some(3));
-        assert_eq!(jobs_from_env("TP_TEST_JOBS_BAD"), None);
-        assert_eq!(jobs_from_env("TP_TEST_JOBS_ZERO"), None);
-        assert_eq!(jobs_from_env("TP_TEST_JOBS_UNSET"), None);
     }
 
     #[test]
