@@ -11,7 +11,6 @@
 //! be validated with actual math while large sweeps run "phantom"
 //! (access-pattern only).
 
-use crate::blas;
 use numa_machine::{Machine, MemAccessKind, Op};
 use numa_rt::Buffer;
 use numa_vm::VirtAddr;
@@ -161,12 +160,6 @@ impl SimMatrix {
             }
         }
         worst
-    }
-
-    /// Factorize the host data in place with the reference (unblocked)
-    /// algorithm — the oracle the blocked run is checked against.
-    pub fn reference_lu(&self) {
-        self.with_data(|d, n| blas::dgetrf_nopiv(d, n, 0, 0, n));
     }
 }
 

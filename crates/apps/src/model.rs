@@ -54,14 +54,16 @@ pub fn trsm_traffic(bs: u64) -> u64 {
     (trsm_flops(bs) as f64 * BLAS3_BYTES_PER_FLOP) as u64
 }
 
-/// Total flops of an `n x n` LU factorization (2/3 n^3 to leading order).
-pub fn lu_total_flops(n: u64) -> u64 {
-    2 * n * n * n / 3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total flops of an `n x n` LU factorization (2/3 n^3 to leading
+    /// order): the closed form the blocked kernel counts are checked
+    /// against.
+    fn lu_total_flops(n: u64) -> u64 {
+        2 * n * n * n / 3
+    }
 
     #[test]
     fn traffic_scales_cubically() {

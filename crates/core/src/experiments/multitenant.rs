@@ -114,7 +114,6 @@ pub fn config(shards: usize, jobs: usize) -> ShardConfig {
     ShardConfig {
         shards,
         jobs,
-        window_ns: None,
         ledger: Some(LedgerConfig {
             pool_frames_per_node: POOL_FRAMES_PER_NODE,
             initial_frames_per_node: INITIAL_FRAMES_PER_NODE,

@@ -23,7 +23,7 @@
 use numa_machine::{Machine, MemAccessKind, Op, ThreadSpec};
 use numa_stats::Counter;
 use numa_tier::{ThresholdPolicy, TierDaemon};
-use numa_topology::{CoreId, MemTier, NodeId};
+use numa_topology::{CoreId, NodeId};
 use numa_vm::{MemPolicy, VirtAddr, PAGE_SIZE};
 
 /// First slow-tier node of the preset (node 4; node 5 is the second).
@@ -279,15 +279,6 @@ fn measure_capacity(
         total_ns,
         machine.kernel.counters.get(Counter::TierPromotions),
     )
-}
-
-/// True when every page of the buffer ended in the given tier.
-pub fn resident_tier(machine: &Machine, addr: VirtAddr, pages: u64, tier: MemTier) -> bool {
-    (0..pages).all(|p| {
-        machine
-            .page_node(addr + p * PAGE_SIZE)
-            .is_some_and(|n| machine.topology().tier_of(n) == tier)
-    })
 }
 
 #[cfg(test)]

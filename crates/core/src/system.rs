@@ -66,12 +66,6 @@ impl NumaSystem {
         self
     }
 
-    /// Replace the cost model (ablation experiments).
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost_override = Some(cost);
-        self
-    }
-
     /// Mutate the cost model in place (ablation experiments).
     pub fn tweak_cost(mut self, f: impl FnOnce(&mut CostModel)) -> Self {
         let mut cost = self.cost_override.take().unwrap_or_default();

@@ -61,19 +61,6 @@ impl KernelConfig {
         }
     }
 
-    /// The paper's kernel with every §6 extension also enabled.
-    pub fn all_extensions() -> Self {
-        KernelConfig {
-            patched_move_pages: true,
-            kernel_next_touch: true,
-            next_touch_shared: true,
-            huge_page_migration: true,
-            replication: true,
-            tiering: true,
-            ..KernelConfig::default()
-        }
-    }
-
     /// The paper's kernel plus the tiering subsystem (for heterogeneous
     /// machines like `presets::tiered_4p2`).
     pub fn tiered() -> Self {
@@ -104,18 +91,10 @@ mod tests {
     }
 
     #[test]
-    fn all_extensions_enables_everything() {
-        let c = KernelConfig::all_extensions();
-        assert!(c.next_touch_shared && c.huge_page_migration && c.replication);
-        assert!(c.tiering);
-    }
-
-    #[test]
     fn pressure_defaults_off_in_every_preset() {
         for c in [
             KernelConfig::default(),
             KernelConfig::vanilla_2_6_27(),
-            KernelConfig::all_extensions(),
             KernelConfig::tiered(),
         ] {
             assert_eq!(c.pressure, PressureSettings::default());

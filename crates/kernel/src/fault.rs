@@ -32,13 +32,6 @@ pub enum AccessKind {
     Write,
 }
 
-impl AccessKind {
-    /// Is this a write access?
-    pub fn is_write(self) -> bool {
-        matches!(self, AccessKind::Write)
-    }
-}
-
 /// Outcome of a page fault.
 #[derive(Debug, Clone)]
 pub enum FaultResolution {

@@ -107,11 +107,6 @@ impl Kernel {
         }
     }
 
-    /// In-flight transactional tier migration for `vpn`, if any.
-    pub fn pending_tier_txn(&self, vpn: u64) -> Option<&tier::TierTxn> {
-        self.pending_txns.get(&vpn)
-    }
-
     /// Number of transactional tier migrations currently in flight
     /// (invariant checks: must be zero after a quiesced run).
     pub fn pending_tier_txn_count(&self) -> usize {

@@ -115,7 +115,9 @@ impl Kernel {
     /// [`RelocSite::MigratePages`], a `migrate_pages`) call, taking the
     /// mmap lock. Exposed so the machine engine can execute syscalls
     /// page-by-page and keep concurrent callers correctly interleaved in
-    /// virtual time.
+    /// virtual time. Bases serialize on the lock (`move_pages` takes
+    /// `mmap_sem`), so sub-1 MB buffers gain nothing from parallel
+    /// migration (Fig. 7).
     pub fn migration_begin(&mut self, now: SimTime, site: RelocSite, b: &mut Breakdown) -> SimTime {
         let cost = self.topo.cost();
         let (base, component) = match site {
@@ -124,12 +126,7 @@ impl Kernel {
             }
             _ => (cost.move_pages_base_ns, CostComponent::MovePagesControl),
         };
-        if cost.mmap_lock_serializes_base {
-            self.locks.mmap_locked(now, base, component, b)
-        } else {
-            b.add(component, base);
-            now + base
-        }
+        self.locks.mmap_locked(now, base, component, b)
     }
 
     /// Migrate one page of an in-progress `move_pages` call (engine
@@ -382,10 +379,11 @@ impl Kernel {
     /// VMA, free every backing frame, and flush stale translations.
     ///
     /// The PT teardown walk is charged like the madvise range walk (base
-    /// plus per-present-page), serialized under the mmap lock when the
-    /// cost model says base bookkeeping holds it. Multitenant churn leans
-    /// on this path: a departing tenant's frames return to the shared pool
-    /// only once its unmap has paid the teardown and shootdown.
+    /// plus per-present-page), serialized under the mmap lock. Replicated
+    /// page tables drop the same entries, but that write-through is not
+    /// charged, so the cost is the same for every placement. Multitenant
+    /// churn leans on this path: a departing tenant's frames return to the
+    /// shared pool only once its unmap has paid the teardown and shootdown.
     pub fn munmap(
         &mut self,
         space: &mut AddressSpace,
@@ -403,13 +401,9 @@ impl Kernel {
         let mut b = Breakdown::new();
         let pages = freed.len() as u64;
         let ns = cost.madvise_base_ns + cost.madvise_per_page_ns * pages;
-        let mut t = if cost.mmap_lock_serializes_base {
-            self.locks
-                .mmap_locked(now, ns, CostComponent::Other, &mut b)
-        } else {
-            b.add(CostComponent::Other, ns);
-            now + ns
-        };
+        let mut t = self
+            .locks
+            .mmap_locked(now, ns, CostComponent::Other, &mut b);
         for f in freed {
             frames.free(f);
             self.counters.bump(Counter::FramesFreed);
@@ -530,7 +524,8 @@ impl Kernel {
     /// `mbind(2)` with `MPOL_MF_MOVE`: set the policy **and** migrate the
     /// already-populated pages that violate it, like the real flag. Pages
     /// land where the policy would have placed them at fault time (with
-    /// the caller's node standing in for "local").
+    /// the caller's node standing in for "local"). Kept without a caller:
+    /// it models one of the Linux migration syscalls the paper builds on.
     #[allow(clippy::too_many_arguments)]
     pub fn mbind_move(
         &mut self,

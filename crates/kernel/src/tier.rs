@@ -24,7 +24,8 @@
 //! Both paths go through the same [`numa_sim::Resource`] lock and
 //! interconnect models as every other kernel path, so migration traffic
 //! and application traffic contend honestly.
-//! They also write the PTE flip through to Mitosis-style page-table
+//! They also write every PTE change — the flip, and the transactional
+//! path's shadow install and abort — through to Mitosis-style page-table
 //! replicas ([`Kernel::pt_note_update`]), like every other relocation path.
 
 use crate::{Kernel, PageStatus, RelocSite};
@@ -145,7 +146,8 @@ impl Kernel {
             return None;
         };
         entry.set_shadow(dst_frame);
-        drop(entry);
+        drop(entry); // write back before the replica sync reads it
+        let end = self.pt_note_update(space, xfer.end, PageRange::new(vpn, vpn + 1));
         self.pending_txns.insert(
             vpn,
             TierTxn {
@@ -155,7 +157,7 @@ impl Kernel {
                 poisoned,
             },
         );
-        Some(xfer.end)
+        Some(end)
     }
 
     /// Attempt to commit the in-flight transactional migration of `vpn`
@@ -221,8 +223,8 @@ impl Kernel {
             self.note_tier_move(src_node, frames.node_of(txn.dst_frame), vpn, end);
             (end, TxnOutcome::Committed)
         } else {
-            // Abort: discard the copy; the mapping was never disturbed,
-            // so the replicas need no update.
+            // Abort: discard the copy. The translation was never
+            // disturbed, but the replicas drop the shadow entry too.
             let abort_ns = self.topo.cost().tier_abort_ns;
             b.add(CostComponent::FaultControl, abort_ns);
             if let Some(mut pte) = space.page_table.get_mut(vpn) {
@@ -230,6 +232,7 @@ impl Kernel {
                     pte.abort_shadow();
                 }
             }
+            let end = self.pt_note_update(space, now + abort_ns, PageRange::new(vpn, vpn + 1));
             frames.free(txn.dst_frame);
             self.counters.bump(Counter::FramesFreed);
             self.counters.bump(Counter::TierTxnAborts);
@@ -240,7 +243,7 @@ impl Kernel {
                     dur_ns: abort_ns,
                 },
             );
-            (now + abort_ns, TxnOutcome::Aborted)
+            (end, TxnOutcome::Aborted)
         }
     }
 
@@ -455,12 +458,14 @@ mod tests {
                 &mut b,
             )
             .expect("begin");
+        assert!(all_agree(&fx), "the shadow install left a replica stale");
+        assert_eq!(syncs(&fx), before + 2);
         let (_, outcome) =
             fx.kernel
                 .tier_txn_commit(&mut fx.space, &mut fx.frames, copy_end, txn, &mut b);
         assert_eq!(outcome, TxnOutcome::Committed);
         assert!(all_agree(&fx), "committed transaction left a replica stale");
-        assert_eq!(syncs(&fx), before + 2);
+        assert_eq!(syncs(&fx), before + 3);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Property-based tests for the migration syscalls: placement follows the
 //! request, contents survive, frames are conserved — for arbitrary page
-//! subsets, destinations and orderings.
+//! subsets, destinations and orderings — and replicated page tables stay
+//! in lockstep with the primary through the tier paths.
 
-use numa_kernel::{Kernel, KernelConfig, PageStatus};
+use numa_kernel::{Kernel, KernelConfig, PageStatus, TxnOutcome};
 use numa_sim::SimTime;
 use numa_stats::Breakdown;
 use numa_topology::{presets, CoreId, NodeId};
 use numa_vm::{
-    AddressSpace, FrameAllocator, MemPolicy, Protection, Tlb, VirtAddr, VmaKind, PAGE_SIZE,
+    AddressSpace, FrameAllocator, MemPolicy, Protection, PtPlacement, PtSyncMode, Tlb, VirtAddr,
+    VmaKind, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -35,6 +37,33 @@ fn fixture(patched: bool) -> Fx {
         frames,
         tlb,
     }
+}
+
+/// A tiered machine (DRAM nodes 0-3, slow nodes 4-5) whose address space
+/// keeps eager per-node page-table replicas.
+fn tiered_replicated_fixture() -> Fx {
+    let topo = Arc::new(presets::tiered_4p2());
+    let mut space = AddressSpace::new();
+    space.pt_configure(
+        PtPlacement::Replicated,
+        PtSyncMode::Eager,
+        topo.node_count(),
+    );
+    Fx {
+        frames: FrameAllocator::new(topo.node_count(), 1 << 20),
+        tlb: Tlb::new(topo.core_count()),
+        kernel: Kernel::new(topo, KernelConfig::tiered()),
+        space,
+    }
+}
+
+/// Does every node's replica equal the primary page table?
+fn replicas_agree(fx: &Fx) -> bool {
+    let replicas = fx.space.pt_replicas().expect("replicated space");
+    fx.kernel
+        .topology()
+        .node_ids()
+        .all(|n| replicas.agrees_with(n, &fx.space.page_table))
 }
 
 fn map_and_populate(fx: &mut Fx, pages: u64) -> VirtAddr {
@@ -232,5 +261,75 @@ proptest! {
             unpatched_growth > patched_growth * 1.3,
             "unpatched superlinear: {unpatched_growth} vs {patched_growth}"
         );
+    }
+
+    /// Replica lockstep through the tier paths: on an eager-replicated
+    /// space, any interleaving of `move_pages`, stop-the-world tier moves,
+    /// transactional tier moves and stores keeps every replica equal to
+    /// the primary after every step. Stores between a transaction's begin
+    /// and its commit make that commit abort.
+    #[test]
+    fn tier_ops_keep_replicas_in_lockstep(
+        ops in proptest::collection::vec((0u8..5, 0u64..12, 0u16..6), 1..60),
+    ) {
+        const PAGES: u64 = 12;
+        let mut fx = tiered_replicated_fixture();
+        let base = map_and_populate(&mut fx, PAGES);
+        prop_assert!(replicas_agree(&fx));
+        let mut pending: Vec<(u64, SimTime)> = Vec::new();
+        let mut t = SimTime(1_000_000);
+        let mut b = Breakdown::new();
+        for (kind, page, node) in ops {
+            let vpn = base.vpn() + page;
+            let dest = NodeId(node);
+            match kind {
+                0 => {
+                    let r = fx.kernel.move_pages(
+                        &mut fx.space, &mut fx.frames, &mut fx.tlb,
+                        t, CoreId(0), &[base + page * PAGE_SIZE], &[dest],
+                    ).unwrap();
+                    t = t.max(r.outcome.end);
+                }
+                1 => {
+                    if let Some(end) = fx.kernel.tier_stw_page(
+                        &mut fx.space, &mut fx.frames, t, vpn, dest, &mut b,
+                    ) {
+                        t = t.max(end);
+                    }
+                }
+                2 => {
+                    if let Some(copy_end) = fx.kernel.tier_txn_begin(
+                        &mut fx.space, &mut fx.frames, t, vpn, dest, &mut b,
+                    ) {
+                        pending.push((vpn, copy_end));
+                    }
+                }
+                3 => {
+                    // A store to the page dirties its current frame.
+                    let frame = fx.space.page_table.get(vpn).unwrap().frame;
+                    fx.frames.note_write(frame);
+                }
+                _ => {
+                    if !pending.is_empty() {
+                        let (vpn, copy_end) = pending.remove(page as usize % pending.len());
+                        let (end, _) = fx.kernel.tier_txn_commit(
+                            &mut fx.space, &mut fx.frames, t.max(copy_end), vpn, &mut b,
+                        );
+                        t = t.max(end);
+                    }
+                }
+            }
+            prop_assert!(replicas_agree(&fx), "replica diverged after op {}", kind);
+        }
+        for (vpn, copy_end) in pending {
+            let (end, outcome) = fx.kernel.tier_txn_commit(
+                &mut fx.space, &mut fx.frames, t.max(copy_end), vpn, &mut b,
+            );
+            prop_assert!(matches!(outcome, TxnOutcome::Committed | TxnOutcome::Aborted));
+            t = t.max(end);
+            prop_assert!(replicas_agree(&fx));
+        }
+        // Every transaction resolved: one live frame per mapped page.
+        prop_assert_eq!(fx.frames.live_total(), PAGES);
     }
 }

@@ -11,7 +11,8 @@
 //! [`Breakdown`] component, the counter deltas, the reported status and
 //! the names of the trace events, and compares the whole matrix with one
 //! expected string. Any change to a relocation path's cost, accounting
-//! or tracing shows up as a diff of that string.
+//! or tracing shows up as a diff of that string. A last test pins that
+//! `munmap` costs the same with and without page-table replicas.
 
 use numa_kernel::{FaultResolution, Kernel, KernelConfig};
 use numa_sim::{FaultKind, FaultPlan, FaultSite, SimTime};
@@ -322,6 +323,46 @@ fn every_relocation_path_matches_its_recorded_behaviour() {
         }
         panic!("relocation matrix changed; full output:\n{got}");
     }
+}
+
+/// `munmap` on an eager-replicated space costs exactly what it costs on a
+/// single-home space (the replica write-through is not charged), and
+/// leaves every replica equal to the primary.
+#[test]
+fn munmap_costs_the_same_on_replicated_page_tables() {
+    let run = |replicated: bool| {
+        let mut fx = Fx::new(presets::opteron_4p(), KernelConfig::default(), replicated);
+        let kept = fx.populate(2, CoreId(0));
+        let base = fx.populate(4, CoreId(4));
+        let r = fx
+            .kernel
+            .munmap(
+                &mut fx.space,
+                &mut fx.frames,
+                &mut fx.tlb,
+                T0,
+                CoreId(0),
+                base,
+            )
+            .unwrap();
+        assert!(fx.space.page_table.get(kept.vpn()).is_some());
+        assert!(fx.space.page_table.get(base.vpn()).is_none());
+        if replicated {
+            let replicas = fx.space.pt_replicas().unwrap();
+            for n in fx.kernel.topology().node_ids() {
+                assert!(
+                    replicas.agrees_with(n, &fx.space.page_table),
+                    "replica {n} kept unmapped entries"
+                );
+            }
+        }
+        (r.end, r.breakdown)
+    };
+    let (single_end, single_b) = run(false);
+    let (repl_end, repl_b) = run(true);
+    assert!(single_end > T0);
+    assert_eq!(repl_end, single_end);
+    assert_eq!(repl_b, single_b);
 }
 
 const EXPECTED: &str = "\

@@ -165,19 +165,20 @@ impl Machine {
         );
     }
 
-    /// Execute an access atomically: touch every page of
-    /// `[addr, addr+bytes)`, charging `traffic` bytes of DRAM movement
-    /// spread uniformly over the pages.
+    /// Execute an access atomically: fault in and charge every page of
+    /// `[addr, addr+bytes)` in order, spreading `traffic` bytes of DRAM
+    /// movement uniformly over the pages.
     ///
-    /// This is the single-threaded convenience path (tools, tests,
-    /// signal handlers); engine-run threads expand accesses into per-page
-    /// micro-ops instead so concurrent threads interleave correctly.
+    /// Engine-run threads expand accesses into per-page micro-ops instead,
+    /// so concurrent threads interleave in virtual-time order. This
+    /// sequential form is the reference the engine-equivalence proptest
+    /// (`tests/proptest_machine.rs`) holds that expansion to.
     #[allow(clippy::too_many_arguments)]
     pub fn exec_access(
         &mut self,
         tid: usize,
         core: CoreId,
-        now: SimTime,
+        mut now: SimTime,
         addr: VirtAddr,
         bytes: u64,
         traffic: u64,
@@ -189,56 +190,12 @@ impl Machine {
             return now;
         }
         let touches = build_touches(addr, bytes);
-        self.exec_access_touches(tid, core, now, &touches, traffic, write, kind, stats)
-    }
-
-    /// Strided variant of [`Machine::exec_access`]: touch `count`
-    /// segments of `seg_bytes` every `stride` bytes, visiting each
-    /// distinct page once. Atomic; see [`Machine::exec_access`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn exec_access_strided(
-        &mut self,
-        tid: usize,
-        core: CoreId,
-        now: SimTime,
-        base: VirtAddr,
-        seg_bytes: u64,
-        stride: u64,
-        count: u64,
-        traffic: u64,
-        write: bool,
-        kind: MemAccessKind,
-        stats: &mut RunStats,
-    ) -> SimTime {
-        if seg_bytes == 0 || count == 0 {
-            return now;
-        }
-        let touches = build_strided_touches(base, seg_bytes, stride, count);
-        self.exec_access_touches(tid, core, now, &touches, traffic, write, kind, stats)
-    }
-
-    /// Shared core of the *atomic* access paths: fault in and charge each
-    /// touched page sequentially. Multi-threaded runs go through the
-    /// engine's micro-op expansion instead, which interleaves page touches
-    /// of different threads in virtual-time order.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_access_touches(
-        &mut self,
-        tid: usize,
-        core: CoreId,
-        mut now: SimTime,
-        touches: &[VirtAddr],
-        traffic: u64,
-        write: bool,
-        kind: MemAccessKind,
-        stats: &mut RunStats,
-    ) -> SimTime {
         let pages = touches.len() as u64;
         let per_page = traffic / pages.max(1);
         let remainder = traffic - per_page * pages;
         let fits = self.operand_fits_in_cache(core, pages);
         let mut batch = TouchBatch::default();
-        for (i, page_addr) in touches.iter().copied().enumerate() {
+        for (i, page_addr) in touches.into_iter().enumerate() {
             let portion = per_page + if (i as u64) < remainder { 1 } else { 0 };
             now = self.touch_page(
                 tid, core, now, page_addr, portion, write, kind, fits, stats, &mut batch,

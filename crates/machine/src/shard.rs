@@ -76,11 +76,6 @@ pub struct ShardConfig {
     pub shards: usize,
     /// Worker threads (≥ 1; effective workers = min(jobs, shards)).
     pub jobs: usize,
-    /// Window width override in ns; `None` derives it from the
-    /// topology's conservative lookahead
-    /// ([`Topology::min_cross_node_latency_ns`] ×
-    /// [`numa_sim::WINDOW_LOOKAHEAD_MULTIPLE`]).
-    pub window_ns: Option<u64>,
     /// Shared frame-capacity pool; `None` leaves every tenant on its
     /// preset bank capacities (no memory coupling).
     pub ledger: Option<LedgerConfig>,
@@ -99,7 +94,6 @@ impl ShardConfig {
         ShardConfig {
             shards: 1,
             jobs: 1,
-            window_ns: None,
             ledger: None,
             thrash_miss_limit: 0,
             trace_capacity: 0,
@@ -117,7 +111,9 @@ pub struct ShardedRunResult {
     pub windows: u64,
     /// Empty windows jumped without a barrier round.
     pub windows_skipped: u64,
-    /// Window width used, in ns.
+    /// Window width used, in ns: the topology's conservative lookahead
+    /// ([`Topology::min_cross_node_latency_ns`] ×
+    /// [`numa_sim::WINDOW_LOOKAHEAD_MULTIPLE`]).
     pub window_ns: u64,
     /// Per-tenant makespans, indexed by tenant id.
     pub tenant_makespans: Vec<SimTime>,
@@ -198,10 +194,7 @@ where
 {
     let shards = cfg.shards.max(1);
     let jobs = cfg.jobs.max(1);
-    let width = cfg
-        .window_ns
-        .unwrap_or_else(|| WindowClock::width_for_lookahead(topo.min_cross_node_latency_ns()))
-        .max(1);
+    let width = WindowClock::width_for_lookahead(topo.min_cross_node_latency_ns());
     let nodes = topo.node_count();
 
     if tenant_count == 0 {
@@ -538,7 +531,6 @@ mod tests {
         let cfg = |shards, jobs| ShardConfig {
             shards,
             jobs,
-            window_ns: None,
             ledger: Some(LedgerConfig {
                 pool_frames_per_node: 64,
                 initial_frames_per_node: 8,
@@ -562,7 +554,6 @@ mod tests {
         let cfg = ShardConfig {
             shards: 2,
             jobs: 2,
-            window_ns: None,
             ledger: Some(LedgerConfig {
                 // Initial slices cover the largest single-window touch
                 // burst (7 pages) so refills stay watermark-driven; the

@@ -1,11 +1,13 @@
 //! Edge cases of the machine engine: huge mappings through the op path,
-//! unaligned memcpy, tracing, contention reset, and cache flushing.
+//! unaligned memcpy, tracing, contention reset, cache flushing, and
+//! thread migration (`Op::MigrateThread`).
 
 use numa_kernel::KernelConfig;
 use numa_machine::{Machine, MemAccessKind, Op, ThreadSpec};
-use numa_stats::Breakdown;
+use numa_sim::SimTime;
+use numa_stats::{Breakdown, Counter};
 use numa_topology::{presets, CoreId, NodeId};
-use numa_vm::{MemPolicy, PAGES_PER_HUGE, PAGE_SIZE};
+use numa_vm::{MemPolicy, PtPlacement, PtSyncMode, PAGES_PER_HUGE, PAGE_SIZE};
 use std::sync::Arc;
 
 fn huge_machine() -> Machine {
@@ -233,4 +235,80 @@ fn congestion_report_reflects_traffic() {
     assert!(after.mem_busy_ns[0] > 0, "home controller busy");
     assert_eq!(after.mem_busy_ns[1], 0, "node 1's controller untouched");
     assert!(after.mem_imbalance().is_infinite());
+}
+
+/// The op that moves the executing thread onto the first core of `node`.
+fn move_thread_to_node(m: &Machine, node: NodeId) -> Op {
+    Op::MigrateThread {
+        to: m.topology().cores_of_node(node)[0],
+    }
+}
+
+#[test]
+fn migrate_op_rebinds_thread_core() {
+    let mut m = Machine::opteron_4p();
+    let a = m.alloc(4 * PAGE_SIZE, MemPolicy::FirstTouch);
+    // Write from core 0 (node 0), migrate to node 2, write again:
+    // the second buffer lands on node 2 by first touch.
+    let b = m.alloc(4 * PAGE_SIZE, MemPolicy::FirstTouch);
+    let ops = vec![
+        Op::write(a, 4 * PAGE_SIZE, MemAccessKind::Stream),
+        move_thread_to_node(&m, NodeId(2)),
+        Op::write(b, 4 * PAGE_SIZE, MemAccessKind::Stream),
+    ];
+    m.run(vec![ThreadSpec::scripted(CoreId(0), ops)], &[]);
+    assert_eq!(m.page_node(a), Some(NodeId(0)));
+    assert_eq!(m.page_node(b), Some(NodeId(2)));
+}
+
+#[test]
+fn colocated_single_home_pt_follows_the_thread() {
+    let mut m = Machine::opteron_4p();
+    let nodes = m.topology().node_count();
+    m.space
+        .pt_configure(PtPlacement::SingleHome(NodeId(0)), PtSyncMode::Eager, nodes);
+    let a = m.alloc(4 * PAGE_SIZE, MemPolicy::FirstTouch);
+    let shootdowns_before = m.kernel.counters.get(Counter::TlbShootdowns);
+    let ops = vec![
+        Op::write(a, 4 * PAGE_SIZE, MemAccessKind::Stream),
+        move_thread_to_node(&m, NodeId(3)),
+        Op::read(a, 4 * PAGE_SIZE, MemAccessKind::Stream),
+    ];
+    let r = m.run(vec![ThreadSpec::scripted(CoreId(0), ops)], &[]);
+    assert_eq!(
+        m.space.pt_placement(),
+        Some(PtPlacement::SingleHome(NodeId(3))),
+        "co-located PT must re-home with the thread"
+    );
+    assert_eq!(
+        m.kernel.counters.get(Counter::TlbShootdowns),
+        shootdowns_before + 1,
+        "PT migration batches one shootdown"
+    );
+    assert!(r.makespan.ns() > 0);
+}
+
+#[test]
+fn remote_home_and_unset_placement_stay_put() {
+    // Deliberately-remote home: stays where it was pinned.
+    let mut m = Machine::opteron_4p();
+    let nodes = m.topology().node_count();
+    m.space
+        .pt_configure(PtPlacement::SingleHome(NodeId(1)), PtSyncMode::Eager, nodes);
+    let a = m.alloc(PAGE_SIZE, MemPolicy::FirstTouch);
+    let ops = vec![
+        Op::write(a, PAGE_SIZE, MemAccessKind::Stream),
+        move_thread_to_node(&m, NodeId(3)),
+    ];
+    m.run(vec![ThreadSpec::scripted(CoreId(0), ops)], &[]);
+    assert_eq!(
+        m.space.pt_placement(),
+        Some(PtPlacement::SingleHome(NodeId(1)))
+    );
+
+    // Placement unset: the op costs nothing at all.
+    let mut m = Machine::opteron_4p();
+    let mut stats = numa_machine::RunStats::default();
+    let end = m.migrate_thread(CoreId(0), CoreId(12), SimTime(77), &mut stats);
+    assert_eq!(end, SimTime(77));
 }

@@ -105,7 +105,6 @@ fn config(shards: usize, jobs: usize, couple: bool, trace: bool) -> ShardConfig 
     ShardConfig {
         shards,
         jobs,
-        window_ns: None,
         ledger: couple.then_some(LedgerConfig {
             pool_frames_per_node: 128,
             initial_frames_per_node: 24,

@@ -12,8 +12,6 @@
 //! * [`omp`] — an OpenMP-like runtime: teams, `parallel_for` with static
 //!   and dynamic schedules, single regions, implicit barriers — what the
 //!   paper's `#pragma omp parallel for` loops compile to;
-//! * [`sched`] — thread-to-core migration ops (under the ptplace model,
-//!   a co-located page table follows the thread, numaPTE-style);
 //! * [`setup`] — zero-cost experiment setup (pre-populating buffers on
 //!   chosen nodes before the timed run);
 //! * [`autobalance`] — an AutoNUMA-style *automatic* balancer (periodic
@@ -26,7 +24,6 @@ pub mod lazy;
 pub mod next_touch;
 pub mod omp;
 pub mod retry;
-pub mod sched;
 pub mod setup;
 pub mod tenant;
 

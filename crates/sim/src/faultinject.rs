@@ -190,13 +190,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Does any rule ever fire?
-    pub fn is_vacuous(&self) -> bool {
-        self.rules
-            .iter()
-            .all(|r| r.rate_ppm == 0 && r.schedule.is_empty())
-    }
-
     /// A one-line human description for tables and logs.
     pub fn describe(&self) -> String {
         if self.rules.is_empty() {
@@ -263,13 +256,6 @@ impl FaultInjector {
         }
     }
 
-    /// Is injection on at all? One branch; lets call sites skip failure
-    /// bookkeeping entirely in ordinary runs.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The active plan.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
@@ -278,11 +264,6 @@ impl FaultInjector {
     /// Total faults injected so far.
     pub fn injected(&self) -> u64 {
         self.injected
-    }
-
-    /// Consults made at `site` so far.
-    pub fn consults_at(&self, site: FaultSite) -> u64 {
-        self.consults[site.index()]
     }
 
     /// Ask whether the operation at `site` should fail, and how. Advances
@@ -334,7 +315,7 @@ mod tests {
         }
         assert_eq!(inj.injected(), 0);
         // Disabled consults do not even count — zero bookkeeping.
-        assert_eq!(inj.consults_at(FaultSite::MovePagesCopy), 0);
+        assert_eq!(inj.consults[FaultSite::MovePagesCopy.index()], 0);
     }
 
     #[test]
@@ -343,11 +324,8 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(inj.consult(FaultSite::NextTouchFault), None);
         }
-        assert_eq!(inj.consults_at(FaultSite::NextTouchFault), 1000);
+        assert_eq!(inj.consults[FaultSite::NextTouchFault.index()], 1000);
         assert_eq!(inj.injected(), 0);
-        assert!(FaultPlan::new(7).is_vacuous());
-        assert!(FaultPlan::chaos(7, 0).is_vacuous());
-        assert!(!FaultPlan::chaos(7, 1000).is_vacuous());
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod window;
 pub use barrier::{BarrierOutcome, BarrierState};
 pub use faultinject::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite, FAULT_SITES};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use queue::{HeapReadyQueue, ReadyQueue};
+pub use queue::ReadyQueue;
 pub use resource::{Acquisition, Resource};
 pub use rng::Splitmix64;
 pub use time::SimTime;

@@ -1,28 +1,20 @@
 //! The time-ordered run queue.
 //!
-//! Two implementations share one contract — pops come out ordered by
-//! `(time, enqueue order)`:
-//!
-//! * [`ReadyQueue`] — a calendar queue (Brown 1988): events hash into a
-//!   ring of day-width buckets by quantized [`SimTime`], far-future
-//!   events park on an overflow rung, and a monotone day cursor scans
-//!   forward. Push is O(1); pop touches one (usually tiny) bucket. This
-//!   is the engine's production queue.
-//! * [`HeapReadyQueue`] — the original `BinaryHeap` formulation, kept as
-//!   the executable reference model the calendar queue is lockstep
-//!   proptested against (`tests/proptest_sim.rs`).
+//! [`ReadyQueue`] is a calendar queue (Brown 1988): events hash into a
+//! ring of day-width buckets by quantized [`SimTime`], far-future events
+//! park on an overflow rung, and a monotone day cursor scans forward.
+//! Push is O(1); pop touches one (usually tiny) bucket. Pops come out
+//! ordered by `(time, enqueue order)`.
 //!
 //! When several simulated threads become runnable at the same virtual
 //! instant, the one that was *enqueued first* runs first. Ordering on
 //! `(time, item)` would instead break ties by item id, which silently
 //! couples simulation results to thread numbering — a determinism hazard
-//! the sequence counter removes. Both implementations order by the exact
-//! `(time, seq)` pair, so their pop sequences are identical element for
-//! element (the lockstep proptest pins this).
+//! the sequence counter removes. `tests/proptest_sim.rs` runs the queue in
+//! lockstep with the original `BinaryHeap` formulation, which orders by
+//! the same `(time, seq)` pair, and requires identical pop sequences.
 
 use crate::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// log2 of the calendar bucket width in virtual nanoseconds. 256 ns per
 /// bucket sits just above the typical micro-op duration (a page touch is
@@ -69,7 +61,7 @@ struct Front {
 
 /// A calendar queue of `(time, item)` pairs with deterministic FIFO
 /// tie-breaking — see the module docs for the layout and the ordering
-/// contract it shares with [`HeapReadyQueue`].
+/// contract.
 #[derive(Debug, Clone)]
 pub struct ReadyQueue<T> {
     /// The calendar ring. Bucket `b` holds events whose quantized day is
@@ -322,81 +314,6 @@ impl<T> ReadyQueue<T> {
     }
 }
 
-/// The original min-heap of `(time, seq, item)` triples — the reference
-/// model for the calendar [`ReadyQueue`], ordered by the identical
-/// `(time, seq)` key. Kept because an executable specification this
-/// small is the cheapest possible correctness anchor for the calendar
-/// queue's bucket/overflow bookkeeping.
-#[derive(Debug, Clone)]
-pub struct HeapReadyQueue<T> {
-    heap: BinaryHeap<Reverse<(SimTime, u64, OrdWrap<T>)>>,
-    seq: u64,
-}
-
-/// Wrapper that deliberately ignores `T` in the ordering so ties are broken
-/// purely by the sequence number.
-#[derive(Debug, Clone)]
-struct OrdWrap<T>(T);
-
-impl<T> PartialEq for OrdWrap<T> {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl<T> Eq for OrdWrap<T> {}
-impl<T> PartialOrd for OrdWrap<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for OrdWrap<T> {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-impl<T> Default for HeapReadyQueue<T> {
-    fn default() -> Self {
-        HeapReadyQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-}
-
-impl<T> HeapReadyQueue<T> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        HeapReadyQueue::default()
-    }
-
-    /// Schedule `item` to run at `time`.
-    pub fn push(&mut self, time: SimTime, item: T) {
-        self.heap.push(Reverse((time, self.seq, OrdWrap(item))));
-        self.seq += 1;
-    }
-
-    /// Remove and return the earliest `(time, item)`.
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|Reverse((t, _, w))| (t, w.0))
-    }
-
-    /// The earliest scheduled time without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,23 +389,5 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime(0), "now")));
         assert_eq!(q.pop(), Some((SimTime(u64::MAX), "end of time")));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn heap_reference_matches_on_a_smoke_interleaving() {
-        let mut cal = ReadyQueue::new();
-        let mut heap = HeapReadyQueue::new();
-        let times = [7u64, 7, 300_000, 5, 7, 1 << 40, 300_000, 0, 12];
-        for (i, &t) in times.iter().enumerate() {
-            cal.push(SimTime(t), i);
-            heap.push(SimTime(t), i);
-            if i % 3 == 2 {
-                assert_eq!(cal.pop(), heap.pop());
-            }
-        }
-        while let Some(expect) = heap.pop() {
-            assert_eq!(cal.pop(), Some(expect));
-        }
-        assert_eq!(cal.pop(), None);
     }
 }

@@ -1,8 +1,10 @@
 //! Property-based tests for the discrete-event primitives.
 
+mod heap_reference;
+
+use heap_reference::HeapReadyQueue;
 use numa_sim::{
-    BarrierOutcome, BarrierState, HeapReadyQueue, ReadyQueue, Resource, SimTime, Splitmix64, Trace,
-    TraceEventKind,
+    BarrierOutcome, BarrierState, ReadyQueue, Resource, SimTime, Splitmix64, Trace, TraceEventKind,
 };
 use proptest::prelude::*;
 

@@ -1,23 +1,21 @@
 //! Instrumentation primitives for the `numa-migrate` simulator.
 //!
 //! Everything the experiment harness prints — per-component cost breakdowns
-//! (paper Figure 6), event counters, latency histograms, and the aligned
-//! text/CSV tables that mirror the paper's figures — is built from the types
-//! in this crate.
+//! (paper Figure 6), event counters, page-table statistics, JSON documents,
+//! and the aligned text/CSV tables that mirror the paper's figures — is built
+//! from the types in this crate.
 //!
 //! The crate sits at the bottom of the workspace dependency graph so that the
 //! VM, kernel and machine layers can all record into the same structures.
 
 pub mod breakdown;
 pub mod counters;
-pub mod histogram;
 pub mod json;
 pub mod memstats;
 pub mod table;
 
 pub use breakdown::{Breakdown, CostComponent};
 pub use counters::{Counter, Counters};
-pub use histogram::Histogram;
 pub use json::Json;
 pub use memstats::PtStats;
 pub use table::Table;

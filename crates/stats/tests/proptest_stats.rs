@@ -1,6 +1,6 @@
 //! Property-based tests for the instrumentation primitives.
 
-use numa_stats::{Breakdown, CostComponent, Counter, Counters, Histogram};
+use numa_stats::{Breakdown, CostComponent, Counter, Counters};
 use proptest::prelude::*;
 
 fn component(i: u8) -> CostComponent {
@@ -47,39 +47,6 @@ proptest! {
         for c in CostComponent::ALL {
             prop_assert_eq!(ab.get(c), a.get(c) + b.get(c));
         }
-    }
-
-    /// Histogram invariants: count/sum/min/max track the sample set, the
-    /// quantile never under-reports, and merge equals concatenation.
-    #[test]
-    fn histogram_matches_samples(
-        xs in proptest::collection::vec(0u64..1_000_000_000, 1..200),
-        ys in proptest::collection::vec(0u64..1_000_000_000, 0..200),
-        q in 0.0f64..1.0,
-    ) {
-        let mut hx = Histogram::new();
-        for x in &xs { hx.record(*x); }
-        prop_assert_eq!(hx.count(), xs.len() as u64);
-        prop_assert_eq!(hx.sum(), xs.iter().sum::<u64>());
-        prop_assert_eq!(hx.min(), xs.iter().min().copied());
-        prop_assert_eq!(hx.max(), xs.iter().max().copied());
-
-        // Quantile upper bound: at least ceil(q*n) samples are <= it.
-        if q > 0.0 {
-            let bound = hx.quantile(q).unwrap();
-            let target = (q * xs.len() as f64).ceil().max(1.0) as usize;
-            let covered = xs.iter().filter(|x| **x <= bound).count();
-            prop_assert!(covered >= target, "q={q} bound={bound} covered={covered}/{target}");
-        }
-
-        // Merge == concatenation.
-        let mut hy = Histogram::new();
-        for y in &ys { hy.record(*y); }
-        let mut merged = hx.clone();
-        merged.merge(&hy);
-        let mut all = Histogram::new();
-        for v in xs.iter().chain(&ys) { all.record(*v); }
-        prop_assert_eq!(merged, all);
     }
 
     /// Counters: merge is addition; clear resets; iteration order stable.

@@ -69,11 +69,6 @@ impl TierDaemon {
         }
     }
 
-    /// The policy's short name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// One wake-up: capture the machine state, run the policy, and turn
     /// its plan into migration ops. Demotions are emitted before
     /// promotions so evictions free DRAM frames ahead of the allocations

@@ -72,15 +72,6 @@ impl TierUsage {
         }
         u
     }
-
-    /// Fraction of DRAM frames in use.
-    pub fn dram_fill(&self) -> f64 {
-        if self.dram_capacity == 0 {
-            0.0
-        } else {
-            self.dram_used as f64 / self.dram_capacity as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -105,6 +96,6 @@ mod tests {
         assert_eq!(u.dram_used, 4);
         assert_eq!(u.slow_used, 0);
         assert!(u.dram_capacity > 0 && u.slow_capacity > 0);
-        assert!(u.dram_fill() > 0.0 && u.dram_fill() < 1.0);
+        assert!(u.dram_used < u.dram_capacity);
     }
 }

@@ -25,8 +25,6 @@ pub struct CostModel {
     // ------------------------------------------------------- memory system
     /// Local DRAM access latency (ns) for a latency-bound access.
     pub dram_latency_ns: f64,
-    /// Last-level cache hit latency (ns).
-    pub cache_hit_ns: f64,
     /// NUMA factor by hop distance: index 0 = local (1.0), 1 = one hop, ...
     /// The paper reports 1.2–1.4 on the 4-socket Opteron (§2.1, §4.1).
     pub numa_factor: Vec<f64>,
@@ -147,10 +145,6 @@ pub struct CostModel {
     /// overhead numbers imply near-serialized fault handling at 16
     /// threads.
     pub pt_lock_fraction: f64,
-    /// Whether syscall *base* overheads serialize on the mmap lock
-    /// (they do: `move_pages` takes `mmap_sem`), which is what prevents
-    /// sub-1 MB buffers from benefiting from parallel migration (Fig. 7).
-    pub mmap_lock_serializes_base: bool,
 
     // ------------------------------------------------------------- tiering
     /// Latency multiplier for accesses served by a slow-tier (CXL-class)
@@ -173,13 +167,6 @@ pub struct CostModel {
     /// Per-page abort cost: discard the shadow copy and free the
     /// destination frame after a concurrent write invalidated it.
     pub tier_abort_ns: u64,
-
-    // -------------------------------------------------------------- compute
-    /// Efficiency factor applied to peak flops for BLAS3-class kernels
-    /// (real BLAS on this machine reaches well under peak).
-    pub blas3_efficiency: f64,
-    /// Efficiency factor for BLAS1-class kernels (bandwidth bound).
-    pub blas1_efficiency: f64,
 }
 
 impl Default for CostModel {
@@ -190,7 +177,6 @@ impl Default for CostModel {
             cache_line: 64,
 
             dram_latency_ns: 80.0,
-            cache_hit_ns: 18.0,
             numa_factor: vec![1.0, 1.25, 1.40, 1.55],
             user_copy_bw: 2.0,
             stream_latency_exposure: 0.04,
@@ -230,16 +216,12 @@ impl Default for CostModel {
             pt_migrate_per_pte_ns: 8,
 
             pt_lock_fraction: 0.55,
-            mmap_lock_serializes_base: true,
 
             slow_tier_latency_mult: 3.0,
             slow_tier_bw_mult: 1.0 / 3.0,
             tier_txn_control_ns: 800,
             tier_commit_ns: 600,
             tier_abort_ns: 300,
-
-            blas3_efficiency: 0.80,
-            blas1_efficiency: 0.10,
         }
     }
 }

@@ -233,12 +233,6 @@ impl Topology {
     pub fn cost(&self) -> &CostModel {
         &self.cost
     }
-
-    /// Mutable access to the cost model, for ablation experiments that
-    /// perturb constants before the machine is built.
-    pub fn cost_mut(&mut self) -> &mut CostModel {
-        &mut self.cost
-    }
 }
 
 /// BFS all-pairs routing. Returns (routes, hops).

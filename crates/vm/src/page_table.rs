@@ -692,11 +692,6 @@ impl PageTable {
         removed
     }
 
-    /// Is `vpn` mapped (present or not)?
-    pub fn is_mapped(&self, vpn: u64) -> bool {
-        self.get(vpn).is_some()
-    }
-
     /// Number of installed entries.
     pub fn len(&self) -> usize {
         self.live
@@ -1196,11 +1191,11 @@ mod tests {
         let mut pt = PageTable::new();
         assert!(pt.is_empty());
         assert_eq!(pt.map(5, Pte::present_rw(FrameId(1))), None);
-        assert!(pt.is_mapped(5));
+        assert!(pt.get(5).is_some());
         assert_eq!(pt.get(5).unwrap().frame, FrameId(1));
         let old = pt.unmap(5).unwrap();
         assert_eq!(old.frame, FrameId(1));
-        assert!(!pt.is_mapped(5));
+        assert!(pt.get(5).is_none());
         assert_stats_consistent(&pt);
     }
 

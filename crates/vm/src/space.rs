@@ -208,8 +208,10 @@ impl AddressSpace {
             .into_iter()
             .map(|pte| pte.frame)
             .collect();
-        // Replicas must drop the same entries; munmap is not on any timed
-        // path, so the write-through count is not charged anywhere.
+        // Replicas drop the same entries. The write-through is left
+        // uncharged on purpose: the timed `Kernel::munmap` charges only the
+        // teardown and the shootdown, the same on single-home and
+        // replicated spaces.
         self.pt_note_update(vma.range);
         self.generation += 1;
         Ok(frames)

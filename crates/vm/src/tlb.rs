@@ -54,12 +54,14 @@ impl Tlb {
         self.episodes
     }
 
-    /// Invalidations received by one core.
+    /// Invalidations received by one core. The tests below read it to
+    /// check [`Tlb::shootdown_all`] and [`Tlb::invalidate_local`].
     pub fn received_by(&self, core: CoreId) -> u64 {
         self.received[core.index()]
     }
 
-    /// Total invalidations received across all cores.
+    /// Total invalidations received across all cores (read by the tests,
+    /// like [`Tlb::received_by`]).
     pub fn received_total(&self) -> u64 {
         self.received.iter().sum()
     }
