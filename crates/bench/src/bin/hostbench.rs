@@ -191,34 +191,34 @@ fn sparsewalk_stress() -> String {
     )
 }
 
-/// Engine-core churn: the calendar ready queue and the breakdown
-/// accumulator under the exact access pattern the engine drives — pop
-/// the earliest thread, charge a couple of cost components, re-schedule
-/// at a deterministic stride — with no kernel, no page tables, and no
-/// memory system, so queue push/pop plus breakdown adds are the entire
-/// profile. The stride mix covers the three calendar regimes: same-day
-/// ties (FIFO order), short hops within the 64-bucket ring (the common
-/// quantum-sized advance), and rare far-future jumps that park on the
-/// overflow rung and must migrate back. Single-threaded by
+/// Engine-core churn: the tournament-tree ready queue and the breakdown
+/// accumulator under the exact access pattern the engine drives — take
+/// the root thread, charge a couple of cost components, re-key it at a
+/// deterministic stride — with no kernel, no page tables, and no memory
+/// system, so re-key/replay plus breakdown adds are the entire profile.
+/// A re-key costs `log2(THREADS)` compares whatever the stride; the
+/// stride mix — same-instant ties (FIFO order), short hops, and rare
+/// far-future jumps — stays so that the checksum keeps pinning the pop
+/// order, which no queue implementation may change. Single-threaded by
 /// construction; trivially jobs-invariant.
 fn qchurn_stress() -> String {
-    use numa_migrate::sim::{ReadyQueue, SimTime};
+    use numa_migrate::sim::{SimTime, TournamentTree};
     use numa_migrate::stats::{Breakdown, CostComponent};
     const THREADS: usize = 64;
     const MICROS: u64 = 100_000;
-    let mut q = ReadyQueue::with_capacity(THREADS);
+    let mut q = TournamentTree::new(THREADS);
     let mut b = Breakdown::new();
     for tid in 0..THREADS {
-        q.push(SimTime((tid % 5) as u64), tid);
+        q.set(tid, SimTime((tid % 5) as u64));
     }
     let mut remaining = [MICROS; THREADS];
     let (mut pops, mut mix) = (0u64, 0u64);
-    while let Some((now, tid)) = q.pop() {
+    while let Some((now, tid)) = q.peek() {
         pops += 1;
         let stride = match pops % 127 {
-            0 => 1 << 24,                          // overflow rung
+            0 => 1 << 24,                          // far-future jump
             1..=9 => 0,                            // same-instant FIFO ties
-            r => 40 + (r * 37 + tid as u64) % 400, // in-ring hops
+            r => 40 + (r * 37 + tid as u64) % 400, // short hops
         };
         b.add(CostComponent::MemoryAccess, stride);
         b.add(CostComponent::Compute, 1);
@@ -227,7 +227,9 @@ fn qchurn_stress() -> String {
             .rotate_left(5);
         if remaining[tid] > 0 {
             remaining[tid] -= 1;
-            q.push(now + stride, tid);
+            q.set(tid, now + stride);
+        } else {
+            q.remove(tid);
         }
     }
     assert_eq!(pops, THREADS as u64 * (MICROS + 1), "qchurn lost events");

@@ -1,8 +1,9 @@
 //! Tier-1 golden check: every registry row except `table1` runs
 //! in-process with `--json` and must reproduce its committed
-//! `results/<name>.json` byte for byte, as must `chaos --full` against
-//! `results/chaos_full.json`. Quick `table1` takes about 18 s under the
-//! debug profile, so only CI's `sha256sum -c` step pins it.
+//! `results/<name>.json` byte for byte, as must `chaos --full` and
+//! `multitenant --full` against `results/<name>_full.json`. Quick
+//! `table1` takes about 18 s under the debug profile, so only CI's
+//! `sha256sum -c` step pins it.
 
 use numa_bench::{Options, RunOutput, EXPERIMENTS};
 
@@ -46,5 +47,17 @@ fn chaos_full_json_matches_committed_results() {
     assert!(
         results_json("chaos", &["--full", "--json", "unused.json"]) == committed("chaos_full.json"),
         "virtual-time results moved: chaos --full no longer matches results/chaos_full.json"
+    );
+}
+
+#[test]
+fn multitenant_full_json_matches_committed_results() {
+    // The one cheap run whose L3-thrash flush fires (`flush_windows` 2),
+    // and a long run of the engine's horizon-gated windows.
+    assert!(
+        results_json("multitenant", &["--full", "--json", "unused.json"])
+            == committed("multitenant_full.json"),
+        "virtual-time results moved: multitenant --full no longer matches \
+         results/multitenant_full.json"
     );
 }

@@ -12,7 +12,7 @@
 //! biggest wins come from removing "congestion when multiple threads access
 //! each others' NUMA memory across a single HyperTransport link" (§4.5).
 
-use numa_sim::{Resource, SimTime};
+use numa_sim::{round_ns, Resource, SimTime};
 use numa_topology::{NodeId, Topology};
 
 /// Link and memory-controller resources for one machine.
@@ -24,6 +24,66 @@ pub struct Interconnect {
     mem_ctl: Vec<Resource>,
     /// Per-node DRAM bandwidth (bytes/ns).
     mem_bw: Vec<f64>,
+    /// Service times of [`Interconnect::access`] by `(from, mem, bytes)`.
+    memo: RouteMemo,
+}
+
+/// Entries of the route memo (a power of two).
+const ROUTE_MEMO: usize = 64;
+
+/// The service times one [`Interconnect::access`] books, memoized by
+/// `(from, mem, bytes)`: the memory controller's, then each route link's
+/// in route order. A direct-mapped table of [`ROUTE_MEMO`] entries that
+/// never grows; a colliding key overwrites. The bandwidths are fixed per
+/// machine, so an entry never goes stale.
+#[derive(Debug)]
+struct RouteMemo {
+    /// `((from << 16) | mem, bytes)` per entry; `u64::MAX` marks empty.
+    keys: Vec<(u64, u64)>,
+    /// `stride` service times per entry.
+    svc: Vec<u64>,
+    /// One plus the longest route's link count.
+    stride: usize,
+}
+
+impl RouteMemo {
+    fn new(topo: &Topology) -> Self {
+        let longest = topo
+            .node_ids()
+            .flat_map(|a| topo.node_ids().map(move |b| topo.route(a, b).len()))
+            .max()
+            .unwrap_or(0);
+        RouteMemo {
+            keys: vec![(u64::MAX, 0); ROUTE_MEMO],
+            svc: vec![0; ROUTE_MEMO * (longest + 1)],
+            stride: longest + 1,
+        }
+    }
+
+    /// The service times of `bytes` from `from` to `mem` over `route`,
+    /// computed on a miss exactly as an unmemoized booking would.
+    fn get(
+        &mut self,
+        from: NodeId,
+        mem: NodeId,
+        bytes: u64,
+        route: &[numa_topology::LinkId],
+        link_bw: &[f64],
+        mem_bw: &[f64],
+    ) -> &[u64] {
+        let pair = (u64::from(from.0) << 16) | u64::from(mem.0);
+        let hash = (bytes ^ pair.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let i = (hash >> (64 - ROUTE_MEMO.trailing_zeros())) as usize;
+        let svc = &mut self.svc[i * self.stride..][..=route.len()];
+        if self.keys[i] != (pair, bytes) {
+            self.keys[i] = (pair, bytes);
+            svc[0] = round_ns(bytes as f64 / mem_bw[mem.index()]);
+            for (s, l) in svc[1..].iter_mut().zip(route) {
+                *s = round_ns(bytes as f64 / link_bw[l.index()]);
+            }
+        }
+        svc
+    }
 }
 
 /// Outcome of a transfer.
@@ -59,6 +119,7 @@ impl Interconnect {
             link_bw,
             mem_ctl,
             mem_bw,
+            memo: RouteMemo::new(topo),
         }
     }
 
@@ -96,16 +157,16 @@ impl Interconnect {
         start = start.max(self.mem_ctl[src.index()].busy_until());
         // Occupy them for their own service windows.
         for l in route {
-            let svc = (bytes as f64 / self.link_bw[l.index()]).round() as u64;
+            let svc = round_ns(bytes as f64 / self.link_bw[l.index()]);
             self.links[l.index()].occupy(start, svc);
         }
-        let src_svc = (bytes as f64 / self.mem_bw[src.index()]).round() as u64;
+        let src_svc = round_ns(bytes as f64 / self.mem_bw[src.index()]);
         self.mem_ctl[src.index()].occupy(start, src_svc);
         if dst != src {
-            let dst_svc = (bytes as f64 / self.mem_bw[dst.index()]).round() as u64;
+            let dst_svc = round_ns(bytes as f64 / self.mem_bw[dst.index()]);
             self.mem_ctl[dst.index()].occupy(start, dst_svc);
         }
-        let duration = (bytes as f64 / initiator_bw).round() as u64;
+        let duration = round_ns(bytes as f64 / initiator_bw);
         TransferOutcome {
             start,
             end: start + duration,
@@ -115,7 +176,8 @@ impl Interconnect {
 
     /// Occupy the route for a latency-bound access of `bytes` (application
     /// reads/writes). Like [`Interconnect::transfer`] but the initiator
-    /// duration is supplied by the caller's latency/bandwidth model.
+    /// duration is supplied by the caller's latency/bandwidth model. The
+    /// service times come from the route memo; the bookings stay per call.
     pub fn access(
         &mut self,
         topo: &Topology,
@@ -131,12 +193,13 @@ impl Interconnect {
             start = start.max(self.links[l.index()].busy_until());
         }
         start = start.max(self.mem_ctl[mem.index()].busy_until());
-        for l in route {
-            let svc = (bytes as f64 / self.link_bw[l.index()]).round() as u64;
-            self.links[l.index()].occupy(start, svc);
+        let svc = self
+            .memo
+            .get(from, mem, bytes, route, &self.link_bw, &self.mem_bw);
+        for (l, &s) in route.iter().zip(&svc[1..]) {
+            self.links[l.index()].occupy(start, s);
         }
-        let svc = (bytes as f64 / self.mem_bw[mem.index()]).round() as u64;
-        self.mem_ctl[mem.index()].occupy(start, svc);
+        self.mem_ctl[mem.index()].occupy(start, svc[0]);
         TransferOutcome {
             start,
             end: start + duration_ns,
@@ -204,6 +267,33 @@ mod tests {
         assert!(ic.mem_busy_ns(NodeId(0)) > 0);
         assert!(ic.mem_busy_ns(NodeId(3)) > 0);
         assert_eq!(ic.mem_busy_ns(NodeId(1)), 0);
+    }
+
+    #[test]
+    fn memoized_access_books_the_float_service_times() {
+        // More distinct keys than memo entries, revisited out of order, so
+        // entries are filled, hit, evicted and refilled; the slow-tier
+        // nodes' controllers serve at a third of DRAM bandwidth.
+        let topo = presets::tiered_4p2();
+        let mut ic = Interconnect::new(&topo);
+        let (mut link_busy, mut mem_busy) = (vec![0u64; topo.link_count()], vec![0u64; 6]);
+        for i in 0..3_000u64 {
+            let (from, mem) = (NodeId((i % 6) as u16), NodeId((i / 6 % 6) as u16));
+            let bytes = 1 + (i * 7919) % 300 * 61;
+            ic.access(&topo, SimTime(i * 10), from, mem, bytes, 1);
+            for l in topo.route(from, mem) {
+                link_busy[l.index()] +=
+                    (bytes as f64 / topo.link(*l).bandwidth_bytes_per_ns).round() as u64;
+            }
+            mem_busy[mem.index()] +=
+                (bytes as f64 / topo.node(mem).dram_bw_bytes_per_ns).round() as u64;
+        }
+        for (l, &busy) in link_busy.iter().enumerate() {
+            assert_eq!(ic.link_busy_ns(l), busy, "link {l}");
+        }
+        for (n, &busy) in mem_busy.iter().enumerate() {
+            assert_eq!(ic.mem_busy_ns(NodeId(n as u16)), busy, "mc {n}");
+        }
     }
 
     #[test]

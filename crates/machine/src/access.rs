@@ -5,9 +5,9 @@ use crate::engine::RunStats;
 use crate::op::MemAccessKind;
 use crate::Machine;
 use numa_kernel::FaultResolution;
-use numa_sim::{SimTime, TraceEventKind};
+use numa_sim::{round_ns, SimTime, TraceEventKind};
 use numa_stats::{CostComponent, Counter};
-use numa_topology::{CoreId, NodeId};
+use numa_topology::{CoreId, NodeId, Topology};
 use numa_vm::{PageRange, VirtAddr, PAGE_SIZE};
 
 /// Upper bound on fault-retry loops per touch; exceeding it means the
@@ -62,7 +62,110 @@ impl TouchBatch {
     }
 }
 
+/// Entries of the touch-cost memo (a power of two).
+pub(crate) const TOUCH_MEMO: usize = 256;
+
+/// The charge of one page touch, a pure function of `(portion, kind,
+/// fits, core node, home node)` under the machine's fixed cost model.
+/// [`Machine`] memoizes it in a direct-mapped table of [`TOUCH_MEMO`]
+/// entries that never grows (DESIGN.md §10); a colliding key overwrites.
+#[derive(Clone, Copy)]
+pub(crate) struct TouchCost {
+    portion: u64,
+    /// `kind`, `fits` and both node ids, packed; `u64::MAX` when empty.
+    tag: u64,
+    /// An L3 hit: all of `portion` at L3 bandwidth.
+    hit_ns: u64,
+    /// A miss: the bytes fetched from DRAM (the fill, plus all reuse when
+    /// the operand cannot stay resident) ...
+    dram_bytes: u64,
+    /// ... their latency plus bandwidth time, NUMA- and tier-scaled ...
+    dram_ns: u64,
+    /// ... and the rest of `portion`, reuse served at L3 bandwidth.
+    reuse_ns: u64,
+}
+
+impl TouchCost {
+    pub(crate) const EMPTY: TouchCost = TouchCost {
+        portion: 0,
+        tag: u64::MAX,
+        hit_ns: 0,
+        dram_bytes: 0,
+        dram_ns: 0,
+        reuse_ns: 0,
+    };
+
+    fn compute(
+        topo: &Topology,
+        portion: u64,
+        tag: u64,
+        kind: MemAccessKind,
+        fits_in_cache: bool,
+        core_node: NodeId,
+        home: NodeId,
+    ) -> Self {
+        let cost = topo.cost();
+        let dram_bytes = if fits_in_cache {
+            portion.min(PAGE_SIZE)
+        } else {
+            portion
+        };
+        let factor = topo.numa_factor(core_node, home);
+        let lines = dram_bytes.div_ceil(cost.cache_line).max(1);
+        let exposure = match kind {
+            MemAccessKind::Stream => cost.stream_latency_exposure,
+            MemAccessKind::Blocked => cost.blocked_latency_exposure,
+            MemAccessKind::Random => cost.random_latency_exposure,
+        };
+        // Slow-tier banks serve lines at a latency multiple and a
+        // bandwidth fraction of DRAM (CXL-class fabric).
+        let tier = topo.tier_of(home);
+        let tier_lat = cost.tier_latency_mult(tier);
+        let tier_bw = cost.tier_bw_mult(tier);
+        let latency_ns =
+            round_ns(lines as f64 * cost.dram_latency_ns * exposure * factor * tier_lat);
+        let bw_ns = round_ns(dram_bytes as f64 / (cost.core_mem_bw * tier_bw) * factor);
+        TouchCost {
+            portion,
+            tag,
+            hit_ns: round_ns(portion as f64 / cost.l3_bw),
+            dram_bytes,
+            dram_ns: latency_ns + bw_ns,
+            reuse_ns: round_ns((portion - dram_bytes) as f64 / cost.l3_bw),
+        }
+    }
+}
+
 impl Machine {
+    /// The memoized [`TouchCost`] of a touch.
+    fn touch_cost(
+        &mut self,
+        portion: u64,
+        kind: MemAccessKind,
+        fits_in_cache: bool,
+        core_node: NodeId,
+        home: NodeId,
+    ) -> TouchCost {
+        let tag = kind as u64
+            | u64::from(fits_in_cache) << 2
+            | u64::from(core_node.0) << 3
+            | u64::from(home.0) << 19;
+        let hash = (portion ^ tag.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let entry = &mut self.touch_costs[(hash >> (64 - TOUCH_MEMO.trailing_zeros())) as usize];
+        if entry.portion != portion || entry.tag != tag {
+            *entry = TouchCost::compute(
+                &self.topo,
+                portion,
+                tag,
+                kind,
+                fits_in_cache,
+                core_node,
+                home,
+            );
+        }
+        *entry
+    }
+
     /// Resolve the page-table vpn that backs `addr` (huge mappings are
     /// keyed by their head page).
     pub fn resolve_vpn(&self, addr: VirtAddr) -> u64 {
@@ -297,48 +400,22 @@ impl Machine {
 
         let start = now;
         now = self.charge_pt_walk(core_node, now, kind, stats);
+        let charge = self.touch_cost(portion, kind, fits_in_cache, core_node, home);
         if self.caches[core_node.index()].touch(vpn) {
             // Served from the node's shared L3.
             batch.cache_hits += 1;
-            now += (portion as f64 / self.topo.cost().l3_bw).round() as u64;
+            now += charge.hit_ns;
         } else {
             batch.cache_misses += 1;
-            // Split the charged traffic into the DRAM part (the fill,
-            // plus all reuse when the operand cannot stay resident) and
-            // the L3-served reuse part.
-            let dram_bytes = if fits_in_cache {
-                portion.min(PAGE_SIZE)
-            } else {
-                portion
-            };
-            let l3_bytes = portion - dram_bytes;
-            let cost = self.topo.cost();
-            let factor = self.topo.numa_factor(core_node, home);
-            let lines = dram_bytes.div_ceil(cost.cache_line).max(1);
-            let exposure = match kind {
-                MemAccessKind::Stream => cost.stream_latency_exposure,
-                MemAccessKind::Blocked => cost.blocked_latency_exposure,
-                MemAccessKind::Random => cost.random_latency_exposure,
-            };
-            // Slow-tier banks serve lines at a latency multiple and a
-            // bandwidth fraction of DRAM (CXL-class fabric).
-            let tier = self.topo.tier_of(home);
-            let tier_lat = cost.tier_latency_mult(tier);
-            let tier_bw = cost.tier_bw_mult(tier);
-            let latency_ns =
-                (lines as f64 * cost.dram_latency_ns * exposure * factor * tier_lat).round() as u64;
-            let bw_ns = (dram_bytes as f64 / (cost.core_mem_bw * tier_bw) * factor).round() as u64;
-            let l3_bw = cost.l3_bw;
             let xfer = self.kernel.interconnect.access(
                 &self.topo,
                 now,
                 core_node,
                 home,
-                dram_bytes,
-                latency_ns + bw_ns,
+                charge.dram_bytes,
+                charge.dram_ns,
             );
-            now = xfer.end;
-            now += (l3_bytes as f64 / l3_bw).round() as u64;
+            now = xfer.end + charge.reuse_ns;
             if home == core_node {
                 batch.local += 1;
             } else {

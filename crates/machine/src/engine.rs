@@ -1,15 +1,16 @@
 //! The discrete-event thread engine.
 //!
-//! Threads are op generators pinned to cores. The engine pops the thread
-//! with the earliest virtual clock, asks it for its next [`Op`], executes
-//! the op (advancing the clock through the kernel/memory cost model), and
-//! re-queues it — classic conservative DES. Barriers park threads until
+//! Threads are op generators pinned to cores. The engine runs the thread
+//! with the earliest virtual clock (the root of a tournament tree of
+//! thread slots), asks it for its next [`Op`], executes the op (advancing
+//! the clock through the kernel/memory cost model), and re-keys it —
+//! classic conservative DES. Barriers park threads until
 //! the whole team arrives (OpenMP semantics).
 
 use crate::op::Op;
 use crate::Machine;
 use numa_kernel::{PageStatus, RelocSite};
-use numa_sim::{BarrierOutcome, BarrierState, ReadyQueue, SimTime, TraceEventKind};
+use numa_sim::{BarrierOutcome, BarrierState, SimTime, TournamentTree, TraceEventKind};
 use numa_stats::{Breakdown, CostComponent, Counter, Counters};
 use numa_topology::{CoreId, NodeId};
 use numa_vm::VirtAddr;
@@ -297,8 +298,8 @@ struct ThreadState {
 /// horizon; [`EngineRun::finish`] closes the session into a [`RunResult`].
 /// [`Machine::run`] is the composition of the three, so a windowed run is
 /// event-for-event identical to a monolithic one: the horizon only changes
-/// *when the host* executes each event, never which event is next (pops
-/// always follow the queue's global virtual-time order).
+/// *when the host* executes each event, never which event is next (the
+/// next thread is always the tree root, in global virtual-time order).
 ///
 /// This re-entrancy is what the sharded multitenant engine
 /// ([`crate::shard`]) is built on: each tenant's session advances through
@@ -308,7 +309,9 @@ pub struct EngineRun {
     stats: RunStats,
     barriers: Vec<BarrierState>,
     states: Vec<ThreadState>,
-    queue: ReadyQueue<usize>,
+    /// One slot per thread, present while the thread is runnable or
+    /// running; the root is the thread that runs next.
+    queue: TournamentTree,
     thread_end: Vec<SimTime>,
     /// Scratch snapshot for the traced-micro breakdown diff, reused
     /// across micros instead of cloning a fresh Vec per drain.
@@ -373,11 +376,9 @@ impl Machine {
             })
             .collect();
         let n = states.len();
-        // The engine pushes/pops at most one entry per live thread (plus
-        // the one being re-queued), so sized here the heap never grows.
-        let mut queue = ReadyQueue::with_capacity(n + 1);
+        let mut queue = TournamentTree::new(n);
         for tid in 0..n {
-            queue.push(SimTime::ZERO, tid);
+            queue.set(tid, SimTime::ZERO);
         }
         EngineRun {
             stats: RunStats::default(),
@@ -395,8 +396,9 @@ impl Machine {
     /// pending event, or `None` when the queue drained (every thread is
     /// done or parked at a barrier that cannot release).
     ///
-    /// The horizon gates *pops*, not micro drains: a thread popped inside
-    /// the window may overshoot it through the lookahead fast path. The
+    /// The horizon gates which thread is *selected*, not micro drains: a
+    /// thread selected inside the window may overshoot it through the
+    /// lookahead fast path. The
     /// overshoot is harmless for determinism — it depends only on this
     /// session's own queue, so the same events execute for any window
     /// schedule — and the shard layer's window boundaries are fixed
@@ -414,19 +416,14 @@ impl Machine {
         let tracing = *tracing;
 
         loop {
-            if horizon.is_some() {
-                match queue.peek_time() {
-                    None => return None,
-                    Some(p) if Some(p) > horizon => return Some(p),
-                    Some(_) => {}
-                }
+            // The root keeps its slot while it runs: every path below
+            // re-keys it, or removes it when it parks, finishes or dies.
+            let (t, tid) = queue.peek()?;
+            if horizon.is_some_and(|h| t > h) {
+                return Some(t);
             }
-            let (t, tid) = queue.pop()?;
             let state = &mut states[tid];
-            if state.done {
-                continue;
-            }
-            state.clock = state.clock.max(t);
+            debug_assert!(!state.done && state.clock == t, "slot key is the clock");
             let core = state.core;
             let mut now = state.clock;
 
@@ -503,20 +500,22 @@ impl Machine {
                         }
                         state.done = true;
                         thread_end[tid] = end;
+                        queue.remove(tid);
                         break;
                     }
-                    // Lookahead fast path: if this thread still has micros
-                    // and every other runnable thread wakes *strictly after*
-                    // `end`, pushing and re-popping the queue would
-                    // deterministically select this same thread (an
-                    // equal-time entry would win the FIFO tie-break, hence
-                    // the strict inequality). Executing the next micro
-                    // inline is therefore exact by construction: micros
-                    // never release barriers, so no parked thread can
-                    // become runnable inside the window. See DESIGN.md §10.
+                    // One re-key and one replay per micro. The re-key takes
+                    // the newest ticket, so this thread is still the root
+                    // only if every other runnable thread wakes *strictly
+                    // after* `end` (an equal-time peer wins the FIFO
+                    // tie-break). Lookahead fast path: while it is the root
+                    // and has micros left, run the next one inline — the
+                    // outer loop would select it anyway, and micros never
+                    // release barriers, so no parked thread can become
+                    // runnable inside the window. See DESIGN.md §10.
+                    queue.set(tid, end);
                     if self.fast_path
                         && !state.micro.is_empty()
-                        && queue.peek_time().is_none_or(|p| p > end)
+                        && queue.peek().is_some_and(|(_, root)| root == tid)
                     {
                         self.fastpath_micros += 1;
                         now = end;
@@ -524,7 +523,6 @@ impl Machine {
                         continue;
                     }
                     batch.flush(stats);
-                    queue.push(end, tid);
                     break;
                 }
                 continue;
@@ -544,6 +542,7 @@ impl Machine {
             let Some(op) = op else {
                 state.done = true;
                 thread_end[tid] = state.clock;
+                queue.remove(tid);
                 continue;
             };
 
@@ -555,7 +554,8 @@ impl Machine {
                     );
                     match barriers[id].arrive(tid, now) {
                         BarrierOutcome::Wait => {
-                            // Parked: re-queued when the barrier releases.
+                            // Parked: re-keyed when the barrier releases.
+                            queue.remove(tid);
                         }
                         BarrierOutcome::Release {
                             release_at,
@@ -566,10 +566,10 @@ impl Machine {
                                 .record_for(release_at, tid, TraceEventKind::Barrier { id });
                             for w in waiters {
                                 states[w].clock = release_at;
-                                queue.push(release_at, w);
+                                queue.set(w, release_at);
                             }
                             states[tid].clock = release_at;
-                            queue.push(release_at, tid);
+                            queue.set(tid, release_at);
                         }
                     }
                 }
@@ -580,7 +580,7 @@ impl Machine {
                     let end = self.migrate_thread(core, to, now, stats);
                     states[tid].core = to;
                     states[tid].clock = end;
-                    queue.push(end, tid);
+                    queue.set(tid, end);
                 }
                 other => {
                     let op_name = other.name();
@@ -591,7 +591,7 @@ impl Machine {
                             .record_for(now, tid, TraceEventKind::OpStart { op: op_name });
                         state.op = Some((op_name, now));
                     }
-                    queue.push(now, tid);
+                    queue.set(tid, now);
                 }
             }
         }

@@ -85,6 +85,8 @@ pub struct Machine {
     /// clears the flag after reaping the thread at the end of the current
     /// micro-op.
     pub(crate) oom_kill_pending: bool,
+    /// The touch-cost memo, [`access::TOUCH_MEMO`] entries.
+    pub(crate) touch_costs: Box<[access::TouchCost]>,
 }
 
 impl Machine {
@@ -123,6 +125,7 @@ impl Machine {
             fast_path: true,
             fastpath_micros: 0,
             oom_kill_pending: false,
+            touch_costs: vec![access::TouchCost::EMPTY; access::TOUCH_MEMO].into_boxed_slice(),
         }
     }
 

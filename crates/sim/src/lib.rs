@@ -6,8 +6,8 @@
 //! * [`SimTime`] — virtual nanoseconds;
 //! * [`Resource`] — a contended serial resource (interconnect link, memory
 //!   controller, kernel lock) with busy-until semantics and wait accounting;
-//! * [`ReadyQueue`] — the time-ordered run queue with deterministic
-//!   tie-breaking;
+//! * [`TournamentTree`] — the time-ordered run queue, one slot per
+//!   thread, with deterministic FIFO tie-breaking;
 //! * [`BarrierState`] — OpenMP-style barrier bookkeeping;
 //! * [`Splitmix64`] — a tiny deterministic PRNG so simulations never depend
 //!   on ambient randomness;
@@ -30,9 +30,9 @@ pub mod window;
 pub use barrier::{BarrierOutcome, BarrierState};
 pub use faultinject::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultSite, FAULT_SITES};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use queue::ReadyQueue;
+pub use queue::TournamentTree;
 pub use resource::{Acquisition, Resource};
 pub use rng::Splitmix64;
-pub use time::SimTime;
+pub use time::{round_ns, SimTime};
 pub use trace::{Trace, TraceEvent, TraceEventKind, SYSTEM_TID};
 pub use window::{merge_streams, WindowClock, WINDOW_LOOKAHEAD_MULTIPLE};

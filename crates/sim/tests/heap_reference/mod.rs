@@ -1,12 +1,12 @@
 //! The original `BinaryHeap` run queue, kept as the executable reference
-//! model the calendar [`ReadyQueue`] is lockstep-tested against.
+//! model the [`TournamentTree`] is lockstep-tested against.
 //!
 //! It orders by the identical `(time, enqueue order)` key, so its pop
-//! sequence must match the calendar queue's element for element. An
-//! executable specification this small is the cheapest correctness anchor
-//! for the calendar queue's bucket/overflow bookkeeping.
+//! sequence must match the tree's element for element. A re-key is a
+//! `remove` then a `push`, which takes the newest sequence number exactly
+//! as the tree's re-key takes the newest ticket.
 
-use numa_sim::{ReadyQueue, SimTime};
+use numa_sim::{SimTime, TournamentTree};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -59,9 +59,18 @@ impl<T> HeapReadyQueue<T> {
         self.heap.pop().map(|Reverse((t, _, w))| (t, w.0))
     }
 
-    /// The earliest scheduled time without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+    /// The earliest `(time, item)` without removing it.
+    pub fn peek(&self) -> Option<(SimTime, &T)> {
+        self.heap.peek().map(|Reverse((t, _, w))| (*t, &w.0))
+    }
+
+    /// Drop every queued entry whose item equals `item` (O(n): this is a
+    /// specification, not a scheduler).
+    pub fn remove(&mut self, item: &T)
+    where
+        T: PartialEq,
+    {
+        self.heap.retain(|Reverse((_, _, w))| w.0 != *item);
     }
 
     /// Number of queued items.
@@ -77,18 +86,18 @@ impl<T> HeapReadyQueue<T> {
 
 #[test]
 fn heap_reference_matches_on_a_smoke_interleaving() {
-    let mut cal = ReadyQueue::new();
-    let mut heap = HeapReadyQueue::new();
     let times = [7u64, 7, 300_000, 5, 7, 1 << 40, 300_000, 0, 12];
+    let mut tree = TournamentTree::new(times.len());
+    let mut heap = HeapReadyQueue::new();
     for (i, &t) in times.iter().enumerate() {
-        cal.push(SimTime(t), i);
+        tree.set(i, SimTime(t));
         heap.push(SimTime(t), i);
         if i % 3 == 2 {
-            assert_eq!(cal.pop(), heap.pop());
+            assert_eq!(tree.pop(), heap.pop());
         }
     }
     while let Some(expect) = heap.pop() {
-        assert_eq!(cal.pop(), Some(expect));
+        assert_eq!(tree.pop(), Some(expect));
     }
-    assert_eq!(cal.pop(), None);
+    assert_eq!(tree.pop(), None);
 }

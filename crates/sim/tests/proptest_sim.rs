@@ -4,7 +4,8 @@ mod heap_reference;
 
 use heap_reference::HeapReadyQueue;
 use numa_sim::{
-    BarrierOutcome, BarrierState, ReadyQueue, Resource, SimTime, Splitmix64, Trace, TraceEventKind,
+    round_ns, BarrierOutcome, BarrierState, Resource, SimTime, Splitmix64, TournamentTree, Trace,
+    TraceEventKind,
 };
 use proptest::prelude::*;
 
@@ -57,13 +58,13 @@ proptest! {
         }
     }
 
-    /// ReadyQueue is a stable priority queue: pops come out sorted by
-    /// time, and equal times preserve insertion order.
+    /// The tree is a stable priority queue: pops come out sorted by
+    /// time, and equal times preserve keying order.
     #[test]
     fn ready_queue_stable_sort(items in proptest::collection::vec(0u64..20, 1..100)) {
-        let mut q = ReadyQueue::new();
+        let mut q = TournamentTree::new(items.len());
         for (i, t) in items.iter().enumerate() {
-            q.push(SimTime(*t), i);
+            q.set(i, SimTime(*t));
         }
         let mut last: Option<(SimTime, usize)> = None;
         let mut count = 0;
@@ -81,104 +82,54 @@ proptest! {
         prop_assert_eq!(count, items.len());
     }
 
-    /// ReadyQueue's observable behaviour is independent of its initial
-    /// capacity and survives reuse (interleaved push/pop, the engine's
-    /// once-per-micro-op pattern): every step of an arbitrary op sequence
-    /// produces identical pops, peeks, and lengths on a `new()` queue, a
-    /// zero-capacity queue, and an over-provisioned one — and matches a
-    /// stable-sort model, so FIFO tie-breaking holds across drains.
+    /// Lockstep equivalence of the [`TournamentTree`] against the
+    /// [`HeapReadyQueue`] reference model over random set/re-key/remove/
+    /// pop sequences on 1–64 slots, powers of two or not. Times mix dense
+    /// same-instant ties (the FIFO ticket decides), small and wide
+    /// spreads, a far-future cluster and the saturated `SimTime(u64::MAX)`.
+    /// Peeks must match slot and time at every step, pops pair for pair.
     #[test]
-    fn ready_queue_capacity_and_reuse_invariant(
-        cap in 0usize..32,
-        ops in proptest::collection::vec(proptest::option::weighted(0.6, 0u64..10), 1..200)
+    fn tournament_tree_lockstep_with_heap_reference(
+        slots in 1usize..65,
+        ops in proptest::collection::vec((0u64..10, 0usize..64, 0u64..12, 0u64..200_000), 1..300)
     ) {
-        let mut plain = ReadyQueue::new();
-        let mut zero = ReadyQueue::with_capacity(0);
-        let mut sized = ReadyQueue::with_capacity(cap);
-        // Model: a vec of (time, seq) pairs, popped by min time then min seq.
-        let mut model: Vec<(u64, usize)> = Vec::new();
-        let mut seq = 0usize;
-        for op in ops {
-            match op {
-                Some(t) => {
-                    plain.push(SimTime(t), seq);
-                    zero.push(SimTime(t), seq);
-                    sized.push(SimTime(t), seq);
-                    model.push((t, seq));
-                    seq += 1;
-                }
-                None => {
-                    let want = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &(t, s))| (t, s))
-                        .map(|(i, _)| i);
-                    let expect = want.map(|i| model.remove(i));
-                    let got = plain.pop();
-                    prop_assert_eq!(got, zero.pop());
-                    prop_assert_eq!(got, sized.pop());
-                    prop_assert_eq!(got, expect.map(|(t, s)| (SimTime(t), s)));
-                }
-            }
-            let head = model.iter().map(|&(t, _)| t).min().map(SimTime);
-            prop_assert_eq!(plain.peek_time(), head);
-            prop_assert_eq!(zero.peek_time(), head);
-            prop_assert_eq!(sized.peek_time(), head);
-            prop_assert_eq!(plain.len(), model.len());
-            prop_assert_eq!(plain.is_empty(), model.is_empty());
-        }
-    }
-
-    /// Lockstep equivalence of the calendar [`ReadyQueue`] against the
-    /// [`HeapReadyQueue`] reference model over random push/pop
-    /// interleavings. The time generator deliberately mixes three
-    /// regimes: dense small times (same-instant FIFO ties land in one
-    /// calendar bucket), mid-range times (cursor advances across bucket
-    /// years), and far-future times (events park on the overflow rung
-    /// and must migrate back in exact order). Pops must match pair for
-    /// pair — time AND payload — at every step, as must peeks/lengths.
-    #[test]
-    fn calendar_queue_lockstep_with_heap_reference(
-        ops in proptest::collection::vec(
-            proptest::option::weighted(0.65, (0u64..12, 0u64..200_000)),
-            1..300,
-        )
-    ) {
-        // Map each pushed (regime, raw) pair onto one of the five time
-        // regimes (the compat proptest has no `prop_oneof`).
+        // The compat proptest has no `prop_oneof`: map each raw draw
+        // onto an operation and a time regime.
         let time_of = |regime: u64, raw: u64| -> u64 {
             match regime {
-                0..=3 => raw % 6,                  // same-instant ties
-                4..=7 => raw % 2_000,              // intra-ring days
-                8 | 9 => raw,                      // multi-year advance
-                10 => (1u64 << 40) + raw % 50,     // deep overflow rung
-                _ => u64::MAX,                     // saturated SimTime
+                0..=3 => raw % 6,
+                4..=7 => raw % 2_000,
+                8 | 9 => raw,
+                10 => (1u64 << 40) + raw % 50,
+                _ => u64::MAX,
             }
         };
-        let mut cal = ReadyQueue::new();
+        let mut tree = TournamentTree::new(slots);
         let mut heap = HeapReadyQueue::new();
-        let mut seq = 0usize;
-        for op in ops {
+        for (op, slot, regime, raw) in ops {
+            let slot = slot % slots;
             match op {
-                Some((regime, raw)) => {
-                    let t = time_of(regime, raw);
-                    cal.push(SimTime(t), seq);
-                    heap.push(SimTime(t), seq);
-                    seq += 1;
+                // Insert or re-key: the newest ticket on both sides.
+                0..=5 => {
+                    let t = SimTime(time_of(regime, raw));
+                    tree.set(slot, t);
+                    heap.remove(&slot);
+                    heap.push(t, slot);
                 }
-                None => {
-                    prop_assert_eq!(cal.pop(), heap.pop());
+                6 => {
+                    tree.remove(slot);
+                    heap.remove(&slot);
                 }
+                _ => prop_assert_eq!(tree.pop(), heap.pop()),
             }
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
-            prop_assert_eq!(cal.len(), heap.len());
-            prop_assert_eq!(cal.is_empty(), heap.is_empty());
+            prop_assert_eq!(tree.peek(), heap.peek().map(|(t, &s)| (t, s)));
+            prop_assert_eq!(tree.len(), heap.len());
+            prop_assert_eq!(tree.is_empty(), heap.is_empty());
         }
-        // Drain: the full remaining pop sequences must coincide.
         while let Some(expect) = heap.pop() {
-            prop_assert_eq!(cal.pop(), Some(expect));
+            prop_assert_eq!(tree.pop(), Some(expect));
         }
-        prop_assert_eq!(cal.pop(), None);
+        prop_assert_eq!(tree.pop(), None);
     }
 
     /// A barrier of size n releases exactly once per episode, at the max
@@ -274,6 +225,22 @@ proptest! {
             prop_assert!(r.total_busy_ns() <= r.busy_until().ns());
             if r.busy_until().ns() > 0 {
                 prop_assert!(r.utilisation(r.busy_until()) <= 1.0);
+            }
+        }
+    }
+
+    /// `round_ns` is `x.round() as u64` on every input: raw bit patterns
+    /// (NaNs, infinities, subnormals, negatives, values past 2^64), their
+    /// exponent-shifted neighbours, and halves and near-halves in the
+    /// range the cost model produces — 4,096 inputs per case.
+    #[test]
+    fn round_ns_matches_round_on_random_bits(seed in any::<u64>()) {
+        let mut rng = Splitmix64::new(seed);
+        for _ in 0..1024 {
+            let bits = rng.next_u64();
+            let small = (bits >> 40) as f64;
+            for x in [f64::from_bits(bits), f64::from_bits(bits >> 2), small / 2.0, small / 2.0 - 1e-9] {
+                prop_assert_eq!(round_ns(x), x.round() as u64, "x = {:e}", x);
             }
         }
     }
