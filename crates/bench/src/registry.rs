@@ -823,7 +823,7 @@ fn pressure_table(occupancies: &[u32], seed: u64, jobs: usize) -> Table {
 /// `move_pages` → munmap generations on the sharded deterministic
 /// engine, coupled through a shared frame-capacity ledger and the
 /// machine-wide L3-thrash model, reconciled at virtual-time window
-/// barriers. `--shards`/`--jobs` parallelise the host work; the table
+/// boundaries. `--shards`/`--jobs` parallelise the host work; the table
 /// and JSON are byte-identical for any combination (the regression
 /// suite and the golden checksum both assert this).
 fn multitenant(opts: &Options, out: &mut RunOutput) {

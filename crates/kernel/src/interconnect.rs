@@ -12,8 +12,8 @@
 //! biggest wins come from removing "congestion when multiple threads access
 //! each others' NUMA memory across a single HyperTransport link" (§4.5).
 
-use numa_sim::{round_ns, Resource, SimTime};
-use numa_topology::{NodeId, Topology};
+use numa_sim::{Resource, SimTime};
+use numa_topology::{round_ns, NodeId, Topology};
 
 /// Link and memory-controller resources for one machine.
 #[derive(Debug)]

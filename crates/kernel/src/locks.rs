@@ -16,6 +16,7 @@
 
 use numa_sim::{Resource, SimTime, Trace, TraceEventKind};
 use numa_stats::{Breakdown, CostComponent};
+use numa_topology::round_ns;
 
 /// The kernel's lock set.
 #[derive(Debug, Clone)]
@@ -63,7 +64,7 @@ impl LockSet {
         breakdown: &mut Breakdown,
     ) -> SimTime {
         debug_assert!((0.0..=1.0).contains(&fraction));
-        let serial = (total_ns as f64 * fraction).round() as u64;
+        let serial = round_ns(total_ns as f64 * fraction);
         let parallel = total_ns - serial.min(total_ns);
         let acq = self.pt.acquire(now, serial);
         breakdown.add(component, total_ns);

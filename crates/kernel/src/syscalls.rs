@@ -14,7 +14,7 @@
 use crate::{Kernel, RelocSite};
 use numa_sim::{SimTime, TraceEventKind};
 use numa_stats::{Breakdown, CostComponent, Counter};
-use numa_topology::{CoreId, NodeId};
+use numa_topology::{round_ns, CoreId, NodeId};
 use numa_vm::{
     AddressSpace, FrameAllocator, MemPolicy, PageRange, Protection, PteFlags, Tlb, VirtAddr,
     VmError, VmaKind, PAGES_PER_HUGE, PAGE_SIZE,
@@ -148,7 +148,7 @@ impl Kernel {
         let mut t = now;
         if !self.config.patched_move_pages && unpatched_n > 0 {
             let per_entry = self.topo.cost().unpatched_lookup_ns_per_entry;
-            let lookup_ns = (per_entry * unpatched_n as f64).round() as u64;
+            let lookup_ns = round_ns(per_entry * unpatched_n as f64);
             b.add(CostComponent::QuadraticLookup, lookup_ns);
             t += lookup_ns;
         }

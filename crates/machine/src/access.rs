@@ -5,9 +5,9 @@ use crate::engine::RunStats;
 use crate::op::MemAccessKind;
 use crate::Machine;
 use numa_kernel::FaultResolution;
-use numa_sim::{round_ns, SimTime, TraceEventKind};
+use numa_sim::{SimTime, TraceEventKind};
 use numa_stats::{CostComponent, Counter};
-use numa_topology::{CoreId, NodeId, Topology};
+use numa_topology::{round_ns, CoreId, NodeId, Topology};
 use numa_vm::{PageRange, VirtAddr, PAGE_SIZE};
 
 /// Upper bound on fault-retry loops per touch; exceeding it means the
@@ -474,7 +474,7 @@ impl Machine {
             MemAccessKind::Blocked => cost.tlb_miss_rate_blocked,
             MemAccessKind::Random => cost.tlb_miss_rate_random,
         };
-        let walk = (miss * cost.pt_walk_ns(hops)).round() as u64;
+        let walk = round_ns(miss * cost.pt_walk_ns(hops));
         if hops > 0 && walk > 0 {
             stats.counters.bump(Counter::PtWalksRemote);
         }

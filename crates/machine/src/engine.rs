@@ -12,7 +12,7 @@ use crate::Machine;
 use numa_kernel::{PageStatus, RelocSite};
 use numa_sim::{BarrierOutcome, BarrierState, SimTime, TournamentTree, TraceEventKind};
 use numa_stats::{Breakdown, CostComponent, Counter, Counters};
-use numa_topology::{CoreId, NodeId};
+use numa_topology::{round_ns, CoreId, NodeId};
 use numa_vm::VirtAddr;
 
 /// Context passed to a program when the engine asks for its next op.
@@ -913,7 +913,7 @@ impl Machine {
             Op::Compute { flops, efficiency } => {
                 debug_assert!(efficiency > 0.0 && efficiency <= 1.0);
                 let rate = self.topology().core(core).flops_per_ns() * efficiency;
-                let ns = (flops as f64 / rate).round() as u64;
+                let ns = round_ns(flops as f64 / rate);
                 stats.breakdown.add(CostComponent::Compute, ns);
                 now + ns
             }

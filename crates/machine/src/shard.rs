@@ -6,12 +6,12 @@
 //! shard boundary may only separate processes, never threads of one
 //! process). A *shard* is a group of tenants executed serially by one
 //! worker; tenant `t` belongs to shard `t % shards`, and shard `s` runs
-//! on worker `s % jobs`.
+//! on worker `s % workers`.
 //!
 //! Execution advances in fixed virtual-time windows (see
 //! [`numa_sim::WindowClock`]): within a window every worker advances its
 //! tenants independently through [`Machine::run_until`]; at the window
-//! barrier all cross-tenant coupling is reconciled:
+//! boundary one coordinator reconciles all cross-tenant coupling:
 //!
 //! * **frame capacity** — tenants draw refills from a shared
 //!   [`FrameLedger`] and yield spare capacity back; the ledger is served
@@ -23,7 +23,14 @@
 //!   every running tenant's caches, modelling machine-wide LLC pollution;
 //! * **progress** — the minimum next-event time across all tenants (a
 //!   global, packing-invariant quantity) drives window advancement,
-//!   jumping over empty windows without extra barrier rounds.
+//!   jumping over empty windows without extra rounds.
+//!
+//! The calling thread is worker 0 and the coordinator. Every other worker
+//! owns one pair of channels and sends one `Window` up per round; the
+//! coordinator folds them all and sends each back down with its grants,
+//! the next horizon and the flush bit. If a worker panics its channels
+//! close, the coordinator stops and drops its own, every other worker
+//! exits, and the join re-raises the tenant's panic in the caller.
 //!
 //! Because every coupling is applied at fixed window boundaries in an
 //! order keyed on tenant id (never shard or worker id), the run's output
@@ -36,7 +43,8 @@ use crate::Machine;
 use numa_sim::{merge_streams, SimTime, TraceEvent, WindowClock};
 use numa_stats::{Counter, Counters};
 use numa_topology::{NodeId, Topology};
-use std::sync::{Arc, Barrier, Mutex};
+use numa_vm::FrameLedger;
+use std::sync::{mpsc, Arc};
 
 /// One tenant's machine and workload, produced by the builder closure
 /// *inside* a worker thread (a [`Machine`] is intentionally not `Send`:
@@ -60,12 +68,13 @@ pub struct LedgerConfig {
     /// Capacity each tenant's allocator starts with on every node.
     pub initial_frames_per_node: u64,
     /// A tenant with fewer free frames than this on a node requests a
-    /// refill at the next barrier.
+    /// refill at the next window boundary.
     pub low_free_frames: u64,
     /// Frames requested per refill.
     pub refill_frames: u64,
     /// Free-frame headroom a tenant keeps; surplus above it is yielded
-    /// back to the pool at barriers (so munmapped memory recycles).
+    /// back to the pool at window boundaries (so munmapped memory
+    /// recycles).
     pub keep_free_frames: u64,
 }
 
@@ -74,13 +83,14 @@ pub struct LedgerConfig {
 pub struct ShardConfig {
     /// Number of shards the tenant set is partitioned into (≥ 1).
     pub shards: usize,
-    /// Worker threads (≥ 1; effective workers = min(jobs, shards)).
+    /// Worker threads (≥ 1; effective workers = min(jobs, shards, host
+    /// CPUs)).
     pub jobs: usize,
     /// Shared frame-capacity pool; `None` leaves every tenant on its
     /// preset bank capacities (no memory coupling).
     pub ledger: Option<LedgerConfig>,
     /// Machine-wide cache-miss-per-window limit; crossing it flushes all
-    /// tenant caches at the barrier. 0 disables the thrash model.
+    /// tenant caches at the window boundary. 0 disables the thrash model.
     pub thrash_miss_limit: u64,
     /// Per-tenant trace buffer capacity (0 = tracing off).
     pub trace_capacity: usize,
@@ -107,9 +117,9 @@ impl ShardConfig {
 pub struct ShardedRunResult {
     /// Maximum tenant makespan.
     pub makespan: SimTime,
-    /// Barrier rounds executed.
+    /// Coordinator rounds executed.
     pub windows: u64,
-    /// Empty windows jumped without a barrier round.
+    /// Empty windows jumped without a round.
     pub windows_skipped: u64,
     /// Window width used, in ns: the topology's conservative lookahead
     /// ([`Topology::min_cross_node_latency_ns`] ×
@@ -136,28 +146,24 @@ pub struct ShardedRunResult {
     pub trace: Vec<(usize, TraceEvent)>,
 }
 
-/// What one tenant publishes at a window barrier.
-struct WindowSummary {
-    /// Next pending event time, `None` once the tenant drained.
+/// One worker's half of a coordinator round. The same buffers travel up
+/// and back down, so a steady-state round allocates nothing.
+#[derive(Default)]
+struct Window {
+    /// Up: earliest next event over the worker's live tenants, `None`
+    /// once they all drained.
     next_event: Option<SimTime>,
-    /// Engine cache misses incurred this window.
-    misses_delta: u64,
-    /// Refill wanted per node.
-    requests: Vec<u64>,
-    /// Capacity already yielded per node (worker-side), to deposit.
-    deposits: Vec<u64>,
-}
-
-/// Barrier-round state shared by all workers. Only ever touched by the
-/// barrier leader between the two waits, and read-only by everyone after
-/// the second wait, so one mutex suffices.
-struct SharedState {
-    clock: WindowClock,
-    ledger: Option<numa_vm::FrameLedger>,
-    grants: Vec<Vec<u64>>,
+    /// Up: engine cache misses the worker's tenants incurred this window.
+    misses: u64,
+    /// Up: capacity yielded back to the pool, `(node, frames)`, nonzero.
+    yields: Vec<(NodeId, u64)>,
+    /// Up: refill requests `(tenant, node, frames)` in ascending order;
+    /// down: each request's frames overwritten by its grant.
+    requests: Vec<(usize, NodeId, u64)>,
+    /// Down: exclusive end of the next window.
+    horizon: SimTime,
+    /// Down: flush every live tenant's caches before it runs on.
     flush: bool,
-    stop: bool,
-    flush_windows: u64,
 }
 
 /// Plain-data outcome a worker ships back for one tenant.
@@ -168,21 +174,95 @@ struct TenantOutcome {
     trace: Vec<TraceEvent>,
 }
 
-/// A tenant resident on a worker.
+/// A tenant resident on a worker that has not drained yet.
 struct LiveTenant {
     id: usize,
     machine: Machine,
-    run: Option<EngineRun>,
-    finished: bool,
+    run: EngineRun,
     last_misses: u64,
 }
 
+impl LiveTenant {
+    /// Run one window to `w.horizon` and report it into `w`. Returns true
+    /// once the tenant drained.
+    fn run_window(&mut self, w: &mut Window, ledger: Option<&LedgerConfig>) -> bool {
+        let next = self.machine.run_until(&mut self.run, Some(w.horizon));
+        if let Some(p) = next {
+            w.next_event = Some(w.next_event.map_or(p, |m| m.min(p)));
+        }
+        let misses = self.run.stats().counters.get(Counter::CacheMisses);
+        w.misses += misses - self.last_misses;
+        self.last_misses = misses;
+        if let Some(l) = ledger {
+            // A drained tenant hands back all its spare headroom; a
+            // running one keeps its configured cushion.
+            let keep = next.map_or(0, |_| l.keep_free_frames);
+            let nodes = self.machine.topology().node_count();
+            let frames = &mut self.machine.frames;
+            for n in 0..nodes {
+                let node = NodeId(n as u16);
+                let free = frames.free_on(node);
+                if free > keep {
+                    w.yields
+                        .push((node, frames.yield_capacity(node, free - keep)));
+                }
+                if next.is_some() && frames.free_on(node) < l.low_free_frames {
+                    w.requests.push((self.id, node, l.refill_frames));
+                }
+            }
+        }
+        next.is_none()
+    }
+
+    fn retire(self) -> TenantOutcome {
+        TenantOutcome {
+            tenant: self.id,
+            kernel_counters: self.machine.kernel.counters.clone(),
+            trace: self.machine.trace.snapshot(),
+            result: self.run.finish(),
+        }
+    }
+}
+
+/// The tenants one worker runs, ascending by id, and the outcomes of
+/// those that drained.
+struct Worker {
+    live: Vec<LiveTenant>,
+    done: Vec<TenantOutcome>,
+}
+
+impl Worker {
+    /// Apply the coordinator's answer in `w`, run every live tenant to
+    /// `w.horizon`, and refill `w` for the way up. A tenant that drains
+    /// retires into `done` at once.
+    fn step(&mut self, w: &mut Window, ledger: Option<&LedgerConfig>) {
+        for &(id, node, frames) in &w.requests {
+            let i = self
+                .live
+                .binary_search_by_key(&id, |t| t.id)
+                .expect("requester is live");
+            self.live[i].machine.frames.grant_capacity(node, frames);
+        }
+        if w.flush {
+            self.live.iter_mut().for_each(|t| t.machine.flush_caches());
+        }
+        w.next_event = None;
+        w.misses = 0;
+        w.yields.clear();
+        w.requests.clear();
+        for t in self.live.extract_if(.., |t| t.run_window(w, ledger)) {
+            self.done.push(t.retire());
+        }
+    }
+}
+
 /// Run `tenant_count` tenants built by `build` (called with the tenant
-/// id, from worker threads) under the windowed-barrier schedule.
+/// id, from worker threads) under the windowed schedule.
 ///
 /// `topo` supplies the lookahead for the default window width; tenants
 /// are expected to be built over the same topology (same latency
-/// matrix), which every provided workload does.
+/// matrix), which every provided workload does. A panic in `build` or in
+/// a tenant's run ends the run and resumes in the caller.
 pub fn run_sharded<F>(
     topo: &Arc<Topology>,
     tenant_count: usize,
@@ -193,240 +273,143 @@ where
     F: Fn(usize) -> TenantRun + Sync,
 {
     let shards = cfg.shards.max(1);
-    let jobs = cfg.jobs.max(1);
     let width = WindowClock::width_for_lookahead(topo.min_cross_node_latency_ns());
     let nodes = topo.node_count();
-
-    if tenant_count == 0 {
-        return ShardedRunResult {
-            makespan: SimTime::ZERO,
-            windows: 0,
-            windows_skipped: 0,
-            window_ns: width,
-            tenant_makespans: Vec::new(),
-            tenants: Vec::new(),
-            stats: RunStats::default(),
-            kernel_counters: Counters::new(),
-            ledger_grants: 0,
-            ledger_denials: 0,
-            ledger_yields: 0,
-            flush_windows: 0,
-            trace: Vec::new(),
-        };
-    }
-
     // Worker packing never reaches the output (all cross-tenant merges key
     // on tenant id), so clamp to the host like `threadpool::par_map` does:
-    // workers beyond the CPU count only add barrier convoying.
-    let workers = jobs
+    // workers beyond the CPU count only add round-trip convoying.
+    let workers = cfg
+        .jobs
         .min(shards)
         .min(std::thread::available_parallelism().map_or(1, |n| n.get()))
         .max(1);
-    let shared = Mutex::new(SharedState {
-        clock: WindowClock::new(width),
-        ledger: cfg
-            .ledger
-            .as_ref()
-            .map(|l| numa_vm::FrameLedger::new(vec![l.pool_frames_per_node; nodes])),
-        grants: vec![vec![0; nodes]; tenant_count],
-        flush: false,
-        stop: false,
-        flush_windows: 0,
-    });
-    let summaries: Vec<Mutex<Option<WindowSummary>>> =
-        (0..tenant_count).map(|_| Mutex::new(None)).collect();
-    let barrier = Barrier::new(workers);
-    let outcomes: Mutex<Vec<TenantOutcome>> = Mutex::new(Vec::with_capacity(tenant_count));
     let build = &build;
-    let shared = &shared;
-    let summaries = &summaries;
-    let barrier = &barrier;
-    let outcomes = &outcomes;
-    let ledger_cfg = cfg.ledger.clone();
-    let thrash_limit = cfg.thrash_miss_limit;
-    let trace_capacity = cfg.trace_capacity;
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let ledger_cfg = ledger_cfg.clone();
-            scope.spawn(move || {
-                // Tenants whose shard lands on this worker, ascending id.
-                let mut mine: Vec<LiveTenant> = (0..tenant_count)
-                    .filter(|t| (t % shards) % workers == me)
-                    .map(|id| {
-                        let TenantRun {
-                            mut machine,
-                            threads,
-                            barrier_sizes,
-                        } = build(id);
-                        if let Some(l) = &ledger_cfg {
-                            for n in 0..nodes {
-                                machine
-                                    .frames
-                                    .set_capacity(NodeId(n as u16), l.initial_frames_per_node);
-                            }
-                        }
-                        if trace_capacity > 0 {
-                            machine.enable_trace(trace_capacity);
-                        }
-                        let run = machine.start_run(threads, &barrier_sizes);
-                        LiveTenant {
-                            id,
-                            machine,
-                            run: Some(run),
-                            finished: false,
-                            last_misses: 0,
-                        }
-                    })
-                    .collect();
-
-                let mut horizon = SimTime(width);
-                loop {
-                    for tenant in &mut mine {
-                        let summary = if tenant.finished {
-                            WindowSummary {
-                                next_event: None,
-                                misses_delta: 0,
-                                requests: Vec::new(),
-                                deposits: Vec::new(),
-                            }
-                        } else {
-                            let LiveTenant { machine, run, .. } = tenant;
-                            let run = run.as_mut().expect("unfinished tenant has a run");
-                            let next = machine.run_until(run, Some(horizon));
-                            if next.is_none() {
-                                tenant.finished = true;
-                            }
-                            let misses = run.stats().counters.get(Counter::CacheMisses);
-                            let misses_delta = misses - tenant.last_misses;
-                            tenant.last_misses = misses;
-                            let (requests, deposits) = match &ledger_cfg {
-                                None => (Vec::new(), Vec::new()),
-                                Some(l) => {
-                                    let mut req = vec![0; nodes];
-                                    let mut dep = vec![0; nodes];
-                                    // A drained tenant hands back all its
-                                    // spare headroom; a running one keeps
-                                    // its configured cushion.
-                                    let keep = if tenant.finished {
-                                        0
-                                    } else {
-                                        l.keep_free_frames
-                                    };
-                                    for n in 0..nodes {
-                                        let node = NodeId(n as u16);
-                                        let free = tenant.machine.frames.free_on(node);
-                                        if free > keep {
-                                            dep[n] = tenant
-                                                .machine
-                                                .frames
-                                                .yield_capacity(node, free - keep);
-                                        }
-                                        if !tenant.finished
-                                            && tenant.machine.frames.free_on(node)
-                                                < l.low_free_frames
-                                        {
-                                            req[n] = l.refill_frames;
-                                        }
-                                    }
-                                    (req, dep)
-                                }
-                            };
-                            WindowSummary {
-                                next_event: next,
-                                misses_delta,
-                                requests,
-                                deposits,
-                            }
-                        };
-                        *summaries[tenant.id].lock().unwrap() = Some(summary);
-                    }
-
-                    if barrier.wait().is_leader() {
-                        let mut sh = shared.lock().unwrap();
-                        let sh = &mut *sh;
-                        let mut min_next: Option<SimTime> = None;
-                        let mut miss_sum = 0u64;
-                        // Deposits first (commutative), so capacity freed
-                        // this window is grantable this window.
-                        if let Some(ledger) = &mut sh.ledger {
-                            for slot in summaries.iter() {
-                                if let Some(s) = slot.lock().unwrap().as_ref() {
-                                    for (n, &d) in s.deposits.iter().enumerate() {
-                                        ledger.deposit(NodeId(n as u16), d);
-                                    }
-                                }
-                            }
-                        }
-                        // Requests strictly in tenant-id order: the grant
-                        // sequence must not depend on packing.
-                        for (t, slot) in summaries.iter().enumerate() {
-                            let slot = slot.lock().unwrap();
-                            let s = slot.as_ref().expect("summary published");
-                            miss_sum += s.misses_delta;
-                            if let Some(p) = s.next_event {
-                                min_next = Some(
-                                    min_next.map_or(p, |m: SimTime| if p < m { p } else { m }),
-                                );
-                            }
-                            let grant = &mut sh.grants[t];
-                            grant.iter_mut().for_each(|g| *g = 0);
-                            if let Some(ledger) = &mut sh.ledger {
-                                for (n, &want) in s.requests.iter().enumerate() {
-                                    if want > 0 {
-                                        grant[n] = ledger.request(NodeId(n as u16), want);
-                                    }
-                                }
-                            }
-                        }
-                        sh.flush = thrash_limit > 0 && miss_sum >= thrash_limit;
-                        if sh.flush {
-                            sh.flush_windows += 1;
-                        }
-                        match min_next {
-                            None => sh.stop = true,
-                            Some(m) => sh.clock.skip_to(m),
-                        }
-                    }
-                    barrier.wait();
-
-                    {
-                        let sh = shared.lock().unwrap();
-                        if sh.stop {
-                            break;
-                        }
-                        horizon = sh.clock.horizon();
-                        for tenant in &mut mine {
-                            if tenant.finished {
-                                continue;
-                            }
-                            for (n, &g) in sh.grants[tenant.id].iter().enumerate() {
-                                if g > 0 {
-                                    tenant.machine.frames.grant_capacity(NodeId(n as u16), g);
-                                }
-                            }
-                            if sh.flush {
-                                tenant.machine.flush_caches();
-                            }
-                        }
+    let start = |me: usize| Worker {
+        // Tenants whose shard lands on this worker, ascending id.
+        live: (0..tenant_count)
+            .filter(|t| (t % shards) % workers == me)
+            .map(|id| {
+                let TenantRun {
+                    mut machine,
+                    threads,
+                    barrier_sizes,
+                } = build(id);
+                if let Some(l) = &cfg.ledger {
+                    for n in 0..nodes {
+                        let node = NodeId(n as u16);
+                        machine.frames.set_capacity(node, l.initial_frames_per_node);
                     }
                 }
+                if cfg.trace_capacity > 0 {
+                    machine.enable_trace(cfg.trace_capacity);
+                }
+                let run = machine.start_run(threads, &barrier_sizes);
+                LiveTenant {
+                    id,
+                    machine,
+                    run,
+                    last_misses: 0,
+                }
+            })
+            .collect(),
+        done: Vec::new(),
+    };
 
-                let mut done: Vec<TenantOutcome> = mine
-                    .into_iter()
-                    .map(|t| TenantOutcome {
-                        tenant: t.id,
-                        result: t.run.expect("run present").finish(),
-                        kernel_counters: t.machine.kernel.counters.clone(),
-                        trace: t.machine.trace.snapshot(),
-                    })
-                    .collect();
-                outcomes.lock().unwrap().append(&mut done);
-            });
+    let mut clock = WindowClock::new(width);
+    let first = clock.horizon();
+    let mut ledger = cfg
+        .ledger
+        .as_ref()
+        .map(|l| FrameLedger::new(vec![l.pool_frames_per_node; nodes]));
+    let mut flush_windows = 0;
+    let mut done = std::thread::scope(|scope| {
+        let mut links = Vec::with_capacity(workers - 1);
+        let handles: Vec<_> = (1..workers)
+            .map(|me| {
+                let (to_coordinator, from_worker) = mpsc::channel();
+                let (to_worker, from_coordinator) = mpsc::channel();
+                links.push((from_worker, to_worker));
+                scope.spawn(move || {
+                    let mut worker = start(me);
+                    let mut w = Window {
+                        horizon: first,
+                        ..Window::default()
+                    };
+                    // Either channel closes only when the run ends or
+                    // another thread panicked.
+                    loop {
+                        worker.step(&mut w, cfg.ledger.as_ref());
+                        if to_coordinator.send(w).is_err() {
+                            break;
+                        }
+                        match from_coordinator.recv() {
+                            Ok(next) => w = next,
+                            Err(_) => break,
+                        }
+                    }
+                    worker.done
+                })
+            })
+            .collect();
+
+        let mut own = start(0);
+        let mut round = vec![Window {
+            horizon: first,
+            ..Window::default()
+        }];
+        let mut order = Vec::new();
+        'rounds: loop {
+            own.step(&mut round[0], cfg.ledger.as_ref());
+            for (from_worker, _) in &links {
+                match from_worker.recv() {
+                    Ok(w) => round.push(w),
+                    Err(_) => break 'rounds,
+                }
+            }
+            let next = round.iter().filter_map(|w| w.next_event).min();
+            let misses: u64 = round.iter().map(|w| w.misses).sum();
+            if let Some(ledger) = &mut ledger {
+                // Deposits first (they commute), so capacity freed this
+                // window is grantable this window.
+                for &(node, frames) in round.iter().flat_map(|w| &w.yields) {
+                    ledger.deposit(node, frames);
+                }
+                // Then requests in (tenant, node) order: the grant
+                // sequence must not depend on packing.
+                order.clear();
+                for (k, w) in round.iter().enumerate() {
+                    let keys = w.requests.iter().enumerate();
+                    order.extend(keys.map(|(i, &(t, node, _))| (t, node, k, i)));
+                }
+                order.sort_unstable();
+                for &(_, node, k, i) in &order {
+                    let frames = &mut round[k].requests[i].2;
+                    *frames = ledger.request(node, *frames);
+                }
+            }
+            let flush = cfg.thrash_miss_limit > 0 && misses >= cfg.thrash_miss_limit;
+            flush_windows += u64::from(flush);
+            let Some(next) = next else { break };
+            clock.skip_to(next);
+            for w in &mut round {
+                w.horizon = clock.horizon();
+                w.flush = flush;
+            }
+            for ((_, to_worker), w) in links.iter().zip(round.drain(1..)) {
+                if to_worker.send(w).is_err() {
+                    break 'rounds;
+                }
+            }
         }
+        drop(links);
+        for h in handles {
+            match h.join() {
+                Ok(theirs) => own.done.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        own.done
     });
-
-    let mut done = std::mem::take(&mut *outcomes.lock().unwrap());
     done.sort_by_key(|o| o.tenant);
     debug_assert_eq!(done.len(), tenant_count);
 
@@ -449,20 +432,19 @@ where
     }
     let trace = merge_streams(trace_runs, |(_, e)| e.at);
 
-    let sh = shared.lock().unwrap();
     ShardedRunResult {
         makespan,
-        windows: sh.clock.windows(),
-        windows_skipped: sh.clock.skipped(),
+        windows: clock.windows(),
+        windows_skipped: clock.skipped(),
         window_ns: width,
         tenant_makespans,
         tenants,
         stats,
         kernel_counters,
-        ledger_grants: sh.ledger.as_ref().map_or(0, |l| l.grants()),
-        ledger_denials: sh.ledger.as_ref().map_or(0, |l| l.denials()),
-        ledger_yields: sh.ledger.as_ref().map_or(0, |l| l.yields()),
-        flush_windows: sh.flush_windows,
+        ledger_grants: ledger.as_ref().map_or(0, |l| l.grants()),
+        ledger_denials: ledger.as_ref().map_or(0, |l| l.denials()),
+        ledger_yields: ledger.as_ref().map_or(0, |l| l.yields()),
+        flush_windows,
         trace,
     }
 }

@@ -2,15 +2,19 @@
 //! of random process sets must run in lockstep with `shards = 1` — and
 //! `shards = 1` without coupling must equal today's monolithic engine —
 //! on makespan, per-thread breakdowns, counters, and trace event order,
-//! in both fast-path modes, with tracing on and off.
+//! in both fast-path modes, with tracing on and off — and a tenant that
+//! panics must end the run with its panic instead of hanging it.
 
 use numa_machine::shard::{run_sharded, LedgerConfig, ShardConfig, ShardedRunResult};
-use numa_machine::{Machine, MemAccessKind, Op, TenantRun, ThreadSpec};
+use numa_machine::{Machine, MemAccessKind, Op, Program, TenantRun, ThreadSpec};
 use numa_sim::Splitmix64;
 use numa_topology::CoreId;
 use numa_vm::{MemPolicy, PageRange, PAGE_SIZE};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::panic;
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::Duration;
 
 /// Deterministically build tenant `id`'s machine and random script from
 /// `seed`. Two threads per tenant; ops drawn from the whole churn ISA
@@ -191,5 +195,69 @@ proptest! {
             tenant(seed, false, id)
         });
         prop_assert_eq!(fingerprint(&fast), fingerprint(&slow));
+    }
+}
+
+/// Tenant `id` of a run in which tenant `bad` panics, in its builder or
+/// else on the 40th call of its generator program. Every tenant computes
+/// for 200 ops, many windows long, so the others are still running when
+/// `bad` fails.
+fn panicking_tenant(id: usize, bad: usize, in_builder: bool) -> TenantRun {
+    if id == bad && in_builder {
+        panic!("tenant {id} failed in its builder");
+    }
+    let topo = Arc::new(numa_topology::presets::two_node());
+    let machine = Machine::new(topo, numa_kernel::KernelConfig::default());
+    let mut calls = 0;
+    let program: Program = Box::new(move |_| {
+        calls += 1;
+        if id == bad && calls == 40 {
+            panic!("tenant {id} failed on call {calls}");
+        }
+        (calls <= 200).then_some(Op::ComputeNs(1_000))
+    });
+    TenantRun {
+        machine,
+        threads: vec![ThreadSpec::new(CoreId(0), program)],
+        barrier_sizes: Vec::new(),
+    }
+}
+
+/// A tenant that panics in its builder or mid-run ends `run_sharded`
+/// with its own panic within 10 s, at 1 shard and at 8 shards on 2 jobs.
+/// With 8 shards, tenant 0 runs on the calling thread's worker and
+/// tenant 1 on a spawned one. The worker count is clamped to the host's
+/// CPUs, so on a 1-CPU host every case runs on the calling thread alone.
+#[test]
+fn panicking_tenant_ends_the_run() {
+    for shards in [1, 8] {
+        for bad in [0, 1] {
+            for in_builder in [true, false] {
+                let (tx, rx) = mpsc::channel();
+                let helper = thread::spawn(move || {
+                    let topo = Arc::new(numa_topology::presets::two_node());
+                    let cfg = config(shards, 2, true, false);
+                    let run = panic::catch_unwind(|| {
+                        run_sharded(&topo, 6, &cfg, |id| panicking_tenant(id, bad, in_builder))
+                    });
+                    let message = run.err().map(|p| match p.downcast::<String>() {
+                        Ok(s) => *s,
+                        Err(p) => format!("{p:?}"),
+                    });
+                    tx.send(message).unwrap();
+                });
+                let case = format!("shards={shards} bad={bad} in_builder={in_builder}");
+                let message = rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("{case}: run_sharded hung"));
+                helper.join().expect("the helper catches the run's panic");
+                let want = if in_builder {
+                    format!("tenant {bad} failed in its builder")
+                } else {
+                    format!("tenant {bad} failed on call 40")
+                };
+                assert_eq!(message, Some(want), "{case}");
+            }
+        }
     }
 }

@@ -189,28 +189,6 @@ impl FaultPlan {
         }
         plan
     }
-
-    /// A one-line human description for tables and logs.
-    pub fn describe(&self) -> String {
-        if self.rules.is_empty() {
-            return format!("seed {}, no rules", self.seed);
-        }
-        let rules: Vec<String> = self
-            .rules
-            .iter()
-            .map(|r| {
-                let mut s = format!("{}@{}", r.kind.name(), r.site.name());
-                if r.rate_ppm > 0 {
-                    s.push_str(&format!(" {}ppm", r.rate_ppm));
-                }
-                if !r.schedule.is_empty() {
-                    s.push_str(&format!(" +{} scheduled", r.schedule.len()));
-                }
-                s
-            })
-            .collect();
-        format!("seed {}: {}", self.seed, rules.join(", "))
-    }
 }
 
 /// The per-kernel injector: owns the plan, one decision stream and one
@@ -443,15 +421,5 @@ mod tests {
             let _ = with_noise.consult(FaultSite::Evacuation);
         }
         assert_eq!(da, db);
-    }
-
-    #[test]
-    fn plan_description_is_stable() {
-        let plan =
-            FaultPlan::new(5).with_rate(FaultSite::MovePagesCopy, FaultKind::TransientCopy, 1000);
-        assert_eq!(
-            plan.describe(),
-            "seed 5: transient_copy@move_pages_copy 1000ppm"
-        );
     }
 }

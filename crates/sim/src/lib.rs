@@ -33,6 +33,6 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use queue::TournamentTree;
 pub use resource::{Acquisition, Resource};
 pub use rng::Splitmix64;
-pub use time::{round_ns, SimTime};
+pub use time::SimTime;
 pub use trace::{Trace, TraceEvent, TraceEventKind, SYSTEM_TID};
 pub use window::{merge_streams, WindowClock, WINDOW_LOOKAHEAD_MULTIPLE};

@@ -61,24 +61,6 @@ impl Sub<SimTime> for SimTime {
     }
 }
 
-/// `x.round() as u64` without the libm call that `f64::round` compiles
-/// to on the baseline x86-64 target: round half away from zero, then
-/// saturate like `as` (NaN and everything below one half give 0, values
-/// from 2^64 up give `u64::MAX`). Exact for every input: below 2^64 the
-/// truncation `t` is exact, and so is `x - t`, since both lie in the same
-/// binade (Sterbenz).
-#[inline]
-pub fn round_ns(x: f64) -> u64 {
-    if x.is_nan() || x < 0.5 {
-        return 0;
-    }
-    if x >= 18_446_744_073_709_551_616.0 {
-        return u64::MAX;
-    }
-    let t = x as u64;
-    t + u64::from(x - t as f64 >= 0.5)
-}
-
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t={}ns", self.0)
@@ -108,49 +90,6 @@ mod tests {
     fn ordering_and_max() {
         assert!(SimTime(1) < SimTime(2));
         assert_eq!(SimTime(1).max(SimTime(2)), SimTime(2));
-    }
-
-    #[test]
-    fn round_ns_matches_round_on_edge_inputs() {
-        let half_below = 0.5 - f64::EPSILON / 4.0; // 0.49999999999999994
-        let big = (1u64 << 52) as f64;
-        for x in [
-            0.0,
-            -0.0,
-            half_below,
-            0.5,
-            1.5,
-            2.5,
-            1.0 - f64::EPSILON / 2.0,
-            big - 0.5,
-            big - 1.5,
-            big,
-            big + 1.0,
-            2.0 * big + 2.0,
-            u64::MAX as f64,
-            18_446_744_073_709_549_568.0, // largest f64 below 2^64
-            18_446_744_073_709_551_616.0, // 2^64
-            f64::MAX,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            -f64::NAN,
-            -0.4,
-            -0.5,
-            -1.5,
-            -1e300,
-            f64::MIN_POSITIVE,
-            5e-324,
-        ] {
-            assert_eq!(
-                round_ns(x),
-                x.round() as u64,
-                "x = {x:e} ({:#x})",
-                x.to_bits()
-            );
-        }
-        assert_eq!(round_ns(half_below), 0);
-        assert_eq!(round_ns(big - 0.5), 1 << 52);
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! chosen at or below the machine's conservative lookahead (the minimum
 //! cross-node access latency — see
 //! `Topology::min_cross_node_latency_ns`), so nothing one shard does
-//! inside a window can causally reach another shard before the barrier at
-//! its end. All cross-shard effects (frame-capacity grants, cache-thrash
-//! flushes, counter folds) are applied at those barriers, in an order
-//! keyed on `(SimTime, tenant_id, seq)` — never on shard id or worker
-//! id — which is what makes the output byte-identical for any
-//! `--shards`/`--jobs` choice.
+//! inside a window can causally reach another shard before the window
+//! ends. All cross-shard effects (frame-capacity grants, cache-thrash
+//! flushes, counter folds) are applied by one coordinator at window
+//! boundaries, in an order keyed on `(SimTime, tenant_id, seq)` — never
+//! on shard id or worker id — which is what makes the output
+//! byte-identical for any `--shards`/`--jobs` choice.
 //!
 //! [`WindowClock`] owns the window arithmetic: boundaries are exact
 //! multiples of the width, so a given virtual instant lands in the same
@@ -21,11 +21,11 @@
 use crate::time::SimTime;
 
 /// Multiple of the conservative lookahead used for the default window
-/// width. Larger windows amortise barrier overhead; the merge stays exact
-/// because *all* cross-shard coupling is deferred to barriers regardless
-/// of width — the lookahead multiple only bounds how stale one shard's
-/// view of another can get, and every consumer of cross-shard state reads
-/// it at barriers only.
+/// width. Larger windows amortise the coordinator round; the merge stays
+/// exact because *all* cross-shard coupling is deferred to window
+/// boundaries regardless of width — the lookahead multiple only bounds
+/// how stale one shard's view of another can get, and every consumer of
+/// cross-shard state reads it at window boundaries only.
 pub const WINDOW_LOOKAHEAD_MULTIPLE: u64 = 64;
 
 /// Fixed-width virtual-time window sequencer.
@@ -34,10 +34,10 @@ pub struct WindowClock {
     width_ns: u64,
     /// Exclusive end of the current window.
     end: SimTime,
-    /// Windows executed (barriers reached), including skipped jumps.
+    /// Windows executed (coordinator rounds), including skipped jumps.
     windows: u64,
     /// Windows whose entire span held no runnable event and were jumped
-    /// over without a barrier round.
+    /// over without a round.
     skipped: u64,
 }
 
@@ -60,25 +60,14 @@ impl WindowClock {
         lookahead_ns.max(1) * WINDOW_LOOKAHEAD_MULTIPLE
     }
 
-    /// Window width in nanoseconds.
-    pub fn width_ns(&self) -> u64 {
-        self.width_ns
-    }
-
     /// Exclusive end of the current window: shards run events strictly
-    /// before this instant, then meet at the barrier.
+    /// before this instant, then report to the coordinator.
     pub fn horizon(&self) -> SimTime {
         self.end
     }
 
-    /// Advance to the next window after a barrier round.
-    pub fn advance(&mut self) {
-        self.windows += 1;
-        self.end = SimTime(self.end.ns() + self.width_ns);
-    }
-
     /// Jump the horizon so the window containing `next_event` is current,
-    /// skipping empty windows without barrier rounds. `next_event` must
+    /// skipping empty windows without rounds. `next_event` must
     /// be at or past the current horizon; boundaries stay exact multiples
     /// of the width, so the jump depends only on the *global* minimum
     /// next-event time — a shard-count-invariant quantity.
@@ -91,12 +80,12 @@ impl WindowClock {
         self.end = SimTime(self.end.ns() + jumped * self.width_ns);
     }
 
-    /// Barrier rounds taken so far.
+    /// Coordinator rounds taken so far.
     pub fn windows(&self) -> u64 {
         self.windows
     }
 
-    /// Empty windows jumped without a barrier round.
+    /// Empty windows jumped without a round.
     pub fn skipped(&self) -> u64 {
         self.skipped
     }
@@ -127,16 +116,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn windows_advance_on_fixed_boundaries() {
-        let mut w = WindowClock::new(100);
-        assert_eq!(w.horizon(), SimTime(100));
-        w.advance();
-        assert_eq!(w.horizon(), SimTime(200));
-        assert_eq!(w.windows(), 1);
-        assert_eq!(w.skipped(), 0);
-    }
-
-    #[test]
     fn skip_jumps_to_window_containing_event() {
         let mut w = WindowClock::new(100);
         // Next event at t=450: current window [0,100) is done, event's
@@ -162,8 +141,7 @@ mod tests {
 
     #[test]
     fn zero_width_clamped() {
-        let w = WindowClock::new(0);
-        assert_eq!(w.width_ns(), 1);
+        assert_eq!(WindowClock::new(0).horizon(), SimTime(1));
     }
 
     #[test]

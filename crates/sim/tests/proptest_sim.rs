@@ -4,7 +4,7 @@ mod heap_reference;
 
 use heap_reference::HeapReadyQueue;
 use numa_sim::{
-    round_ns, BarrierOutcome, BarrierState, Resource, SimTime, Splitmix64, TournamentTree, Trace,
+    BarrierOutcome, BarrierState, Resource, SimTime, Splitmix64, TournamentTree, Trace,
     TraceEventKind,
 };
 use proptest::prelude::*;
@@ -225,22 +225,6 @@ proptest! {
             prop_assert!(r.total_busy_ns() <= r.busy_until().ns());
             if r.busy_until().ns() > 0 {
                 prop_assert!(r.utilisation(r.busy_until()) <= 1.0);
-            }
-        }
-    }
-
-    /// `round_ns` is `x.round() as u64` on every input: raw bit patterns
-    /// (NaNs, infinities, subnormals, negatives, values past 2^64), their
-    /// exponent-shifted neighbours, and halves and near-halves in the
-    /// range the cost model produces — 4,096 inputs per case.
-    #[test]
-    fn round_ns_matches_round_on_random_bits(seed in any::<u64>()) {
-        let mut rng = Splitmix64::new(seed);
-        for _ in 0..1024 {
-            let bits = rng.next_u64();
-            let small = (bits >> 40) as f64;
-            for x in [f64::from_bits(bits), f64::from_bits(bits >> 2), small / 2.0, small / 2.0 - 1e-9] {
-                prop_assert_eq!(round_ns(x), x.round() as u64, "x = {:e}", x);
             }
         }
     }

@@ -16,7 +16,7 @@ pub mod presets;
 pub mod spec;
 pub mod topology;
 
-pub use cost::{CostModel, MigrationQuanta, QuantaCache};
+pub use cost::{round_ns, CostModel, MigrationQuanta, QuantaCache};
 pub use spec::{CoreSpec, Link, MemTier, NodeSpec};
 pub use topology::{Topology, TopologyError};
 

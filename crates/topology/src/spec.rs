@@ -123,11 +123,6 @@ impl Link {
         }
     }
 
-    /// Does this link connect `x` and `y` (in either order)?
-    pub fn connects(&self, x: NodeId, y: NodeId) -> bool {
-        (self.a == x && self.b == y) || (self.a == y && self.b == x)
-    }
-
     /// Given one endpoint, return the other; `None` if `from` is not an
     /// endpoint of this link.
     pub fn other_end(&self, from: NodeId) -> Option<NodeId> {
@@ -170,14 +165,6 @@ mod tests {
     fn core_flops_rate() {
         let c = CoreSpec::opteron_8347he(NodeId(0));
         assert!((c.flops_per_ns() - 3.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn link_connects_either_order() {
-        let l = Link::hypertransport(NodeId(0), NodeId(1));
-        assert!(l.connects(NodeId(0), NodeId(1)));
-        assert!(l.connects(NodeId(1), NodeId(0)));
-        assert!(!l.connects(NodeId(0), NodeId(2)));
     }
 
     #[test]

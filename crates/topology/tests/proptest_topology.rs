@@ -1,6 +1,6 @@
 //! Property-based tests for topology routing and the cost model.
 
-use numa_topology::{CoreSpec, CostModel, Link, NodeId, NodeSpec, Topology};
+use numa_topology::{round_ns, CoreSpec, CostModel, Link, NodeId, NodeSpec, Topology};
 use proptest::prelude::*;
 
 /// Build a random connected machine: a spanning path plus random extra
@@ -20,6 +20,15 @@ fn random_machine(n: usize, extra: &[(usize, usize)]) -> Topology {
         }
     }
     Topology::new(nodes, cores, links, CostModel::default()).expect("connected by construction")
+}
+
+/// One Splitmix64 step: a full-period stream of raw 64-bit patterns.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 proptest! {
@@ -86,6 +95,21 @@ proptest! {
         prop_assert!(pages * c.page_size >= bytes);
         if pages > 0 {
             prop_assert!((pages - 1) * c.page_size < bytes);
+        }
+    }
+
+    /// `round_ns` is `x.round() as u64` on every input: raw bit patterns
+    /// (NaNs, infinities, subnormals, negatives, values past 2^64), their
+    /// exponent-shifted neighbours, and halves and near-halves in the
+    /// range the cost model produces — 4,096 inputs per case.
+    #[test]
+    fn round_ns_matches_round_on_random_bits(mut seed in any::<u64>()) {
+        for _ in 0..1024 {
+            let bits = splitmix64(&mut seed);
+            let small = (bits >> 40) as f64;
+            for x in [f64::from_bits(bits), f64::from_bits(bits >> 2), small / 2.0, small / 2.0 - 1e-9] {
+                prop_assert_eq!(round_ns(x), x.round() as u64, "x = {:e}", x);
+            }
         }
     }
 }

@@ -27,16 +27,6 @@ impl VirtAddr {
         self.0 % PAGE_SIZE
     }
 
-    /// Round down to the containing page boundary.
-    pub fn page_align_down(self) -> VirtAddr {
-        VirtAddr(self.0 - self.page_offset())
-    }
-
-    /// Round up to the next page boundary (identity if already aligned).
-    pub fn page_align_up(self) -> VirtAddr {
-        VirtAddr(self.0.div_ceil(PAGE_SIZE) * PAGE_SIZE)
-    }
-
     /// Is this address page-aligned?
     pub fn is_page_aligned(self) -> bool {
         self.page_offset() == 0
@@ -147,16 +137,7 @@ mod tests {
         let a = VirtAddr(PAGE_SIZE * 3 + 17);
         assert_eq!(a.vpn(), 3);
         assert_eq!(a.page_offset(), 17);
-        assert_eq!(a.page_align_down(), VirtAddr(PAGE_SIZE * 3));
-        assert_eq!(a.page_align_up(), VirtAddr(PAGE_SIZE * 4));
         assert!(!a.is_page_aligned());
-        assert!(a.page_align_down().is_page_aligned());
-    }
-
-    #[test]
-    fn align_up_is_identity_on_aligned() {
-        let a = VirtAddr(PAGE_SIZE * 5);
-        assert_eq!(a.page_align_up(), a);
     }
 
     #[test]

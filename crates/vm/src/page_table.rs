@@ -814,11 +814,6 @@ impl PageTable {
         v
     }
 
-    /// Every frame currently referenced by an entry (for leak checks).
-    pub fn referenced_frames(&self) -> Vec<FrameId> {
-        self.iter().map(|(_, p)| p.frame).collect()
-    }
-
     /// Index of our slab with exactly the same extent geometry as `s`
     /// (base, stride and record count), if any.
     fn aligned_with(&self, s: &Slab) -> Option<usize> {
@@ -1241,16 +1236,6 @@ mod tests {
             pt.map(vpn, Pte::present_rw(FrameId(vpn)));
         }
         assert_eq!(pt.sorted_vpns(), vec![2, 4, 7, 9]);
-    }
-
-    #[test]
-    fn referenced_frames_complete() {
-        let mut pt = PageTable::new();
-        pt.map(1, Pte::present_rw(FrameId(10)));
-        pt.map(2, Pte::present_rw(FrameId(20)));
-        let mut frames = pt.referenced_frames();
-        frames.sort();
-        assert_eq!(frames, vec![FrameId(10), FrameId(20)]);
     }
 
     #[test]
