@@ -125,16 +125,8 @@ pub fn run_lu(machine: &mut Machine, cfg: &LuConfig) -> LuResult {
         machine.clear_segv_handler();
     }
 
-    let mut kernel_counters = machine.kernel.counters.clone();
     // Report only this run's events.
-    let mut delta = Counters::new();
-    for (k, v) in kernel_counters.iter() {
-        let before = counters_before.get(k);
-        if v > before {
-            delta.add(k, v - before);
-        }
-    }
-    kernel_counters = delta;
+    let kernel_counters = machine.kernel.counters.diff(&counters_before);
 
     let residual = original.map(|orig| {
         let factored = a.snapshot();

@@ -42,9 +42,13 @@
 //! versus `--shards 1`, identical output asserted by checksum). Unlike the
 //! sweep rows, the two timings differ only in how many host workers
 //! execute tenant windows, so `engine.speedup` is the tentpole's
-//! scalability figure. On a single-CPU host (`engine.host_cpus` = 1) the
-//! worker clamp leaves one thread either way and the honest expectation
-//! is ~1.0 — the perf gate only asserts speedup when `host_cpus` >= 2.
+//! scalability figure. The two legs run as interleaved pairs, the side
+//! that goes first alternating, and `engine.speedup` is the median of
+//! the per-pair serial/sharded ratios: legs timed one after the other
+//! measured the shared host's phase as much as the engine. On a
+//! single-CPU host (`engine.host_cpus` = 1) the worker clamp leaves one
+//! thread either way and the honest expectation is ~1.0 — the perf gate
+//! only asserts speedup when `host_cpus` >= 2.
 
 use numa_bench::Options;
 use numa_migrate::experiments::{fig4, fig5, fig7, multitenant, table1};
@@ -84,6 +88,36 @@ struct Sample {
     checksum: String,
 }
 
+/// Median of `xs` (sorted in place).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
+impl Sample {
+    fn new(mut times: Vec<f64>, checksum: String) -> Self {
+        let median = median(&mut times);
+        Sample {
+            median,
+            min: times[0],
+            max: times[times.len() - 1],
+            checksum,
+        }
+    }
+}
+
+/// Wall-clock of one call of `f`, and the checksum of its rows.
+fn timed<F: Fn() -> String>(f: F) -> (f64, String) {
+    let t0 = Instant::now();
+    let rows = f();
+    (t0.elapsed().as_secs_f64(), checksum(&rows))
+}
+
 /// Median-of-`reps` wall-clock for `f`. The median resists one-off
 /// scheduler stalls in either direction, unlike best-of (which reports a
 /// lucky outlier) — and the recorded spread makes the remaining noise
@@ -92,24 +126,41 @@ fn measure<F: Fn() -> String>(reps: usize, f: F) -> Sample {
     let mut times = Vec::new();
     let mut sum = String::new();
     for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        let rows = f();
-        times.push(t0.elapsed().as_secs_f64());
-        sum = checksum(&rows);
+        let (t, s) = timed(&f);
+        times.push(t);
+        sum = s;
     }
-    times.sort_by(f64::total_cmp);
-    let mid = times.len() / 2;
-    let median = if times.len() % 2 == 1 {
-        times[mid]
-    } else {
-        (times[mid - 1] + times[mid]) / 2.0
-    };
-    Sample {
-        median,
-        min: times[0],
-        max: times[times.len() - 1],
-        checksum: sum,
+    Sample::new(times, sum)
+}
+
+/// `reps` interleaved pairs of `a` and `b`, with the side that goes first
+/// alternating, so a slow host phase lands on both sides instead of one.
+/// Returns both samples and the median of the per-pair `a`/`b` ratios.
+fn measure_pairs<A, B>(reps: usize, a: A, b: B) -> (Sample, Sample, f64)
+where
+    A: Fn() -> String,
+    B: Fn() -> String,
+{
+    let (mut ta, mut tb, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut sa, mut sb) = (String::new(), String::new());
+    for rep in 0..reps.max(1) {
+        let ((t_a, s_a), (t_b, s_b)) = if rep % 2 == 0 {
+            let first = timed(&a);
+            (first, timed(&b))
+        } else {
+            let first = timed(&b);
+            (timed(&a), first)
+        };
+        ratios.push(t_a / t_b);
+        ta.push(t_a);
+        tb.push(t_b);
+        (sa, sb) = (s_a, s_b);
     }
+    (
+        Sample::new(ta, sa),
+        Sample::new(tb, sb),
+        median(&mut ratios),
+    )
 }
 
 /// Replica write-through stress at the vm layer: fault in a
@@ -294,9 +345,9 @@ fn main() {
             // serially (shards=1), jobs=N runs the same tenants sharded
             // ENGINE_SHARDS ways on N workers. The checksum assertion below
             // is the sharded engine's output contract across packings.
-            // Five reps: the run is short (~0.1s) and the serial/sharded
-            // ratio is the reported engine speedup, so the median needs
-            // more samples to shrug off one-off scheduler stalls.
+            // Five reps, run as interleaved serial/sharded pairs: the run
+            // is short (~0.1s), and the engine speedup is the median of
+            // the per-pair ratios, so both legs see the same host phases.
             "multitenant",
             5,
             true,
@@ -317,18 +368,23 @@ fn main() {
     };
     let mut runs = Vec::new();
     let mut seq_seconds = Vec::new();
-    let mut par_seconds = Vec::new();
+    let mut engine_legs = None;
     for (name, reps, jobs_sensitive, run) in &workloads {
+        let samples: Vec<(usize, Sample)> = if *name == "multitenant" && opts.jobs > 1 {
+            let (serial, sharded, speedup) = measure_pairs(*reps, || run(1), || run(opts.jobs));
+            engine_legs = Some((serial.median, sharded.median, speedup));
+            vec![(1, serial), (opts.jobs, sharded)]
+        } else {
+            jobs_values
+                .iter()
+                .filter(|&&jobs| jobs == 1 || *jobs_sensitive)
+                .map(|&jobs| (jobs, measure(*reps, || run(jobs))))
+                .collect()
+        };
         let mut sums = Vec::new();
-        for &jobs in &jobs_values {
-            if jobs > 1 && !jobs_sensitive {
-                continue;
-            }
-            let s = measure(*reps, || run(jobs));
+        for (jobs, s) in samples {
             if jobs == 1 {
                 seq_seconds.push((*name, s.median));
-            } else {
-                par_seconds.push((*name, s.median));
             }
             runs.push(format!(
                 "    {{\"binary\": \"{name}\", \"jobs\": {jobs}, \"seconds\": {:.4}, \
@@ -363,27 +419,19 @@ fn main() {
     // byte-identical multitenant run. Present only when a parallel leg was
     // measured (opts.jobs > 1); host_cpus lets the perf gate skip the
     // speedup assertion on hosts where no parallelism exists to win.
-    let serial_mt = seq_seconds
-        .iter()
-        .find(|(n, _)| *n == "multitenant")
-        .map(|&(_, s)| s);
-    let engine = match (
-        serial_mt,
-        par_seconds.iter().find(|(n, _)| *n == "multitenant"),
-    ) {
-        (Some(serial), Some(&(_, sharded))) => format!(
+    let engine = match engine_legs {
+        Some((serial, sharded, speedup)) => format!(
             "  \"engine\": {{\n    \"workload\": \"multitenant\",\n    \
              \"tenants\": {},\n    \"shards\": {ENGINE_SHARDS},\n    \
              \"jobs\": {},\n    \"host_cpus\": {},\n    \
              \"serial_seconds\": {serial:.4},\n    \
              \"sharded_seconds\": {sharded:.4},\n    \
-             \"speedup\": {:.2}\n  }},\n",
+             \"speedup\": {speedup:.2}\n  }},\n",
             multitenant::TENANTS,
             opts.jobs,
             threadpool::available_parallelism(),
-            serial / sharded
         ),
-        _ => String::new(),
+        None => String::new(),
     };
 
     let json = format!(

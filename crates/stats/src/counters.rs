@@ -223,8 +223,7 @@ impl Counters {
 
     /// Per-counter delta since `earlier` (`self - earlier`). Panics on a
     /// counter that went backwards — counters are monotone, so that is a
-    /// snapshotting bug. Window barriers fold these deltas so a shard's
-    /// contribution per window is order-independent.
+    /// snapshotting bug.
     pub fn diff(&self, earlier: &Counters) -> Counters {
         let mut out = Counters::new();
         for (i, (now, was)) in self.values.iter().zip(earlier.values.iter()).enumerate() {

@@ -4,13 +4,35 @@
 //! so tests can verify that migration moves *contents*, not just mappings —
 //! the kernel copies the tag from the old frame to the new one exactly where
 //! the real kernel would call `copy_highpage`.
+//!
+//! A frame id is never issued twice, but the storage behind it is reused:
+//! the allocator's table has one slot per *live* frame (plus free slots
+//! waiting for reuse), like Linux's `mem_map`, which is bounded by
+//! physical memory rather than by migration history. Each reuse gives the
+//! slot a new generation, and the generation is half of the id, so a
+//! stale id still fails every lookup after its slot holds another frame.
 
 use numa_topology::NodeId;
 use serde::{Deserialize, Serialize};
 
-/// Identifier of a physical frame (unique machine-wide).
+/// Identifier of a physical frame (unique machine-wide): the slot's
+/// generation in the high 32 bits, the slot index in the low 32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct FrameId(pub u64);
+
+impl FrameId {
+    fn new(slot: usize, generation: u32) -> Self {
+        FrameId(u64::from(generation) << 32 | slot as u64)
+    }
+
+    fn slot(self) -> usize {
+        self.0 as u32 as usize
+    }
+
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
 
 /// Per-node memory-pressure level, derived from the free-frame count
 /// against the node's low/min watermarks (the Linux zone-watermark
@@ -54,19 +76,43 @@ pub struct Frame {
     pub write_gen: u64,
 }
 
+/// Node of a slot that holds no live frame.
+const DEAD: u16 = u16::MAX;
+
+/// Identity half of a slot: the generation its current (or, while free,
+/// next) frame carries, and the frame's node, `DEAD` while free. Kept
+/// apart from the contents so the hot `node_of` lookups read a dense
+/// 8-byte array.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    generation: u32,
+    node: u16,
+}
+
+/// Contents half of a slot (see [`Frame`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Contents {
+    content_tag: u64,
+    write_gen: u64,
+}
+
 /// Machine-wide frame allocator with per-node accounting.
 ///
-/// Frame ids are never reused within one simulation, which turns
-/// use-after-free bugs in the kernel layer into loud lookup failures
-/// instead of silent aliasing. Because ids are dense and monotone, the
-/// frame table is index-addressed storage (`Vec<Option<Frame>>` slot per
-/// id ever issued): every lookup on the migration hot path is one bounds
-/// check and one indexed load, and a freed slot stays `None` forever so
-/// use-after-free still fails loudly.
+/// The frame table is a generational slot table: `alloc` pops the most
+/// recently freed slot (or grows the table), and `free` marks the slot
+/// dead, bumps its generation and pushes it for reuse. Memory is therefore
+/// O(live frames), not O(frames ever allocated). Every lookup checks the
+/// id's generation and the slot's liveness, so use-after-free and
+/// double-free bugs in the kernel layer stay loud lookup failures instead
+/// of silent aliasing, even after the slot is reused. No id value is ever
+/// issued twice: a slot whose generation would wrap is retired instead of
+/// reused.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FrameAllocator {
-    frames: Vec<Option<Frame>>,
-    next_id: u64,
+    slots: Vec<Slot>,
+    contents: Vec<Contents>,
+    /// Dead slots ready for reuse, most recently freed last.
+    free_slots: Vec<u32>,
     next_content: u64,
     /// Frames currently live per node.
     live_per_node: Vec<u64>,
@@ -101,8 +147,9 @@ impl FrameAllocator {
     pub fn with_capacities(capacity_per_node: Vec<u64>) -> Self {
         let nodes = capacity_per_node.len();
         FrameAllocator {
-            frames: Vec::new(),
-            next_id: 0,
+            slots: Vec::new(),
+            contents: Vec::new(),
+            free_slots: Vec::new(),
             next_content: 0,
             live_per_node: vec![0; nodes],
             capacity_per_node,
@@ -125,77 +172,99 @@ impl FrameAllocator {
         if self.live_per_node[n] >= self.capacity_per_node[n] || self.offline[n] {
             return None;
         }
-        let id = FrameId(self.next_id);
-        self.next_id += 1;
-        let tag = self.next_content;
-        self.next_content += 1;
-        debug_assert_eq!(self.frames.len() as u64, id.0, "ids are dense");
-        self.frames.push(Some(Frame {
-            node,
-            content_tag: tag,
+        let i = match self.free_slots.pop() {
+            Some(i) => i as usize,
+            None => {
+                assert!(self.slots.len() < u32::MAX as usize, "frame table full");
+                self.slots.push(Slot {
+                    generation: 0,
+                    node: DEAD,
+                });
+                self.contents.push(Contents::default());
+                self.slots.len() - 1
+            }
+        };
+        self.slots[i].node = node.0;
+        self.contents[i] = Contents {
+            content_tag: self.next_content,
             write_gen: 0,
-        }));
+        };
+        self.next_content += 1;
         self.live_per_node[n] += 1;
         self.allocated_total += 1;
-        Some(id)
+        Some(FrameId::new(i, self.slots[i].generation))
+    }
+
+    /// The slot of a live frame, or `None` for an id never issued, freed,
+    /// or whose slot now holds a later generation.
+    #[inline]
+    fn live_slot(&self, id: FrameId) -> Option<usize> {
+        let i = id.slot();
+        let s = self.slots.get(i)?;
+        (s.generation == id.generation() && s.node != DEAD).then_some(i)
+    }
+
+    /// [`FrameAllocator::live_slot`], panicking on a dead id: `what` names
+    /// the operation in the message.
+    #[inline]
+    fn slot_of(&self, id: FrameId, what: &str) -> usize {
+        self.live_slot(id)
+            .unwrap_or_else(|| panic!("{what} unknown frame {id:?}"))
     }
 
     /// Free a frame. Panics on double-free or unknown frame — both are
     /// kernel-layer bugs, never workload conditions.
     pub fn free(&mut self, id: FrameId) {
-        let f = self
-            .frames
-            .get_mut(id.0 as usize)
-            .and_then(Option::take)
-            .unwrap_or_else(|| panic!("free of unknown frame {id:?}"));
-        self.live_per_node[f.node.index()] -= 1;
+        let i = self.slot_of(id, "free of");
+        let slot = &mut self.slots[i];
+        self.live_per_node[usize::from(slot.node)] -= 1;
         self.freed_total += 1;
+        slot.node = DEAD;
+        // A slot whose generation would wrap is retired, so no id value
+        // is ever issued twice.
+        if let Some(next) = slot.generation.checked_add(1) {
+            slot.generation = next;
+            self.free_slots.push(i as u32);
+        }
     }
 
     /// Look up a live frame.
     #[inline]
-    pub fn get(&self, id: FrameId) -> Option<&Frame> {
-        self.frames.get(id.0 as usize).and_then(Option::as_ref)
+    pub fn get(&self, id: FrameId) -> Option<Frame> {
+        let i = self.live_slot(id)?;
+        let c = self.contents[i];
+        Some(Frame {
+            node: NodeId(self.slots[i].node),
+            content_tag: c.content_tag,
+            write_gen: c.write_gen,
+        })
     }
 
     /// The node a live frame resides on. Panics on unknown frames.
     #[inline]
     pub fn node_of(&self, id: FrameId) -> NodeId {
-        self.get(id)
-            .unwrap_or_else(|| panic!("lookup of unknown frame {id:?}"))
-            .node
+        NodeId(self.slots[self.slot_of(id, "lookup of")].node)
     }
 
     /// Copy contents from `src` to `dst` (the `copy_highpage` analogue).
     pub fn copy_contents(&mut self, src: FrameId, dst: FrameId) {
-        let tag = self
-            .get(src)
-            .unwrap_or_else(|| panic!("copy from unknown frame {src:?}"))
-            .content_tag;
-        self.frames
-            .get_mut(dst.0 as usize)
-            .and_then(Option::as_mut)
-            .unwrap_or_else(|| panic!("copy to unknown frame {dst:?}"))
-            .content_tag = tag;
+        let tag = self.contents[self.slot_of(src, "copy from")].content_tag;
+        let d = self.slot_of(dst, "copy to");
+        self.contents[d].content_tag = tag;
     }
 
     /// Record a write to a live frame, bumping its write generation.
     /// Panics on unknown frames.
     #[inline]
     pub fn note_write(&mut self, id: FrameId) {
-        self.frames
-            .get_mut(id.0 as usize)
-            .and_then(Option::as_mut)
-            .unwrap_or_else(|| panic!("write to unknown frame {id:?}"))
-            .write_gen += 1;
+        let i = self.slot_of(id, "write to");
+        self.contents[i].write_gen += 1;
     }
 
     /// Current write generation of a live frame. Panics on unknown frames.
     #[inline]
     pub fn write_gen(&self, id: FrameId) -> u64 {
-        self.get(id)
-            .unwrap_or_else(|| panic!("lookup of unknown frame {id:?}"))
-            .write_gen
+        self.contents[self.slot_of(id, "lookup of")].write_gen
     }
 
     /// Frames currently live on `node`.
@@ -614,5 +683,68 @@ mod tests {
         fa.free(a);
         let b = fa.alloc(NodeId(0)).unwrap();
         assert_ne!(a, b);
+    }
+
+    /// A freed frame whose slot already holds a newer frame.
+    fn reused_slot() -> (FrameAllocator, FrameId) {
+        let mut fa = FrameAllocator::new(1, 10);
+        let stale = fa.alloc(NodeId(0)).unwrap();
+        fa.free(stale);
+        let fresh = fa.alloc(NodeId(0)).unwrap();
+        assert_eq!(fresh.slot(), stale.slot(), "the freed slot is reused");
+        assert!(fa.get(stale).is_none());
+        (fa, stale)
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown frame")]
+    fn node_of_reused_slot_panics() {
+        let (fa, stale) = reused_slot();
+        fa.node_of(stale);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown frame")]
+    fn free_of_reused_slot_panics() {
+        let (mut fa, stale) = reused_slot();
+        fa.free(stale);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown frame")]
+    fn note_write_to_reused_slot_panics() {
+        let (mut fa, stale) = reused_slot();
+        fa.note_write(stale);
+    }
+
+    #[test]
+    fn relocation_cycles_reuse_two_slots() {
+        let mut fa = FrameAllocator::new(2, 10);
+        let mut page = fa.alloc(NodeId(0)).unwrap();
+        let tag = fa.get(page).unwrap().content_tag;
+        for i in 0..10_000u16 {
+            let new = fa.alloc(NodeId((i + 1) % 2)).unwrap();
+            fa.copy_contents(page, new);
+            fa.free(page);
+            page = new;
+        }
+        assert_eq!(fa.slots.len(), 2);
+        assert_eq!(fa.get(page).unwrap().content_tag, tag);
+        assert_eq!(fa.live_total(), 1);
+    }
+
+    #[test]
+    fn slot_is_retired_before_its_generation_wraps() {
+        let mut fa = FrameAllocator::new(1, 10);
+        let a = fa.alloc(NodeId(0)).unwrap();
+        fa.free(a);
+        fa.slots[0].generation = u32::MAX;
+        let last = fa.alloc(NodeId(0)).unwrap();
+        assert_eq!(last, FrameId::new(0, u32::MAX));
+        fa.free(last);
+        let next = fa.alloc(NodeId(0)).unwrap();
+        assert_eq!(next.slot(), 1, "the exhausted slot is not reused");
+        assert!(fa.get(last).is_none());
+        assert!(fa.get(a).is_none());
     }
 }

@@ -9,11 +9,15 @@
 //! to `live_total`, `allocated_total - freed_total` equals the number of
 //! live frames actually reachable, no allocation ever lands on an
 //! offline or full node, and `pressure_of` always matches the level
-//! recomputed from first principles.
+//! recomputed from first principles. It also checks the id rules of the
+//! generational frame table: no id is ever issued twice, every freed id
+//! stays dead after its slot is reused, and an evacuation's copy carries
+//! the content tag.
 
 use numa_topology::NodeId;
 use numa_vm::{FrameAllocator, FrameId, PressureLevel};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 const NODES: usize = 4;
 
@@ -35,7 +39,10 @@ fn expected_pressure(fa: &FrameAllocator, node: NodeId) -> PressureLevel {
     }
 }
 
-fn check_consistency(fa: &FrameAllocator, live: &[FrameId]) {
+fn check_consistency(fa: &FrameAllocator, live: &[FrameId], freed: &[FrameId]) {
+    for &id in freed {
+        assert!(fa.get(id).is_none(), "freed frame {id:?} is live again");
+    }
     let mut per_node = [0u64; NODES];
     for &id in live {
         per_node[fa.node_of(id).index()] += 1;
@@ -75,6 +82,8 @@ proptest! {
     fn accounting_survives_random_interleavings(ops in op_strategy()) {
         let mut fa = FrameAllocator::new(NODES, 12);
         let mut live: Vec<FrameId> = Vec::new();
+        let mut freed: Vec<FrameId> = Vec::new();
+        let mut issued: HashSet<FrameId> = HashSet::new();
         for (kind, node_raw, value) in ops {
             let node = NodeId(u16::from(node_raw));
             match kind {
@@ -87,6 +96,7 @@ proptest! {
                             prop_assert!(!full && !offline,
                                 "alloc succeeded on a full/offline node");
                             prop_assert_eq!(fa.node_of(id), node);
+                            prop_assert!(issued.insert(id), "id {:?} issued twice", id);
                             live.push(id);
                         }
                         None => prop_assert!(full || offline,
@@ -98,6 +108,7 @@ proptest! {
                     if !live.is_empty() {
                         let id = live.swap_remove(usize::from(value) % live.len());
                         fa.free(id);
+                        freed.push(id);
                     }
                 }
                 // Evacuate one resident page off `node`: alloc on the
@@ -111,9 +122,13 @@ proptest! {
                                 && fa.live_on(d) < fa.capacity_of(d));
                         if let Some(dest) = dest {
                             let new = fa.alloc(dest).expect("dest had room");
+                            prop_assert!(issued.insert(new), "id {:?} issued twice", new);
                             let old = live[pos];
+                            let tag = fa.get(old).unwrap().content_tag;
                             fa.copy_contents(old, new);
+                            prop_assert_eq!(fa.get(new).unwrap().content_tag, tag);
                             fa.free(old);
+                            freed.push(old);
                             live[pos] = new;
                         }
                     }
@@ -127,12 +142,13 @@ proptest! {
                     fa.set_watermarks(node, low, low / 2);
                 }
             }
-            check_consistency(&fa, &live);
+            check_consistency(&fa, &live, &freed);
         }
         // Drain everything: global accounting must return to zero live.
         for id in live.drain(..) {
             fa.free(id);
+            freed.push(id);
         }
-        check_consistency(&fa, &live);
+        check_consistency(&fa, &live, &freed);
     }
 }
