@@ -307,25 +307,25 @@ fn main() {
             "fig7",
             5,
             true,
-            Box::new(|jobs| format!("{:?}", fig7::run_jobs(&fig7_pages, 4, jobs))),
+            Box::new(|jobs| format!("{:?}", fig7::run(&fig7_pages, 4, jobs))),
         ),
         (
             "table1",
             3,
             true,
-            Box::new(|jobs| format!("{:?}", table1::run_jobs(&table1_cases, jobs))),
+            Box::new(|jobs| format!("{:?}", table1::run(&table1_cases, jobs))),
         ),
         (
             "fig4",
             5,
             true,
-            Box::new(|jobs| format!("{:?}", fig4::run_jobs(&fig4_pages, jobs))),
+            Box::new(|jobs| format!("{:?}", fig4::run(&fig4_pages, jobs))),
         ),
         (
             "fig5",
             5,
             true,
-            Box::new(|jobs| format!("{:?}", fig5::run_jobs(&fig5_pages, jobs))),
+            Box::new(|jobs| format!("{:?}", fig5::run(&fig5_pages, jobs))),
         ),
         (
             "ptrepl",

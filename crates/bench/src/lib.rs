@@ -11,7 +11,7 @@ pub mod registry;
 pub mod trace_run;
 
 pub use output::RunOutput;
-pub use registry::{Experiment, EXPERIMENTS};
+pub use registry::{Experiment, Pin, EXPERIMENTS};
 pub use trace_run::{embed_counters, traced_next_touch_episode, TracedEpisode};
 
 use std::env;

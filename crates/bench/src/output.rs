@@ -6,7 +6,8 @@
 //! [`RunOutput::table`] (which both prints it and records it), and
 //! `main` calls [`RunOutput::finish`] at the end. With neither `--json`
 //! nor `--trace` given, `finish` is a no-op beyond the printing already
-//! done.
+//! done. Everything a row prints goes through [`RunOutput::print`], so
+//! [`RunOutput::stdout`] is the exact text of its run.
 
 use crate::{Experiment, Options};
 use numa_migrate::stats::{Json, Table};
@@ -19,6 +20,7 @@ pub struct RunOutput {
     tables: Vec<(String, Table)>,
     meta: Vec<(String, Json)>,
     trace_json: Option<String>,
+    stdout: String,
 }
 
 impl RunOutput {
@@ -30,7 +32,14 @@ impl RunOutput {
             tables: Vec::new(),
             meta: Vec::new(),
             trace_json: None,
+            stdout: String::new(),
         }
+    }
+
+    /// Print `text` verbatim and keep it as part of [`RunOutput::stdout`].
+    pub(crate) fn print(&mut self, text: &str) {
+        print!("{text}");
+        self.stdout.push_str(text);
     }
 
     /// Print `table` under `title` (honouring `--csv`) and record it for
@@ -38,12 +47,12 @@ impl RunOutput {
     /// blank line; embed a leading `\n` for visual separation between
     /// consecutive tables.
     pub fn table(&mut self, title: &str, table: &Table) {
-        println!("{title}\n");
-        if self.opts.csv {
-            print!("{}", table.to_csv());
+        let body = if self.opts.csv {
+            table.to_csv()
         } else {
-            print!("{table}");
-        }
+            table.to_string()
+        };
+        self.print(&format!("{title}\n\n{body}"));
         self.tables.push((title.trim().to_string(), table.clone()));
     }
 
@@ -57,6 +66,11 @@ impl RunOutput {
     /// next-touch episode, see [`crate::traced_next_touch_episode`]).
     pub fn set_trace_json(&mut self, chrome_trace: String) {
         self.trace_json = Some(chrome_trace);
+    }
+
+    /// Everything the run printed so far (exposed for tests).
+    pub fn stdout(&self) -> &str {
+        &self.stdout
     }
 
     /// Build the `--json` document (exposed for tests).

@@ -1,7 +1,9 @@
 //! The experiment registry: one [`Experiment`] row per paper table,
 //! figure or extension, in CI order, each followed by the table builders
 //! it uses. `--list` prints the names, so CI and the docs take the list
-//! from here. A builder is `pub` only where a regression test calls it.
+//! from here, and each row's `pinned` list is the one list of committed
+//! outputs under `results/`. A builder is `pub` only where a regression
+//! test calls it.
 
 use crate::{embed_counters, mbps, percent, secs, Options, RunOutput};
 use numa_migrate::experiments::fig5::NtVariant;
@@ -14,8 +16,8 @@ use numa_migrate::machine::Machine;
 use numa_migrate::stats::{Json, Table};
 use numa_migrate::topology::{CoreId, NodeId};
 
-/// One experiment: its binary name, the `--help` description, and the
-/// body that prints its tables into a [`RunOutput`].
+/// One experiment: its binary name, the `--help` description, the
+/// body that prints its tables into a [`RunOutput`], and its pins.
 pub struct Experiment {
     /// Binary name, also the `"binary"` field of its `--json` file.
     pub name: &'static str,
@@ -23,7 +25,33 @@ pub struct Experiment {
     pub what: &'static str,
     /// Print the tables for the parsed options.
     pub run: fn(&Options, &mut RunOutput),
+    /// The committed files under `results/` this experiment reproduces.
+    pub pinned: &'static [Pin],
 }
+
+/// A committed file under `results/` that one run of its experiment
+/// reproduces byte for byte. A `.json` pin holds the document that
+/// `<name> <args> --json results/<file>` writes; any other pin holds the
+/// stdout of `<name> <args>`. `crates/bench/tests/goldens.rs` regenerates
+/// every pin in-process and checks that each file under `results/` but
+/// its README is pinned exactly once.
+pub struct Pin {
+    /// File name under `results/`.
+    pub file: &'static str,
+    /// The flags that produce it.
+    pub args: &'static [&'static str],
+    /// Too slow for every test run: only the `--ignored` golden test,
+    /// run on a schedule in release, regenerates it.
+    pub heavy: bool,
+}
+
+/// A pin that every test run checks.
+const fn pin(file: &'static str, args: &'static [&'static str]) -> Pin {
+    let heavy = false;
+    Pin { file, args, heavy }
+}
+
+const FULL: &[&str] = &["--full"];
 
 /// Every experiment, in CI order.
 pub const EXPERIMENTS: &[Experiment] = &[
@@ -31,76 +59,104 @@ pub const EXPERIMENTS: &[Experiment] = &[
         name: "fig3",
         what: "Figure 3 (the experimentation platform)",
         run: fig3,
+        pinned: &[pin("fig3.json", &[])],
     },
     Experiment {
         name: "fig4",
         what: "Figure 4 (synchronous migration throughput)",
         run: fig4,
+        pinned: &[pin("fig4.json", &[]), pin("fig4_full.txt", FULL)],
     },
     Experiment {
         name: "fig5",
         what: "Figure 5 (next-touch throughput comparison)",
         run: fig5,
+        pinned: &[pin("fig5.json", &[]), pin("fig5_full.txt", FULL)],
     },
     Experiment {
         name: "fig6",
         what: "Figure 6 (next-touch cost breakdowns)",
         run: fig6,
+        pinned: &[pin("fig6.json", &[]), pin("fig6_full.txt", FULL)],
     },
     Experiment {
         name: "fig7",
         what: "Figure 7 (threaded migration scalability)",
         run: fig7,
+        pinned: &[pin("fig7.json", &[]), pin("fig7_full.txt", FULL)],
     },
     Experiment {
         name: "fig8",
         what: "Figure 8 (16 concurrent BLAS3 multiplications)",
         run: fig8,
+        pinned: &[pin("fig8.json", &[]), pin("fig8_full.txt", FULL)],
     },
     Experiment {
         name: "table1",
         what: "Table 1 (LU factorization times)",
         run: table1,
+        pinned: &[
+            pin("table1.json", &[]),
+            Pin {
+                file: "table1_full.txt",
+                args: &["--full", "--jobs", "2"],
+                heavy: true,
+            },
+        ],
     },
     Experiment {
         name: "scaling8",
         what: "the §6 larger-machines outlook",
         run: scaling8,
+        pinned: &[pin("scaling8.json", &[])],
     },
     Experiment {
         name: "blas1_check",
         what: "the BLAS1 no-improvement check (§4.5)",
         run: blas1_check,
+        pinned: &[
+            pin("blas1_check.json", &[]),
+            pin("blas1_check_full.txt", FULL),
+        ],
     },
     Experiment {
         name: "ablations",
         what: "design-choice ablations",
         run: ablations,
+        pinned: &[pin("ablations.json", &[]), pin("ablations_full.txt", FULL)],
     },
     Experiment {
         name: "tiering",
         what: "heterogeneous-memory tiering (transactional vs stop-the-world promotion)",
         run: tiering,
+        pinned: &[pin("tiering.json", &[])],
     },
     Experiment {
         name: "chaos",
         what: "the fault-injection sweep (retry/degradation robustness)",
         run: chaos,
+        pinned: &[pin("chaos.json", &[]), pin("chaos_full.json", FULL)],
     },
     Experiment {
         name: "ptrepl",
         what: "the page-table placement comparison",
         run: ptrepl,
+        pinned: &[pin("ptrepl.json", &[])],
     },
     Experiment {
         name: "pressure",
         what: "the memory-pressure sweep (reclaim/OOM/watchdog resilience)",
         run: pressure,
+        pinned: &[pin("pressure.json", &[])],
     },
     Experiment {
         name: "multitenant",
         what: "the 1,000-tenant churn run on the sharded engine",
         run: multitenant,
+        pinned: &[
+            pin("multitenant.json", &[]),
+            pin("multitenant_full.json", FULL),
+        ],
     },
 ];
 
@@ -112,16 +168,16 @@ fn fig3(_opts: &Options, out: &mut RunOutput) {
     let topo = m.topology();
     let cost = topo.cost();
 
-    println!(
+    out.print(&format!(
         "The experimentation host: {} nodes x {} cores ({} total), \
-         {:.1} GHz, {} GB + {} MB L3 per node\n",
+         {:.1} GHz, {} GB + {} MB L3 per node\n\n",
         topo.node_count(),
         topo.core_count() / topo.node_count(),
         topo.core_count(),
         topo.core(CoreId(0)).freq_hz as f64 / 1e9,
         topo.node(NodeId(0)).memory_bytes >> 30,
         topo.node(NodeId(0)).l3_bytes >> 20,
-    );
+    ));
 
     let mut links = Table::new(["link", "endpoints", "bandwidth GB/s"]);
     for i in 0..topo.link_count() {
@@ -189,7 +245,7 @@ fn fig4(opts: &Options, out: &mut RunOutput) {
     } else {
         vec![1, 16, 256, 2048, 8192]
     };
-    let rows = fig4::run_jobs(&pages, opts.jobs);
+    let rows = fig4::run(&pages, opts.jobs);
     let mut table = Table::new([
         "pages",
         "memcpy MB/s",
@@ -226,7 +282,7 @@ fn fig5(opts: &Options, out: &mut RunOutput) {
     } else {
         vec![4, 16, 128, 1024, 4096]
     };
-    let rows = fig5::run_jobs(&pages, opts.jobs);
+    let rows = fig5::run(&pages, opts.jobs);
     let mut table = Table::new([
         "pages",
         "user NT (no patch) MB/s",
@@ -345,7 +401,7 @@ fn fig7(opts: &Options, out: &mut RunOutput) {
     } else {
         vec![64, 512, 4096, 16384]
     };
-    let rows = fig7::run_jobs(&pages, 4, opts.jobs);
+    let rows = fig7::run(&pages, 4, opts.jobs);
     let mut table = Table::new([
         "pages", "sync-1", "sync-2", "sync-3", "sync-4", "lazy-1", "lazy-2", "lazy-3", "lazy-4",
     ]);
@@ -372,7 +428,7 @@ fn fig8(opts: &Options, out: &mut RunOutput) {
         vec![128, 256, 512, 1024]
     };
     let mut table = Table::new(["N", "Static", "Next-touch kernel", "Next-touch user"]);
-    for row in fig8::run_jobs(&sizes, opts.jobs) {
+    for row in fig8::run(&sizes, opts.jobs) {
         table.row([
             row.n.to_string(),
             secs(row.static_s),
@@ -403,7 +459,7 @@ fn table1(opts: &Options, out: &mut RunOutput) {
         "Next-touch",
         "Improvement",
     ]);
-    for row in table1::run_jobs(&cases, opts.jobs) {
+    for row in table1::run(&cases, opts.jobs) {
         table.row([
             format!("{}k x {}k", row.n / 1024, row.n / 1024),
             format!("{} x {}", row.bs, row.bs),
@@ -425,7 +481,7 @@ fn table1(opts: &Options, out: &mut RunOutput) {
 fn scaling8(opts: &Options, out: &mut RunOutput) {
     let n = if opts.full { 1024 } else { 512 };
     let mut table = Table::new(["nodes", "threads", "Static", "Next-touch", "Improvement"]);
-    for r in scaling::run_jobs(n, opts.jobs) {
+    for r in scaling::run(n, opts.jobs) {
         table.row([
             r.nodes.to_string(),
             r.threads.to_string(),
@@ -485,7 +541,7 @@ fn ablations(opts: &Options, out: &mut RunOutput) {
         vec![64, 1024, 4096]
     };
     let mut t = Table::new(["pages", "patched MB/s", "quadratic MB/s", "ratio"]);
-    for (p, a, b) in ablations::lookup_ablation_jobs(&pages, opts.jobs) {
+    for (p, a, b) in ablations::lookup_ablation(&pages, opts.jobs) {
         t.row([p.to_string(), mbps(a), mbps(b), format!("{:.1}x", a / b)]);
     }
     out.table(
@@ -495,7 +551,7 @@ fn ablations(opts: &Options, out: &mut RunOutput) {
 
     let fractions = [0.1, 0.3, 0.55, 0.7, 0.9];
     let mut t = Table::new(["fraction", "4-thread speedup"]);
-    for (f, s) in ablations::lock_fraction_sweep_jobs(&fractions, 8192, opts.jobs) {
+    for (f, s) in ablations::lock_fraction_sweep(&fractions, 8192, opts.jobs) {
         t.row([format!("{f:.2}"), format!("{s:.2}x")]);
     }
     out.table(
@@ -612,7 +668,7 @@ pub fn tiering_mechanism_table(
     let mut table = Table::new([
         "writers", "txn-ms", "stw-ms", "commits", "aborts", "stalls", "txn-prom", "stw-prom",
     ]);
-    for r in tiering::mechanism_jobs(writer_counts, pages, hot, seed, jobs) {
+    for r in tiering::mechanism(writer_counts, pages, hot, seed, jobs) {
         table.row([
             r.writers.to_string(),
             format!("{:.3}", r.txn_writer_ns as f64 / 1e6),
@@ -643,7 +699,7 @@ pub fn tiering_capacity_table(
         "speedup",
         "promotions",
     ]);
-    for r in tiering::capacity_sweep_jobs(hot_page_counts, dram_pages_per_node, rounds, jobs) {
+    for r in tiering::capacity_sweep(hot_page_counts, dram_pages_per_node, rounds, jobs) {
         table.row([
             r.hot_pages.to_string(),
             r.dram_pages.to_string(),
@@ -671,23 +727,6 @@ fn chaos(opts: &Options, out: &mut RunOutput) {
     if opts.full {
         workloads.extend(chaos::PRESSURE_WORKLOADS);
     }
-    let table = chaos_table(&workloads, &rates, opts.seed, opts.jobs);
-    out.table(
-        &format!(
-            "Chaos sweep: {} pages per workload; transient-copy (EBUSY), frame-exhausted\n\
-             (ENOMEM) and racing-unmap (ENOENT) faults injected at each swept rate\n\
-             (seed {}); every case audited and executed twice for determinism",
-            chaos::PAGES,
-            opts.seed
-        ),
-        &table,
-    );
-}
-
-/// Build the chaos fault-injection sweep table: every workload at every
-/// injection rate, each case executed twice and audited (see
-/// `experiments::chaos`).
-fn chaos_table(workloads: &[&'static str], rates: &[u32], seed: u64, jobs: usize) -> Table {
     let mut table = Table::new([
         "workload",
         "rate-ppm",
@@ -700,7 +739,7 @@ fn chaos_table(workloads: &[&'static str], rates: &[u32], seed: u64, jobs: usize
         "left",
         "violations",
     ]);
-    for r in chaos::sweep_jobs(workloads, rates, seed, jobs) {
+    for r in chaos::sweep(&workloads, &rates, opts.seed, opts.jobs) {
         table.row([
             r.workload.to_string(),
             r.rate_ppm.to_string(),
@@ -714,7 +753,16 @@ fn chaos_table(workloads: &[&'static str], rates: &[u32], seed: u64, jobs: usize
             r.invariant_violations.to_string(),
         ]);
     }
-    table
+    out.table(
+        &format!(
+            "Chaos sweep: {} pages per workload; transient-copy (EBUSY), frame-exhausted\n\
+             (ENOMEM) and racing-unmap (ENOENT) faults injected at each swept rate\n\
+             (seed {}); every case audited and executed twice for determinism",
+            chaos::PAGES,
+            opts.seed
+        ),
+        &table,
+    );
 }
 
 /// Page-table placement comparison (ptplace subsystem): each workload
@@ -727,7 +775,7 @@ fn ptrepl(opts: &Options, out: &mut RunOutput) {
         vec![64, 512, 2048]
     };
     let cases = ptrepl::cases(&pages);
-    let rows = ptrepl::run_jobs(&cases, opts.jobs);
+    let rows = ptrepl::run(&cases, opts.jobs);
     let mut table = Table::new([
         "workload",
         "pages",
@@ -766,27 +814,6 @@ fn ptrepl(opts: &Options, out: &mut RunOutput) {
 /// panic-free.
 fn pressure(opts: &Options, out: &mut RunOutput) {
     let occupancies = pressure::default_occupancies(opts.full);
-    let table = pressure_table(&occupancies, opts.seed, opts.jobs);
-    out.table(
-        &format!(
-            "Pressure sweep: 4 threads on {}-frame nodes, occupancy 60%..105% of DRAM;\n\
-             watermarks {}/{} frames, direct reclaim, OOM killer and retry watchdog on,\n\
-             {} ppm chaos injection (seed {}); every case audited and executed twice\n\
-             for determinism",
-            pressure::FRAMES_PER_NODE,
-            pressure::LOW_WATERMARK,
-            pressure::MIN_WATERMARK,
-            pressure::INJECT_PPM,
-            opts.seed
-        ),
-        &table,
-    );
-}
-
-/// Build the memory-pressure sweep table: every redistribution strategy
-/// at every occupancy, full pressure ladder enabled, each case executed
-/// twice and audited (see `experiments::pressure`).
-fn pressure_table(occupancies: &[u32], seed: u64, jobs: usize) -> Table {
     let mut table = Table::new([
         "strategy",
         "occupancy",
@@ -800,7 +827,7 @@ fn pressure_table(occupancies: &[u32], seed: u64, jobs: usize) -> Table {
         "retried",
         "violations",
     ]);
-    for r in pressure::sweep_jobs(occupancies, seed, jobs) {
+    for r in pressure::sweep(&occupancies, opts.seed, opts.jobs) {
         table.row([
             r.strategy.to_string(),
             format!("{}%", r.occupancy_pct),
@@ -815,7 +842,20 @@ fn pressure_table(occupancies: &[u32], seed: u64, jobs: usize) -> Table {
             r.violations.to_string(),
         ]);
     }
-    table
+    out.table(
+        &format!(
+            "Pressure sweep: 4 threads on {}-frame nodes, occupancy 60%..105% of DRAM;\n\
+             watermarks {}/{} frames, direct reclaim, OOM killer and retry watchdog on,\n\
+             {} ppm chaos injection (seed {}); every case audited and executed twice\n\
+             for determinism",
+            pressure::FRAMES_PER_NODE,
+            pressure::LOW_WATERMARK,
+            pressure::MIN_WATERMARK,
+            pressure::INJECT_PPM,
+            opts.seed
+        ),
+        &table,
+    );
 }
 
 /// Regenerates the multitenant churn run: 1,000 tenant processes

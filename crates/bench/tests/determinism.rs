@@ -72,8 +72,8 @@ fn parallel_sweep_matches_sequential_byte_for_byte() {
     assert_eq!(seq.to_string(), par.to_string());
     assert_eq!(seq.to_csv(), par.to_csv());
 
-    let seq = fig7::run_jobs(&[64, 256], 4, 1);
-    let par = fig7::run_jobs(&[64, 256], 4, 3);
+    let seq = fig7::run(&[64, 256], 4, 1);
+    let par = fig7::run(&[64, 256], 4, 3);
     assert_eq!(format!("{seq:?}"), format!("{par:?}"));
 }
 

@@ -1,63 +1,123 @@
-//! Tier-1 golden check: every registry row except `table1` runs
-//! in-process with `--json` and must reproduce its committed
-//! `results/<name>.json` byte for byte, as must `chaos --full` and
-//! `multitenant --full` against `results/<name>_full.json`. Quick
-//! `table1` takes about 18 s under the debug profile, so only CI's
-//! `sha256sum -c` step pins it.
+//! Golden check over the registry's pins: every [`Pin`] of every
+//! [`EXPERIMENTS`] row is regenerated in-process and must reproduce its
+//! committed file under `results/` byte for byte. Output does not depend
+//! on host threads, so the pins are spread over `threadpool::par_map`.
+//! Heavy pins run only under `--ignored`, which the scheduled
+//! `goldens-heavy` workflow does in release. The completeness test keeps
+//! `results/`, the pins and `ci/golden_checksums.sha256` in step, so
+//! adding a pinned output is one row edit in the registry.
 
-use numa_bench::{Options, RunOutput, EXPERIMENTS};
+use numa_bench::{Experiment, Options, Pin, RunOutput, EXPERIMENTS};
+use std::collections::BTreeSet;
 
-/// The `--json` document `name` writes for `args`, built in-process.
-fn results_json(name: &str, args: &[&str]) -> String {
-    let exp = EXPERIMENTS
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+fn pins() -> impl Iterator<Item = (&'static Experiment, &'static Pin)> {
+    EXPERIMENTS
         .iter()
-        .find(|e| e.name == name)
-        .expect("registry row");
-    let opts = Options::try_parse_from(args.iter().map(|s| s.to_string())).expect("valid flags");
+        .flat_map(|e| e.pinned.iter().map(move |p| (e, p)))
+}
+
+/// What `pin` holds, built in-process: the `--json` document for a
+/// `.json` file, the stdout text otherwise. Nothing is written.
+fn regenerate(exp: &'static Experiment, pin: &Pin) -> String {
+    let json = pin.file.ends_with(".json");
+    let mut args: Vec<String> = pin.args.iter().map(|a| a.to_string()).collect();
+    if json {
+        // `--json` matters: a row may add a traced episode only when a
+        // JSON or trace file is requested.
+        args.extend(["--json".to_string(), format!("results/{}", pin.file)]);
+    }
+    let opts = Options::try_parse_from(args).expect("valid flags");
     let mut out = RunOutput::new(exp, opts.clone());
     (exp.run)(&opts, &mut out);
-    out.results_json().to_string()
+    if json {
+        out.results_json().to_string()
+    } else {
+        out.stdout().to_string()
+    }
 }
 
-fn committed(file: &str) -> String {
-    let path = format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
-}
-
-#[test]
-fn quick_json_matches_committed_results() {
-    // `--json` matters: fig5 adds its traced episode only when a JSON or
-    // trace file is requested. Nothing is written to the path.
-    let moved: Vec<&str> = EXPERIMENTS
+/// Regenerate every pin whose `heavy` bit is `heavy` and assert that
+/// each matches its committed file.
+fn check_pins(heavy: bool) {
+    let pins: Vec<_> = pins().filter(|(_, p)| p.heavy == heavy).collect();
+    assert!(!pins.is_empty(), "no pins with heavy = {heavy}");
+    let jobs = threadpool::available_parallelism();
+    let same = threadpool::par_map(jobs, &pins, |_, &(exp, pin)| {
+        let path = format!("{ROOT}/results/{}", pin.file);
+        let committed =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        regenerate(exp, pin) == committed
+    });
+    let moved: Vec<String> = pins
         .iter()
-        .map(|e| e.name)
-        .filter(|&name| name != "table1")
-        .filter(|&name| {
-            results_json(name, &["--json", "unused.json"]) != committed(&format!("{name}.json"))
+        .zip(same)
+        .filter(|(_, same)| !same)
+        .map(|((exp, pin), _)| {
+            format!(
+                "{} {} -> results/{}",
+                exp.name,
+                pin.args.join(" "),
+                pin.file
+            )
         })
         .collect();
     assert!(
         moved.is_empty(),
-        "virtual-time results moved: {moved:?} no longer match results/<name>.json"
+        "virtual-time results moved; these runs no longer match their committed files: {moved:#?}"
     );
 }
 
 #[test]
-fn chaos_full_json_matches_committed_results() {
-    assert!(
-        results_json("chaos", &["--full", "--json", "unused.json"]) == committed("chaos_full.json"),
-        "virtual-time results moved: chaos --full no longer matches results/chaos_full.json"
-    );
+fn pinned_outputs_match_committed_results() {
+    check_pins(false);
 }
 
 #[test]
-fn multitenant_full_json_matches_committed_results() {
-    // The one cheap run whose L3-thrash flush fires (`flush_windows` 2),
-    // and a long run of the engine's horizon-gated windows.
-    assert!(
-        results_json("multitenant", &["--full", "--json", "unused.json"])
-            == committed("multitenant_full.json"),
-        "virtual-time results moved: multitenant --full no longer matches \
-         results/multitenant_full.json"
-    );
+#[ignore = "paper-size run, minutes even in release; the scheduled goldens-heavy workflow runs it"]
+fn heavy_pinned_outputs_match_committed_results() {
+    check_pins(true);
+}
+
+#[test]
+fn every_result_is_pinned_once() {
+    let mut pinned = BTreeSet::new();
+    for (exp, pin) in pins() {
+        assert!(
+            pinned.insert(pin.file),
+            "results/{} is pinned twice (again by {})",
+            pin.file,
+            exp.name
+        );
+        assert!(
+            std::path::Path::new(&format!("{ROOT}/results/{}", pin.file)).is_file(),
+            "{} pins results/{}, which does not exist",
+            exp.name,
+            pin.file
+        );
+    }
+
+    for entry in std::fs::read_dir(format!("{ROOT}/results")).expect("results/ is readable") {
+        let name = entry.expect("directory entry").file_name();
+        let name = name.to_string_lossy();
+        assert!(
+            name == "README.md" || pinned.contains(name.as_ref()),
+            "results/{name} is pinned by no registry row"
+        );
+    }
+
+    let sums = std::fs::read_to_string(format!("{ROOT}/ci/golden_checksums.sha256"))
+        .expect("ci/golden_checksums.sha256 is readable");
+    for line in sums.lines() {
+        let file = line
+            .split_whitespace()
+            .nth(1)
+            .and_then(|path| path.strip_prefix("results/"))
+            .unwrap_or_else(|| panic!("not a `<sha256>  results/<file>` line: {line}"));
+        assert!(
+            pinned.contains(file),
+            "ci/golden_checksums.sha256 names results/{file}, which no registry row pins"
+        );
+    }
 }

@@ -12,15 +12,11 @@ use numa_vm::{MemPolicy, Protection, VirtAddr, VmaKind, PAGE_SIZE};
 use super::pages_throughput;
 
 /// Sweep the page-table-lock serialized fraction and report the 4-thread
-/// lazy-migration speedup for each value (the Fig. 7 calibration knob).
-pub fn lock_fraction_sweep(fractions: &[f64], pages: u64) -> Vec<(f64, f64)> {
-    lock_fraction_sweep_jobs(fractions, pages, 1)
-}
-
-/// [`lock_fraction_sweep`] with the fractions distributed over `jobs`
-/// host threads. Items are independent (fresh machine each), so the rows
-/// are identical to the sequential run's, in the same order.
-pub fn lock_fraction_sweep_jobs(fractions: &[f64], pages: u64, jobs: usize) -> Vec<(f64, f64)> {
+/// lazy-migration speedup for each value (the Fig. 7 calibration knob),
+/// the fractions distributed over `jobs` host threads. Items are
+/// independent (fresh machine each), so the rows are the same, in the
+/// same order, for any `jobs`.
+pub fn lock_fraction_sweep(fractions: &[f64], pages: u64, jobs: usize) -> Vec<(f64, f64)> {
     threadpool::par_map(jobs, fractions, |_, &f| {
         let run = |threads: usize| {
             let mut m = NumaSystem::new()
@@ -292,15 +288,10 @@ pub fn hooked_vs_auto(buf_pages: u64, phases: usize) -> (u64, u64, u64) {
 
 /// The quadratic-lookup ablation in isolation: per-page lookup cost as a
 /// function of request size, patched vs not. Returns rows of
-/// `(pages, patched_mbps, unpatched_mbps)`.
-pub fn lookup_ablation(page_counts: &[u64]) -> Vec<(u64, f64, f64)> {
-    lookup_ablation_jobs(page_counts, 1)
-}
-
-/// [`lookup_ablation`] with the sizes distributed over `jobs` host
-/// threads. Items are independent (fresh machine each), so the rows are
-/// identical to the sequential run's, in the same order.
-pub fn lookup_ablation_jobs(page_counts: &[u64], jobs: usize) -> Vec<(u64, f64, f64)> {
+/// `(pages, patched_mbps, unpatched_mbps)`, the sizes distributed over
+/// `jobs` host threads. Items are independent (fresh machine each), so
+/// the rows are the same, in the same order, for any `jobs`.
+pub fn lookup_ablation(page_counts: &[u64], jobs: usize) -> Vec<(u64, f64, f64)> {
     threadpool::par_map(jobs, page_counts, |_, &pages| {
         let t = |patched: bool| {
             let mut m = NumaSystem::new()
@@ -332,7 +323,7 @@ mod tests {
 
     #[test]
     fn lock_fraction_controls_scaling() {
-        let rows = lock_fraction_sweep(&[0.1, 0.9], 8192);
+        let rows = lock_fraction_sweep(&[0.1, 0.9], 8192, 1);
         let (lo_f, lo_speedup) = rows[0];
         let (hi_f, hi_speedup) = rows[1];
         assert!(lo_f < hi_f);
@@ -395,7 +386,7 @@ mod tests {
 
     #[test]
     fn lookup_ablation_shows_quadratic_gap() {
-        let rows = lookup_ablation(&[64, 4096]);
+        let rows = lookup_ablation(&[64, 4096], 1);
         let (_, p_small, u_small) = rows[0];
         let (_, p_large, u_large) = rows[1];
         let small_gap = p_small / u_small;

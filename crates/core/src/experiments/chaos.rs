@@ -133,20 +133,10 @@ pub fn run_case(workload: &'static str, rate_ppm: u32, seed: u64) -> ChaosRow {
     first
 }
 
-/// The full sweep: every (workload, rate) pair, in axis order.
-pub fn sweep(workloads: &[&'static str], rates: &[u32], seed: u64) -> Vec<ChaosRow> {
-    sweep_jobs(workloads, rates, seed, 1)
-}
-
-/// [`sweep`] with the cases distributed over `jobs` host threads. Cases
-/// are independent (fresh machine each), so the rows are identical to
-/// the sequential run's, in the same order.
-pub fn sweep_jobs(
-    workloads: &[&'static str],
-    rates: &[u32],
-    seed: u64,
-    jobs: usize,
-) -> Vec<ChaosRow> {
+/// The full sweep: every (workload, rate) pair, in axis order, the cases
+/// distributed over `jobs` host threads. Cases are independent (fresh
+/// machine each), so the rows are the same for any `jobs`.
+pub fn sweep(workloads: &[&'static str], rates: &[u32], seed: u64, jobs: usize) -> Vec<ChaosRow> {
     let cases: Vec<(&'static str, u32)> = workloads
         .iter()
         .flat_map(|w| rates.iter().map(move |r| (*w, *r)))
@@ -457,8 +447,8 @@ mod tests {
     #[test]
     fn sweep_rows_are_identical_across_jobs() {
         let rates = [0, 100_000];
-        let seq = sweep_jobs(&["move_pages", "tiering"], &rates, 5, 1);
-        let par = sweep_jobs(&["move_pages", "tiering"], &rates, 5, 4);
+        let seq = sweep(&["move_pages", "tiering"], &rates, 5, 1);
+        let par = sweep(&["move_pages", "tiering"], &rates, 5, 4);
         assert_eq!(seq, par);
     }
 }

@@ -39,22 +39,17 @@ pub struct Fig4Row {
     pub move_pages_nopatch_mbps: f64,
 }
 
-/// Run the sweep. Every measurement uses a fresh machine so earlier calls
-/// leave no warm state (mirrors the paper's per-size runs).
-pub fn run(page_counts: &[u64]) -> Vec<Fig4Row> {
-    run_jobs(page_counts, 1)
-}
-
 /// Below this many summed sweep pages, thread spawn/join costs more than
 /// the simulations and the sweep runs sequentially. The full paper sweep
 /// (1..16384, 32767 pages) stays parallel.
 const MIN_PARALLEL_SWEEP_PAGES: u64 = 16_384;
 
-/// [`run`] with the sweep items distributed over `jobs` host threads.
-/// Items are independent (fresh machine each), so the rows are identical
-/// to the sequential run's, in the same order — including when the
-/// work-threshold gate keeps a small sweep on the caller's thread.
-pub fn run_jobs(page_counts: &[u64], jobs: usize) -> Vec<Fig4Row> {
+/// Run the sweep, the items distributed over `jobs` host threads. Every
+/// measurement uses a fresh machine so earlier calls leave no warm state
+/// (mirrors the paper's per-size runs), and the rows are the same, in the
+/// same order, for any `jobs` — including when the work-threshold gate
+/// keeps a small sweep on the caller's thread.
+pub fn run(page_counts: &[u64], jobs: usize) -> Vec<Fig4Row> {
     threadpool::par_map_weighted(
         jobs,
         page_counts,
@@ -142,7 +137,7 @@ mod tests {
     #[test]
     fn fig4_shape_holds() {
         // A reduced sweep checking every comparative claim of §4.2.
-        let rows = run(&[16, 256, 2048, 8192]);
+        let rows = run(&[16, 256, 2048, 8192], 1);
         let large = rows.last().unwrap();
 
         // memcpy dominates everything.

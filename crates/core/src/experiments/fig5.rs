@@ -45,21 +45,16 @@ pub enum NtVariant {
     Kernel,
 }
 
-/// Run the sweep.
-pub fn run(page_counts: &[u64]) -> Vec<Fig5Row> {
-    run_jobs(page_counts, 1)
-}
-
 /// Below this many summed sweep pages, thread spawn/join costs more than
 /// the simulations and the sweep runs sequentially. The full paper sweep
 /// (4..4096, 8188 pages) stays parallel.
 const MIN_PARALLEL_SWEEP_PAGES: u64 = 4_096;
 
-/// [`run`] with the sweep items distributed over `jobs` host threads.
-/// Items are independent (fresh machine each), so the rows are identical
-/// to the sequential run's, in the same order — including when the
-/// work-threshold gate keeps a small sweep on the caller's thread.
-pub fn run_jobs(page_counts: &[u64], jobs: usize) -> Vec<Fig5Row> {
+/// Run the sweep, the items distributed over `jobs` host threads. Items
+/// are independent (fresh machine each), so the rows are the same, in the
+/// same order, for any `jobs` — including when the work-threshold gate
+/// keeps a small sweep on the caller's thread.
+pub fn run(page_counts: &[u64], jobs: usize) -> Vec<Fig5Row> {
     threadpool::par_map_weighted(
         jobs,
         page_counts,
@@ -159,7 +154,7 @@ mod tests {
 
     #[test]
     fn fig5_shape_holds() {
-        let rows = run(&[16, 256, 2048]);
+        let rows = run(&[16, 256, 2048], 1);
         let large = rows.last().unwrap();
         let small = &rows[0];
 

@@ -34,23 +34,18 @@ pub struct Fig7Row {
     pub lazy_mbps: Vec<f64>,
 }
 
-/// Run the sweep with 1..=`max_threads` threads (the paper uses 4 — one
-/// per core of the destination node).
-pub fn run(page_counts: &[u64], max_threads: usize) -> Vec<Fig7Row> {
-    run_jobs(page_counts, max_threads, 1)
-}
-
 /// Below this many summed sweep pages the pool's spawn/join overhead
 /// outweighs the simulation work and the sweep runs sequentially (the
 /// quick four-point sweep measured *slower* at `--jobs 4` than at 1).
 /// The full paper sweep (64..32768, 65472 pages) stays parallel.
 const MIN_PARALLEL_SWEEP_PAGES: u64 = 32_768;
 
-/// [`run`] with the sweep items distributed over `jobs` host threads.
-/// Items are independent (fresh machine each), so the rows are identical
-/// to the sequential run's, in the same order — including when the
+/// Run the sweep with 1..=`max_threads` threads (the paper uses 4 — one
+/// per core of the destination node), the items distributed over `jobs`
+/// host threads. Items are independent (fresh machine each), so the rows
+/// are the same, in the same order, for any `jobs` — including when the
 /// work-threshold gate keeps a small sweep on the caller's thread.
-pub fn run_jobs(page_counts: &[u64], max_threads: usize, jobs: usize) -> Vec<Fig7Row> {
+pub fn run(page_counts: &[u64], max_threads: usize, jobs: usize) -> Vec<Fig7Row> {
     threadpool::par_map_weighted(
         jobs,
         page_counts,
@@ -140,7 +135,7 @@ mod tests {
 
     #[test]
     fn fig7_shape_holds() {
-        let rows = run(&[128, 16384], 4);
+        let rows = run(&[128, 16384], 4, 1);
         let small = &rows[0]; // 512 kB
         let large = &rows[1]; // 64 MB
 
@@ -168,7 +163,7 @@ mod tests {
 
     #[test]
     fn monotone_in_threads_for_large_buffers() {
-        let rows = run(&[8192], 4);
+        let rows = run(&[8192], 4, 1);
         let r = &rows[0];
         for t in 1..4 {
             assert!(

@@ -48,15 +48,10 @@ pub fn run_case(n: u64) -> Fig8Row {
     }
 }
 
-/// Run the whole sweep.
-pub fn run(sizes: &[u64]) -> Vec<Fig8Row> {
-    run_jobs(sizes, 1)
-}
-
-/// [`run`] with the sweep items distributed over `jobs` host threads.
-/// Items are independent (fresh machine each), so the rows are identical
-/// to the sequential run's, in the same order.
-pub fn run_jobs(sizes: &[u64], jobs: usize) -> Vec<Fig8Row> {
+/// Run the whole sweep, the items distributed over `jobs` host threads.
+/// Items are independent (fresh machine each), so the rows are the same,
+/// in the same order, for any `jobs`.
+pub fn run(sizes: &[u64], jobs: usize) -> Vec<Fig8Row> {
     threadpool::par_map(jobs, sizes, |_, &n| run_case(n))
 }
 
@@ -97,7 +92,7 @@ mod tests {
         // Doubling n is at least the cubic 8x; crossing the L3 boundary
         // at 512 adds a (paper-visible) super-cubic cliff on top because
         // all reuse traffic suddenly pays DRAM and NUMA costs.
-        let rows = run(&[256, 512]);
+        let rows = run(&[256, 512], 1);
         let ratio = rows[1].static_s / rows[0].static_s;
         assert!(
             (8.0..120.0).contains(&ratio),

@@ -275,14 +275,9 @@ pub fn run_case(strategy: &'static str, occupancy_pct: u32, seed: u64) -> Pressu
     first
 }
 
-/// The full sweep: every (strategy, occupancy) pair, in axis order.
-pub fn sweep(occupancies: &[u32], seed: u64) -> Vec<PressureRow> {
-    sweep_jobs(occupancies, seed, 1)
-}
-
-/// [`sweep`] distributed over `jobs` host threads; rows are identical
-/// to the sequential run's, in the same order.
-pub fn sweep_jobs(occupancies: &[u32], seed: u64, jobs: usize) -> Vec<PressureRow> {
+/// The full sweep: every (strategy, occupancy) pair, in axis order,
+/// distributed over `jobs` host threads; rows are the same for any `jobs`.
+pub fn sweep(occupancies: &[u32], seed: u64, jobs: usize) -> Vec<PressureRow> {
     let cases: Vec<(&'static str, u32)> = STRATEGIES
         .iter()
         .flat_map(|s| occupancies.iter().map(move |o| (*s, *o)))
@@ -298,7 +293,7 @@ mod tests {
 
     #[test]
     fn overcommit_degrades_gracefully_not_fatally() {
-        let rows = sweep(&default_occupancies(false), 0);
+        let rows = sweep(&default_occupancies(false), 0, 1);
         for r in &rows {
             assert_eq!(r.violations, 0, "{r:?}");
             if r.occupancy_pct <= 90 {
@@ -343,8 +338,8 @@ mod tests {
     #[test]
     fn sweep_rows_are_identical_across_jobs() {
         let occ = [75, 105];
-        let seq = sweep_jobs(&occ, 5, 1);
-        let par = sweep_jobs(&occ, 5, 4);
+        let seq = sweep(&occ, 5, 1);
+        let par = sweep(&occ, 5, 4);
         assert_eq!(seq, par);
     }
 }

@@ -158,15 +158,10 @@ fn case_work(workload: &str, size: u64) -> u64 {
     }
 }
 
-/// Run the given cells sequentially.
-pub fn run(cases: &[(&'static str, u64)]) -> Vec<PtreplRow> {
-    run_jobs(cases, 1)
-}
-
-/// [`run`] with the cells distributed over `jobs` host threads. Cells
-/// are independent (fresh machine each), so the rows are identical to
-/// the sequential run's, in the same order.
-pub fn run_jobs(cases: &[(&'static str, u64)], jobs: usize) -> Vec<PtreplRow> {
+/// Run the given cells, distributed over `jobs` host threads. Cells are
+/// independent (fresh machine each), so the rows are the same, in the
+/// same order, for any `jobs`.
+pub fn run(cases: &[(&'static str, u64)], jobs: usize) -> Vec<PtreplRow> {
     threadpool::par_map_weighted(
         jobs,
         cases,

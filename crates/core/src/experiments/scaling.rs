@@ -35,15 +35,11 @@ impl ScalingRow {
     }
 }
 
-/// Run the sweep over machine sizes at matrix dimension `n` per thread.
-pub fn run(n: u64) -> Vec<ScalingRow> {
-    run_jobs(n, 1)
-}
-
-/// [`run`] with the platforms distributed over `jobs` host threads.
-/// Platforms are independent (fresh machine each), so the rows are
-/// identical to the sequential run's, in the same order.
-pub fn run_jobs(n: u64, jobs: usize) -> Vec<ScalingRow> {
+/// Run the sweep over machine sizes at matrix dimension `n` per thread,
+/// the platforms distributed over `jobs` host threads. Platforms are
+/// independent (fresh machine each), so the rows are the same, in the
+/// same order, for any `jobs`.
+pub fn run(n: u64, jobs: usize) -> Vec<ScalingRow> {
     let platforms = [Platform::TwoNode, Platform::Opteron4P, Platform::EightNode];
     threadpool::par_map(jobs, &platforms, |_, &platform| run_platform(platform, n))
 }
@@ -84,7 +80,7 @@ mod tests {
 
     #[test]
     fn improvement_grows_with_machine_size() {
-        let rows = run(512);
+        let rows = run(512, 1);
         assert_eq!(rows.len(), 3);
         for w in rows.windows(2) {
             assert!(

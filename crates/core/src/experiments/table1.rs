@@ -75,19 +75,14 @@ pub fn run_case(n: u64, bs: u64) -> Table1Row {
     }
 }
 
-/// Run a list of cases.
-pub fn run(cases: &[(u64, u64)]) -> Vec<Table1Row> {
-    run_jobs(cases, 1)
-}
-
-/// [`run`] with the work distributed over `jobs` host threads. The unit
+/// Run a list of cases, distributed over `jobs` host threads. The unit
 /// of distribution is one (case, strategy) *cell*, not a whole row: each
 /// cell runs on its own fresh machine, so splitting a row's two
 /// strategies across workers changes nothing about the results while
 /// halving the longest schedulable unit (the biggest case's next-touch
 /// run no longer rides behind its static run on one worker). Rows are
-/// reassembled in case order — identical to the sequential run's.
-pub fn run_jobs(cases: &[(u64, u64)], jobs: usize) -> Vec<Table1Row> {
+/// reassembled in case order — identical for any `jobs`.
+pub fn run(cases: &[(u64, u64)], jobs: usize) -> Vec<Table1Row> {
     let cells: Vec<(u64, u64, MigrationStrategy)> = cases
         .iter()
         .flat_map(|&(n, bs)| {

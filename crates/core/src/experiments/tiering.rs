@@ -72,15 +72,10 @@ pub struct MechanismRow {
 /// slow-tier pages while the writers hammer the first `hot` of them.
 /// `seed` shuffles each writer's page traversal order — different seeds
 /// give different interleavings (and abort counts); equal seeds give
-/// byte-identical results.
-pub fn mechanism(writer_counts: &[usize], pages: u64, hot: u64, seed: u64) -> Vec<MechanismRow> {
-    mechanism_jobs(writer_counts, pages, hot, seed, 1)
-}
-
-/// [`mechanism`] with the writer counts distributed over `jobs` host
-/// threads. Items are independent (fresh machine each), so the rows are
-/// identical to the sequential run's, in the same order.
-pub fn mechanism_jobs(
+/// byte-identical results. The writer counts are distributed over `jobs`
+/// host threads; items are independent (fresh machine each), so the rows
+/// are the same, in the same order, for any `jobs`.
+pub fn mechanism(
     writer_counts: &[usize],
     pages: u64,
     hot: u64,
@@ -184,19 +179,10 @@ impl CapacityRow {
 /// hot set that starts in the slow tier, with (tiered) or without
 /// (static) a promotion daemon running between rounds. DRAM is shrunk to
 /// `dram_pages_per_node` pages per fast node so the crossover happens at
-/// simulation-sized working sets.
+/// simulation-sized working sets. The hot-set sizes are distributed over
+/// `jobs` host threads; items are independent (fresh machine each), so
+/// the rows are the same, in the same order, for any `jobs`.
 pub fn capacity_sweep(
-    hot_page_counts: &[u64],
-    dram_pages_per_node: u64,
-    rounds: usize,
-) -> Vec<CapacityRow> {
-    capacity_sweep_jobs(hot_page_counts, dram_pages_per_node, rounds, 1)
-}
-
-/// [`capacity_sweep`] with the hot-set sizes distributed over `jobs` host
-/// threads. Items are independent (fresh machine each), so the rows are
-/// identical to the sequential run's, in the same order.
-pub fn capacity_sweep_jobs(
     hot_page_counts: &[u64],
     dram_pages_per_node: u64,
     rounds: usize,
@@ -287,7 +273,7 @@ mod tests {
 
     #[test]
     fn transactional_beats_stop_the_world_for_writers() {
-        let rows = mechanism(&[4], 256, 64, 0);
+        let rows = mechanism(&[4], 256, 64, 0, 1);
         let r = &rows[0];
         assert!(
             r.txn_writer_ns < r.stw_writer_ns,
@@ -312,7 +298,7 @@ mod tests {
     #[test]
     fn capacity_crossover_where_hot_set_exceeds_dram() {
         // DRAM: 4 x 512 = 2048 pages. Hot sets: half of DRAM vs 4x DRAM.
-        let rows = capacity_sweep(&[1024, 8192], 512, 4);
+        let rows = capacity_sweep(&[1024, 8192], 512, 4, 1);
         let fits = &rows[0];
         let over = &rows[1];
         assert!(

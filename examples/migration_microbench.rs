@@ -11,7 +11,7 @@ use numa_migrate::experiments::{fig4, fig5, fig7};
 fn main() {
     let pages = 2048u64; // 8 MB
     println!("== synchronous migration of {pages} pages (8 MB), node #0 -> #1 ==\n");
-    let rows = fig4::run(&[pages]);
+    let rows = fig4::run(&[pages], 1);
     let r = &rows[0];
     println!("user-space memcpy            {:>8.1} MB/s", r.memcpy_mbps);
     println!(
@@ -33,7 +33,7 @@ fn main() {
     );
 
     println!("== next-touch migration of the same buffer ==\n");
-    let rows = fig5::run(&[pages]);
+    let rows = fig5::run(&[pages], 1);
     let r = &rows[0];
     println!(
         "user-space (mprotect+SIGSEGV+move_pages)  {:>8.1} MB/s",
@@ -49,7 +49,7 @@ fn main() {
     );
 
     println!("== lazy migration with 1-4 threads on the destination node ==\n");
-    let rows = fig7::run(&[16384], 4);
+    let rows = fig7::run(&[16384], 4, 1);
     let r = &rows[0];
     for t in 0..4 {
         println!(

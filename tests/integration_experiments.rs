@@ -12,7 +12,7 @@ use numa_migrate::stats::CostComponent;
 /// above all of them.
 #[test]
 fn figure4_claims() {
-    let rows = fig4::run(&[512, 8192]);
+    let rows = fig4::run(&[512, 8192], 1);
     let large = &rows[1];
     assert!((500.0..700.0).contains(&large.move_pages_mbps));
     assert!((650.0..860.0).contains(&large.migrate_pages_mbps));
@@ -28,7 +28,7 @@ fn figure4_claims() {
 /// maps the move_pages performance".
 #[test]
 fn figure5_claims() {
-    let rows = fig5::run(&[16, 1024]);
+    let rows = fig5::run(&[16, 1024], 1);
     let small = &rows[0];
     let large = &rows[1];
     assert!(
@@ -70,7 +70,7 @@ fn figure6_claims() {
 /// "remains much lower than a regular memory copy".
 #[test]
 fn figure7_claims() {
-    let rows = fig7::run(&[64, 16384], 4);
+    let rows = fig7::run(&[64, 16384], 4, 1);
     let small = &rows[0];
     let large = &rows[1];
     assert!(
