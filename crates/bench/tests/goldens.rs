@@ -2,7 +2,9 @@
 //! [`EXPERIMENTS`] row is regenerated in-process and must reproduce its
 //! committed file under `results/` byte for byte. Output does not depend
 //! on host threads, so the pins are spread over `threadpool::par_map`.
-//! Heavy pins run only under `--ignored`, which the scheduled
+//! The non-heavy pins fall into [`Group`]s, one test each: the quick
+//! `--json` documents, `chaos --full`, `multitenant --full`, and every
+//! other pin. Heavy pins run only under `--ignored`, which the scheduled
 //! `goldens-heavy` workflow does in release. The completeness test keeps
 //! `results/`, the pins and `ci/golden_checksums.sha256` in step, so
 //! adding a pinned output is one row edit in the registry.
@@ -38,11 +40,34 @@ fn regenerate(exp: &'static Experiment, pin: &Pin) -> String {
     }
 }
 
-/// Regenerate every pin whose `heavy` bit is `heavy` and assert that
-/// each matches its committed file.
-fn check_pins(heavy: bool) {
-    let pins: Vec<_> = pins().filter(|(_, p)| p.heavy == heavy).collect();
-    assert!(!pins.is_empty(), "no pins with heavy = {heavy}");
+/// Which golden test regenerates a pin. Every pin is in exactly one
+/// group, so the tests together cover the whole registry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Group {
+    /// The `--json` document of a run without flags.
+    QuickJson,
+    ChaosFull,
+    MultitenantFull,
+    /// Any other non-heavy pin, such as the `--full` texts.
+    Other,
+    Heavy,
+}
+
+fn group(pin: &Pin) -> Group {
+    match pin.file {
+        _ if pin.heavy => Group::Heavy,
+        "chaos_full.json" => Group::ChaosFull,
+        "multitenant_full.json" => Group::MultitenantFull,
+        file if file.ends_with(".json") && pin.args.is_empty() => Group::QuickJson,
+        _ => Group::Other,
+    }
+}
+
+/// Regenerate every pin in `which` and assert that each matches its
+/// committed file.
+fn check_pins(which: Group) {
+    let pins: Vec<_> = pins().filter(|(_, p)| group(p) == which).collect();
+    assert!(!pins.is_empty(), "no pins in {which:?}");
     let jobs = threadpool::available_parallelism();
     let same = threadpool::par_map(jobs, &pins, |_, &(exp, pin)| {
         let path = format!("{ROOT}/results/{}", pin.file);
@@ -70,14 +95,31 @@ fn check_pins(heavy: bool) {
 }
 
 #[test]
+fn quick_json_matches_committed_results() {
+    check_pins(Group::QuickJson);
+}
+
+#[test]
+fn chaos_full_json_matches_committed_results() {
+    check_pins(Group::ChaosFull);
+}
+
+#[test]
+fn multitenant_full_json_matches_committed_results() {
+    // The one cheap run whose L3-thrash flush fires (`flush_windows` 2),
+    // and a long run of the engine's horizon-gated windows.
+    check_pins(Group::MultitenantFull);
+}
+
+#[test]
 fn pinned_outputs_match_committed_results() {
-    check_pins(false);
+    check_pins(Group::Other);
 }
 
 #[test]
 #[ignore = "paper-size run, minutes even in release; the scheduled goldens-heavy workflow runs it"]
 fn heavy_pinned_outputs_match_committed_results() {
-    check_pins(true);
+    check_pins(Group::Heavy);
 }
 
 #[test]
