@@ -19,7 +19,7 @@ use std::env;
 /// The flags, as `--help` prints them after `usage: <binary> `.
 const USAGE: &str = "[--csv] [--full] [--seed <u64>] [--trace <file>] [--json <file>] \
 [--jobs <n>] [--shards <n>] | --list
-  --csv           emit CSV instead of an aligned table
+  --csv           print each table as CSV (stdout holds only CSV; titles go to stderr)
   --full          run the paper-sized sweep (slower)
   --seed <n>      workload seed (default 0); same seed, same table
   --trace <file>  write a Chrome/Perfetto event trace
@@ -32,7 +32,7 @@ const USAGE: &str = "[--csv] [--full] [--seed <u64>] [--trace <file>] [--json <f
 /// Parsed common command-line options.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
-    /// Emit CSV instead of the aligned table.
+    /// Print each table as a CSV block on stdout, titles on stderr.
     pub csv: bool,
     /// Run the full paper-sized parameter sweep (default: a reduced sweep
     /// that finishes in seconds).

@@ -6,8 +6,9 @@
 //! [`RunOutput::table`] (which both prints it and records it), and
 //! `main` calls [`RunOutput::finish`] at the end. With neither `--json`
 //! nor `--trace` given, `finish` is a no-op beyond the printing already
-//! done. Everything a row prints goes through [`RunOutput::print`], so
-//! [`RunOutput::stdout`] is the exact text of its run.
+//! done. Rows print only through [`RunOutput::table`] and
+//! [`RunOutput::note`], so [`RunOutput::stdout`] is the exact stdout of
+//! its run.
 
 use crate::{Experiment, Options};
 use numa_migrate::stats::{Json, Table};
@@ -37,22 +38,34 @@ impl RunOutput {
     }
 
     /// Print `text` verbatim and keep it as part of [`RunOutput::stdout`].
-    pub(crate) fn print(&mut self, text: &str) {
+    fn print(&mut self, text: &str) {
         print!("{text}");
         self.stdout.push_str(text);
     }
 
-    /// Print `table` under `title` (honouring `--csv`) and record it for
-    /// the `--json` file. The title is printed verbatim followed by a
-    /// blank line; embed a leading `\n` for visual separation between
-    /// consecutive tables.
-    pub fn table(&mut self, title: &str, table: &Table) {
-        let body = if self.opts.csv {
-            table.to_csv()
+    /// Print prose that is not a table: to stdout, or to stderr under
+    /// `--csv` so that stdout holds only CSV.
+    pub(crate) fn note(&mut self, text: &str) {
+        if self.opts.csv {
+            eprint!("{text}");
         } else {
-            table.to_string()
-        };
-        self.print(&format!("{title}\n\n{body}"));
+            self.print(text);
+        }
+    }
+
+    /// Print `table` under `title` and record it for the `--json` file.
+    /// The title is printed verbatim followed by a blank line; embed a
+    /// leading `\n` for visual separation between consecutive tables.
+    /// Under `--csv` the title goes to stderr and stdout gets one CSV
+    /// block per table, blocks separated by one blank line.
+    pub fn table(&mut self, title: &str, table: &Table) {
+        if self.opts.csv {
+            self.note(&format!("{title}\n"));
+            let sep = if self.tables.is_empty() { "" } else { "\n" };
+            self.print(&format!("{sep}{}", table.to_csv()));
+        } else {
+            self.print(&format!("{title}\n\n{table}"));
+        }
         self.tables.push((title.trim().to_string(), table.clone()));
     }
 

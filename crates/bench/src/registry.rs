@@ -168,7 +168,7 @@ fn fig3(_opts: &Options, out: &mut RunOutput) {
     let topo = m.topology();
     let cost = topo.cost();
 
-    out.print(&format!(
+    out.note(&format!(
         "The experimentation host: {} nodes x {} cores ({} total), \
          {:.1} GHz, {} GB + {} MB L3 per node\n\n",
         topo.node_count(),

@@ -242,14 +242,7 @@ pub fn hooked_vs_auto(buf_pages: u64, phases: usize) -> (u64, u64, u64) {
         setup::populate_on_node(&mut m, &buf, NodeId(0));
         let team = numa_rt::Team::all_cores(&m);
         let nthreads = team.len();
-        let mut auto_state = numa_rt::AutoBalanceState::new(
-            numa_rt::AutoBalance {
-                period: 1,
-                sample_percent: 30,
-                seed: 11,
-            },
-            vec![buf],
-        );
+        let mut auto_state = numa_rt::AutoBalanceState::new(vec![buf]);
         let mut plan = numa_rt::WorkPlan::new();
         for phase in 0..phases {
             match mode {

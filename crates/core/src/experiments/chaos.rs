@@ -21,7 +21,7 @@
 //! state corrupt?
 
 use numa_machine::{Machine, MemAccessKind, Op, RunResult, ThreadSpec};
-use numa_rt::{setup, Buffer, RetryPolicy, UserNextTouch};
+use numa_rt::{setup, Buffer, UserNextTouch};
 use numa_sim::FaultPlan;
 use numa_stats::Counter;
 use numa_topology::{CoreId, NodeId};
@@ -255,8 +255,8 @@ fn run_kernel_nt(seed: u64, rate_ppm: u32) -> CaseOutput {
 }
 
 /// User-space next-touch: mark with the SIGSEGV library, then touch from
-/// a node-3 core; the handler's `move_pages` runs under the retry
-/// policy.
+/// a node-3 core; the handler re-issues busy pages a few times before
+/// leaving them on their source node.
 fn run_user_nt(seed: u64, rate_ppm: u32) -> CaseOutput {
     let mut machine = Machine::opteron_4p();
     let buf = Buffer::alloc(&mut machine, PAGES * PAGE_SIZE);
@@ -264,7 +264,7 @@ fn run_user_nt(seed: u64, rate_ppm: u32) -> CaseOutput {
     machine
         .kernel
         .set_fault_plan(FaultPlan::chaos(seed, rate_ppm));
-    let nt = UserNextTouch::with_retry_policy(RetryPolicy::default());
+    let nt = UserNextTouch::new();
     machine.set_segv_handler(nt.handler());
     let toucher = CoreId(12);
     let dest = machine.node_of_core(toucher);

@@ -130,10 +130,7 @@ pub fn config(shards: usize, jobs: usize) -> ShardConfig {
 /// host parallelism.
 pub fn run(tenants: usize, seed: u64, shards: usize, jobs: usize) -> MultitenantOutcome {
     let topo = Arc::new(presets::opteron_4p());
-    let profile = TenantProfile {
-        seed,
-        ..TenantProfile::default()
-    };
+    let profile = TenantProfile { seed };
     let r = run_sharded(&topo, tenants, &config(shards, jobs), |id| {
         build_tenant(&topo, id, &profile)
     });

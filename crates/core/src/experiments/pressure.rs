@@ -33,7 +33,7 @@ use numa_machine::{Machine, MemAccessKind, Op, ThreadSpec};
 use numa_rt::Buffer;
 use numa_sim::FaultPlan;
 use numa_stats::Counter;
-use numa_tier::ReclaimDaemon;
+use numa_tier::reclaim_wake;
 use numa_topology::{presets, CoreId, CostModel, NodeId};
 use numa_vm::{VirtAddr, PAGE_SIZE};
 use std::sync::Arc;
@@ -215,8 +215,7 @@ pub fn execute(strategy: &'static str, occupancy_pct: u32, seed: u64) -> Pressur
         "tier" => {
             // One kreclaimd wake-up: demote cold pages off every DRAM
             // node sitting below its low watermark, then stream.
-            let mut daemon = ReclaimDaemon::new(32, true);
-            let ops = daemon.wake(&m);
+            let ops = reclaim_wake(&m);
             if !ops.is_empty() {
                 makespan_ns += m
                     .run(vec![ThreadSpec::scripted(CoreId(0), ops)], &[])

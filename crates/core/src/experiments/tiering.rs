@@ -22,7 +22,7 @@
 
 use numa_machine::{Machine, MemAccessKind, Op, ThreadSpec};
 use numa_stats::Counter;
-use numa_tier::{ThresholdPolicy, TierDaemon};
+use numa_tier::tier_wake;
 use numa_topology::{CoreId, NodeId};
 use numa_vm::{MemPolicy, VirtAddr, PAGE_SIZE};
 
@@ -226,15 +226,6 @@ fn measure_capacity(
 ) -> (u64, u64) {
     let (mut machine, addr) =
         slow_resident_buffer(capacity_machine(dram_pages_per_node), hot_pages);
-    let mut daemon = TierDaemon::new(
-        Box::new(ThresholdPolicy {
-            promote_min: 4,
-            demote_max: 0,
-            max_moves: usize::MAX,
-        }),
-        true,
-    );
-    daemon.batch = usize::MAX;
     let mut total_ns = 0u64;
     for _ in 0..rounds {
         machine.flush_caches();
@@ -253,7 +244,7 @@ fn measure_capacity(
             // The daemon wake-up: classify on live heat, then migrate.
             // Its time is charged to the tiered total — promotion is not
             // free.
-            let ops = daemon.wake(&machine);
+            let ops = tier_wake(&machine);
             if !ops.is_empty() {
                 let spec = ThreadSpec::scripted(CoreId(0), ops);
                 total_ns += machine.run(vec![spec], &[]).makespan.ns();

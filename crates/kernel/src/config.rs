@@ -17,9 +17,6 @@ pub struct KernelConfig {
     /// Whether `madvise(MADV_MIGRATE_NEXT_TOUCH)` and the fault-path
     /// migration are available (§3.3).
     pub kernel_next_touch: bool,
-    /// Extension (paper §6 future work): allow next-touch on shared
-    /// mappings and file mappings, not only private anonymous memory.
-    pub next_touch_shared: bool,
     /// Extension (paper §6 future work): huge-page (2 MB) migration.
     pub huge_page_migration: bool,
     /// Extension (paper §6 future work): replication of read-only pages
@@ -41,7 +38,6 @@ impl Default for KernelConfig {
         KernelConfig {
             patched_move_pages: true,
             kernel_next_touch: true,
-            next_touch_shared: false,
             huge_page_migration: false,
             replication: false,
             tiering: false,

@@ -14,8 +14,8 @@
 //! * [`Kernel::evacuate_page_step`] — one page of a node hot-remove,
 //!   with the same typed partial-failure statuses as `move_pages(2)`;
 //! * [`Kernel::watchdog_allow_retry`] — a virtual-time livelock
-//!   watchdog over the retry machinery (engine `move_pages` retries,
-//!   next-touch move retries, tier deferred retries): when a window
+//!   watchdog over the retry machinery (engine `move_pages` retries and
+//!   the user-space next-touch handler's re-issues): when a window
 //!   passes with retries but zero migration progress, further retries
 //!   are denied and the callers degrade instead of spinning forever.
 //!
@@ -37,6 +37,9 @@ use numa_stats::{Breakdown, CostComponent, Counter};
 use numa_topology::{MemTier, NodeId};
 use numa_vm::{AddressSpace, FrameAllocator, PteFlags};
 use serde::{Deserialize, Serialize};
+
+/// Most pages one direct-reclaim pass will scan.
+const RECLAIM_BATCH: usize = 32;
 
 /// Tuning of the retry-livelock watchdog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,30 +64,17 @@ impl Default for WatchdogConfig {
 /// Memory-pressure feature switches. All off by default: the pressure
 /// ladder only runs in the experiments that opt in, and a disabled
 /// setting costs one branch on the paths it guards.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PressureSettings {
     /// Direct reclaim on allocation failure and below-min allocations
     /// (the `__alloc_pages` slow path).
     pub reclaim: bool,
-    /// Most pages one reclaim pass will scan.
-    pub reclaim_batch: u32,
     /// Kill the faulting thread on an unservable allocation instead of
     /// aborting the simulation (the machine layer's analogue of the OOM
     /// killer with `oom_kill_allocating_task=1`).
     pub oom_kill: bool,
     /// Retry-livelock watchdog; `None` disables it.
     pub watchdog: Option<WatchdogConfig>,
-}
-
-impl Default for PressureSettings {
-    fn default() -> Self {
-        PressureSettings {
-            reclaim: false,
-            reclaim_batch: 32,
-            oom_kill: false,
-            watchdog: None,
-        }
-    }
 }
 
 impl PressureSettings {
@@ -95,7 +85,6 @@ impl PressureSettings {
             reclaim: true,
             oom_kill: true,
             watchdog: Some(WatchdogConfig::default()),
-            ..PressureSettings::default()
         }
     }
 }
@@ -171,8 +160,8 @@ impl Kernel {
     }
 
     /// Has the watchdog fired (and not been re-armed by progress)?
-    /// Read-only probe for daemons that drop deferred work instead of
-    /// retrying it.
+    /// Read-only probe for the reclaim daemon, which skips its wake-ups
+    /// while the watchdog is tripped.
     pub fn watchdog_fired(&self) -> bool {
         self.config.pressure.watchdog.is_some() && self.watchdog.fired
     }
@@ -262,7 +251,7 @@ impl Kernel {
                     && frames.node_of(pte.frame) == node
             })
             .map(|(vpn, _)| vpn)
-            .take(self.config.pressure.reclaim_batch as usize)
+            .take(RECLAIM_BATCH)
             .collect();
         for vpn in victims {
             // Enough: back above low (with watermarks) or one frame free

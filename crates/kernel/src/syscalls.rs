@@ -316,20 +316,16 @@ impl Kernel {
             return Err(VmError::Unsupported("kernel next-touch disabled"));
         }
         // The paper's implementation only supports private anonymous
-        // memory (§6); the extension lifts that.
-        if !self.config.next_touch_shared {
-            let mut vpn = range.start_vpn;
-            while vpn < range.end_vpn {
-                let Some(vma) = space.find_vma(VirtAddr::from_vpn(vpn)) else {
-                    return Err(VmError::NoVma(VirtAddr::from_vpn(vpn)));
-                };
-                if vma.kind != VmaKind::PrivateAnonymous {
-                    return Err(VmError::Unsupported(
-                        "next-touch on non-private mapping (enable next_touch_shared)",
-                    ));
-                }
-                vpn = vma.range.end_vpn;
+        // memory (§6).
+        let mut vpn = range.start_vpn;
+        while vpn < range.end_vpn {
+            let Some(vma) = space.find_vma(VirtAddr::from_vpn(vpn)) else {
+                return Err(VmError::NoVma(VirtAddr::from_vpn(vpn)));
+            };
+            if vma.kind != VmaKind::PrivateAnonymous {
+                return Err(VmError::Unsupported("next-touch on non-private mapping"));
             }
+            vpn = vma.range.end_vpn;
         }
 
         self.trace

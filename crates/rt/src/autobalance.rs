@@ -7,116 +7,82 @@
 //! periodically unmaps sampled pages so the next touch faults, and
 //! migrates pages that fault from a remote node.
 //!
-//! [`AutoBalance`] retrofits that behaviour onto any [`crate::WorkPlan`]: every
-//! `period` phases it splices in a scanner phase that next-touch-marks a
-//! *sample* of the registered buffers' pages. Comparing it against the
-//! paper's explicit hooks quantifies what the hint is worth: the explicit
-//! hook marks exactly the data about to be used, the sampler spends faults
-//! on data that never moves and misses data that should.
+//! [`AutoBalanceState`] retrofits that behaviour onto any
+//! [`crate::WorkPlan`]: before every phase it splices in a scanner phase
+//! that next-touch-marks a *sample* of the registered buffers' pages.
+//! Comparing it against the paper's explicit hooks quantifies what the
+//! hint is worth: the explicit hook marks exactly the data about to be
+//! used, the sampler spends faults on data that never moves and misses
+//! data that should.
 
 use crate::buffer::Buffer;
 use numa_machine::Op;
 use numa_sim::Splitmix64;
 use numa_vm::PageRange;
 
-/// Configuration of the automatic balancer.
-#[derive(Debug, Clone)]
-pub struct AutoBalance {
-    /// Insert a scan every this many plan phases.
-    pub period: usize,
-    /// Fraction of each buffer's pages marked per scan, in percent
-    /// (AutoNUMA's task_scan_size analogue).
-    pub sample_percent: u64,
-    /// PRNG seed for sample selection.
-    pub seed: u64,
-}
+/// Fraction of each buffer's pages marked per scan, in percent
+/// (AutoNUMA's task_scan_size analogue).
+const SAMPLE_PERCENT: u64 = 30;
 
-impl Default for AutoBalance {
-    fn default() -> Self {
-        AutoBalance {
-            period: 2,
-            sample_percent: 25,
-            seed: 0x5ca1ab1e,
+/// PRNG seed for sample selection.
+const SAMPLE_SEED: u64 = 11;
+
+/// The marking ops of one scan over `buffers`: a deterministic random
+/// sample of page runs, [`SAMPLE_PERCENT`] of each buffer.
+fn scan_ops(buffers: &[Buffer], scan_index: u64) -> Vec<Op> {
+    let mut rng = Splitmix64::new(SAMPLE_SEED ^ scan_index.wrapping_mul(0x9E37));
+    let mut ops = Vec::new();
+    for b in buffers {
+        let range = b.page_range();
+        let pages = range.pages();
+        if pages == 0 {
+            continue;
+        }
+        let want = (pages * SAMPLE_PERCENT).div_ceil(100).max(1);
+        // Mark `want` pages as a handful of contiguous runs (the
+        // scanner walks VMAs linearly, so samples are runs, not
+        // scattered single pages).
+        let runs = want.div_ceil(16).max(1);
+        let run_len = want.div_ceil(runs);
+        for _ in 0..runs {
+            let start = range.start_vpn + rng.below(pages);
+            let end = (start + run_len).min(range.end_vpn);
+            ops.push(Op::MadviseNextTouch {
+                range: PageRange::new(start, end),
+            });
         }
     }
-}
-
-impl AutoBalance {
-    /// The marking ops of one scan over `buffers`: a deterministic random
-    /// sample of page runs, `sample_percent` of each buffer.
-    pub fn scan_ops(&self, buffers: &[Buffer], scan_index: u64) -> Vec<Op> {
-        let mut rng = Splitmix64::new(self.seed ^ scan_index.wrapping_mul(0x9E37));
-        let mut ops = Vec::new();
-        for b in buffers {
-            let range = b.page_range();
-            let pages = range.pages();
-            if pages == 0 {
-                continue;
-            }
-            let want = (pages * self.sample_percent).div_ceil(100).max(1);
-            // Mark `want` pages as a handful of contiguous runs (the
-            // scanner walks VMAs linearly, so samples are runs, not
-            // scattered single pages).
-            let runs = want.div_ceil(16).max(1);
-            let run_len = want.div_ceil(runs);
-            for _ in 0..runs {
-                let start = range.start_vpn + rng.below(pages);
-                let end = (start + run_len).min(range.end_vpn);
-                ops.push(Op::MadviseNextTouch {
-                    range: PageRange::new(start, end),
-                });
-            }
-        }
-        ops
-    }
+    ops
 }
 
 /// Splice automatic scans into a plan-building loop: call
 /// [`AutoBalanceState::maybe_scan`] once per phase you append; it returns
-/// the scanner ops to prepend (as a `single` phase) when a scan is due.
+/// the scanner ops to prepend (as a `single` phase).
 #[derive(Debug)]
 pub struct AutoBalanceState {
-    config: AutoBalance,
     buffers: Vec<Buffer>,
-    phase_count: usize,
     scan_count: u64,
 }
 
 impl AutoBalanceState {
-    /// Track `buffers` with the given configuration.
-    pub fn new(config: AutoBalance, buffers: Vec<Buffer>) -> Self {
+    /// Track `buffers`.
+    pub fn new(buffers: Vec<Buffer>) -> Self {
         AutoBalanceState {
-            config,
             buffers,
-            phase_count: 0,
             scan_count: 0,
         }
     }
 
-    /// Register another buffer mid-run (AutoNUMA scans whatever is
-    /// mapped).
-    pub fn track(&mut self, buffer: Buffer) {
-        self.buffers.push(buffer);
-    }
-
-    /// Advance one phase; when a scan is due, return its marking ops.
+    /// Advance one phase and return its scan's marking ops, or `None`
+    /// when the tracked buffers hold no pages.
     pub fn maybe_scan(&mut self) -> Option<Vec<Op>> {
-        self.phase_count += 1;
-        if self.config.period == 0 || !self.phase_count.is_multiple_of(self.config.period) {
-            return None;
-        }
         self.scan_count += 1;
-        let ops = self.config.scan_ops(&self.buffers, self.scan_count);
+        let ops = scan_ops(&self.buffers, self.scan_count);
         if ops.is_empty() {
             None
         } else {
             Some(ops)
         }
-    }
-
-    /// Scans performed so far.
-    pub fn scans(&self) -> u64 {
-        self.scan_count
     }
 }
 
@@ -138,9 +104,8 @@ mod tests {
     fn scan_ops_are_deterministic_and_bounded() {
         let mut m = Machine::two_node();
         let b = Buffer::alloc(&mut m, 64 * PAGE_SIZE);
-        let cfg = AutoBalance::default();
-        let a1 = cfg.scan_ops(&[b], 1);
-        let a2 = cfg.scan_ops(&[b], 1);
+        let a1 = scan_ops(&[b], 1);
+        let a2 = scan_ops(&[b], 1);
         assert_eq!(a1.len(), a2.len(), "same scan index, same sample");
         let marked: u64 = a1
             .iter()
@@ -149,10 +114,10 @@ mod tests {
                 _ => 0,
             })
             .sum();
-        // 25% of 64 pages, within run-rounding slack.
+        // 30% of 64 pages, within run-rounding slack.
         assert!((8..=24).contains(&marked), "marked {marked}");
         // Different scans sample differently.
-        let b1 = cfg.scan_ops(&[b], 2);
+        let b1 = scan_ops(&[b], 2);
         assert!(
             a1.iter()
                 .zip(&b1)
@@ -165,19 +130,20 @@ mod tests {
     fn periodic_scans_fire_on_schedule() {
         let mut m = Machine::two_node();
         let b = Buffer::alloc(&mut m, 16 * PAGE_SIZE);
-        let mut st = AutoBalanceState::new(
-            AutoBalance {
-                period: 3,
-                ..AutoBalance::default()
-            },
-            vec![b],
-        );
-        let fired: Vec<bool> = (0..9).map(|_| st.maybe_scan().is_some()).collect();
+        let mut st = AutoBalanceState::new(vec![b]);
+        let scans: Vec<String> = (0..4)
+            .filter_map(|_| st.maybe_scan())
+            .map(|ops| format!("{ops:?}"))
+            .collect();
+        assert_eq!(scans.len(), 4, "a scan before every phase");
         assert_eq!(
-            fired,
-            vec![false, false, true, false, false, true, false, false, true]
+            scans[0],
+            format!("{:?}", scan_ops(&[b], 1)),
+            "numbered from 1"
         );
-        assert_eq!(st.scans(), 3);
+        assert_eq!(scans[3], format!("{:?}", scan_ops(&[b], 4)));
+        // Nothing tracked, nothing to mark.
+        assert!(AutoBalanceState::new(Vec::new()).maybe_scan().is_none());
     }
 
     /// End-to-end: with all data parked on node 0 and all work on node 1,
@@ -189,14 +155,7 @@ mod tests {
         let mut m = Machine::opteron_4p();
         let buf = Buffer::alloc(&mut m, 128 * PAGE_SIZE);
         setup::populate_on_node(&mut m, &buf, NodeId(0));
-        let mut st = AutoBalanceState::new(
-            AutoBalance {
-                period: 1,
-                sample_percent: 30,
-                seed: 9,
-            },
-            vec![buf],
-        );
+        let mut st = AutoBalanceState::new(vec![buf]);
 
         let mut plan = WorkPlan::new();
         for _ in 0..10 {

@@ -23,14 +23,12 @@ pub mod buffer;
 pub mod lazy;
 pub mod next_touch;
 pub mod omp;
-pub mod retry;
 pub mod setup;
 pub mod tenant;
 
-pub use autobalance::{AutoBalance, AutoBalanceState};
+pub use autobalance::AutoBalanceState;
 pub use buffer::Buffer;
 pub use lazy::{MigrationStrategy, StrategyError};
 pub use next_touch::UserNextTouch;
 pub use omp::{Schedule, Team, WorkPlan};
-pub use retry::RetryPolicy;
 pub use tenant::{build_tenant, TenantProfile};

@@ -28,7 +28,6 @@
 //! ```
 
 use crate::buffer::Buffer;
-use crate::retry::RetryPolicy;
 use numa_kernel::PageStatus;
 use numa_machine::{Machine, Op, RunStats, SegvHandler};
 use numa_sim::{SimTime, TraceEventKind};
@@ -37,6 +36,17 @@ use numa_topology::CoreId;
 use numa_vm::{PageRange, Protection, VirtAddr};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// Re-issues of a transiently failed (`EBUSY`) page after the handler's
+/// first `move_pages` attempt, before the page is left on its source
+/// node.
+const RETRY_ATTEMPTS: u32 = 3;
+
+/// Virtual time waited before each re-issue, in ns — comfortably longer
+/// than a page copy, so a genuinely transient holder has time to drain.
+/// The wait extends the caller's makespan but is not charged to any cost
+/// component: it is idle time, not work.
+const RETRY_BACKOFF_NS: u64 = 5_000;
 
 /// One registered migrate-on-next-touch region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,23 +67,12 @@ type Registry = Rc<RefCell<Vec<Region>>>;
 #[derive(Debug, Clone, Default)]
 pub struct UserNextTouch {
     registry: Registry,
-    policy: RetryPolicy,
 }
 
 impl UserNextTouch {
-    /// A fresh runtime with an empty registry and the default
-    /// [`RetryPolicy`].
+    /// A fresh runtime with an empty registry.
     pub fn new() -> Self {
         UserNextTouch::default()
-    }
-
-    /// A runtime whose handler retries transiently failed pages per
-    /// `policy` before degrading (leaving them on their source node).
-    pub fn with_retry_policy(policy: RetryPolicy) -> Self {
-        UserNextTouch {
-            registry: Registry::default(),
-            policy,
-        }
     }
 
     /// The SIGSEGV handler to install via
@@ -81,7 +80,6 @@ impl UserNextTouch {
     pub fn handler(&self) -> Box<dyn SegvHandler> {
         Box::new(NtSegvHandler {
             registry: Rc::clone(&self.registry),
-            policy: self.policy,
         })
     }
 
@@ -123,15 +121,15 @@ impl UserNextTouch {
 
 struct NtSegvHandler {
     registry: Registry,
-    policy: RetryPolicy,
 }
 
 impl NtSegvHandler {
     /// Migrate `pages` to `dest`, re-issuing transiently failed (`EBUSY`)
-    /// pages per the retry policy, then degrading gracefully: pages that
-    /// keep failing — or the whole call, if the syscall itself errors —
-    /// stay on their source node and the workload keeps running. Returns
-    /// the virtual time the last attempt finished.
+    /// pages up to [`RETRY_ATTEMPTS`] times, [`RETRY_BACKOFF_NS`] apart,
+    /// then degrading gracefully: pages that keep failing — or the whole
+    /// call, if the syscall itself errors — stay on their source node and
+    /// the workload keeps running. Returns the virtual time the last
+    /// attempt finished.
     fn move_with_retry(
         &self,
         machine: &mut Machine,
@@ -143,7 +141,7 @@ impl NtSegvHandler {
     ) -> SimTime {
         let mut t = now;
         let mut pending = pages;
-        let mut attempts_left = self.policy.max_attempts;
+        let mut attempts_left = RETRY_ATTEMPTS;
         loop {
             let dest_nodes = vec![dest; pending.len()];
             let r = match machine.kernel.move_pages(
@@ -218,7 +216,7 @@ impl NtSegvHandler {
                 );
             }
             attempts_left -= 1;
-            t += self.policy.backoff_ns;
+            t += RETRY_BACKOFF_NS;
             pending = busy;
         }
     }
@@ -257,7 +255,7 @@ impl SegvHandler for NtSegvHandler {
         let dest = machine.node_of_core(core);
         // Migrate the whole region to the toucher's node with the
         // (patched) move_pages — region granularity is the point (§3.4).
-        // Transient failures are retried per the policy; pages that keep
+        // Transient failures are retried a few times; pages that keep
         // failing stay put and the workload continues.
         let pages: Vec<VirtAddr> = region.range.iter().map(VirtAddr::from_vpn).collect();
         let moved_end = self.move_with_retry(machine, now, core, pages, dest, stats);

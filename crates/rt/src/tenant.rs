@@ -19,31 +19,27 @@ use numa_topology::{CoreId, Topology};
 use numa_vm::{MemPolicy, PAGE_SIZE};
 use std::sync::Arc;
 
-/// Shape of one tenant's churn, all knobs in pages/ops.
+/// mmap → churn → munmap cycles per tenant.
+const GENERATIONS: usize = 2;
+/// Smallest per-generation buffer, in pages.
+const MIN_PAGES: u64 = 3;
+/// Largest per-generation buffer, in pages (inclusive).
+const MAX_PAGES: u64 = 6;
+/// Upper bound on the initial stagger and inter-phase think time, ns.
+const THINK_NS: u64 = 4_000;
+
+/// What varies between churn workloads: the seed behind every tenant's
+/// sizes, cores and think times.
 #[derive(Debug, Clone)]
 pub struct TenantProfile {
     /// Workload seed; combined with the tenant id so every tenant is
     /// distinct but reproducible.
     pub seed: u64,
-    /// mmap → churn → munmap cycles per tenant.
-    pub generations: usize,
-    /// Smallest per-generation buffer, in pages.
-    pub min_pages: u64,
-    /// Largest per-generation buffer, in pages (inclusive).
-    pub max_pages: u64,
-    /// Upper bound on the initial stagger and inter-phase think time, ns.
-    pub think_ns: u64,
 }
 
 impl Default for TenantProfile {
     fn default() -> Self {
-        TenantProfile {
-            seed: 0x7e4a_4475,
-            generations: 2,
-            min_pages: 3,
-            max_pages: 6,
-            think_ns: 4_000,
-        }
+        TenantProfile { seed: 0x7e4a_4475 }
     }
 }
 
@@ -64,16 +60,16 @@ pub fn build_tenant(topo: &Arc<Topology>, id: usize, profile: &TenantProfile) ->
     let away = CoreId(((home.0 as u64 + 1 + rng.below(cores - 1)) % cores) as u16);
 
     let mut ops = Vec::new();
-    ops.push(Op::ComputeNs(1 + rng.below(profile.think_ns.max(1))));
-    for _ in 0..profile.generations {
-        let pages = profile.min_pages + rng.below(profile.max_pages - profile.min_pages + 1);
+    ops.push(Op::ComputeNs(1 + rng.below(THINK_NS)));
+    for _ in 0..GENERATIONS {
+        let pages = MIN_PAGES + rng.below(MAX_PAGES - MIN_PAGES + 1);
         let bytes = pages * PAGE_SIZE;
         let buf = machine.alloc(bytes, MemPolicy::FirstTouch);
         let range = machine.space.find_vma(buf).expect("fresh mapping").range;
 
         // Populate on the home core (first touch places the frames).
         ops.push(Op::write(buf, bytes, MemAccessKind::Stream));
-        ops.push(Op::ComputeNs(1 + rng.below(profile.think_ns.max(1))));
+        ops.push(Op::ComputeNs(1 + rng.below(THINK_NS)));
         // Mark a prefix for kernel next-touch, move to the away core, and
         // re-touch everything: marked pages migrate inside their faults
         // and land local; the unmarked tail stays home and is accessed
@@ -96,7 +92,7 @@ pub fn build_tenant(topo: &Arc<Topology>, id: usize, profile: &TenantProfile) ->
         // cross the interconnect (the remote-access cost the churn pays
         // for placing data near the *next* phase instead of this one).
         ops.push(Op::read(buf, moved * PAGE_SIZE, MemAccessKind::Random));
-        ops.push(Op::ComputeNs(1 + rng.below(profile.think_ns.max(1))));
+        ops.push(Op::ComputeNs(1 + rng.below(THINK_NS)));
         // Generation over: give the frames back.
         ops.push(Op::Munmap { addr: buf });
         ops.push(Op::MigrateThread { to: home });

@@ -1,47 +1,50 @@
-//! Pluggable hot/cold classification policies.
+//! Hot/cold classification over decayed per-page heat.
 //!
-//! A policy looks at a [`TierView`] — the decayed per-page heat counters
-//! and current placement captured from the live machine — and returns a
-//! [`TierPlan`]: which slow-tier pages to promote and which DRAM pages to
-//! demote. Destination nodes are chosen later by the daemon; policies
-//! reason only about *which* pages belong in *which tier*, like the
-//! kernel's hot-page promotion layers (kpromoted / NUMA-balancing tiering)
-//! that separate classification from the migration mechanism.
+//! [`plan`] looks at a [`TierView`] — the heat counters and current
+//! placement captured from the live machine — and decides which slow-tier
+//! pages to promote and which DRAM pages to demote. Destination nodes are
+//! chosen later by the daemon; the rule reasons only about *which* pages
+//! belong in *which tier*, like the kernel's hot-page promotion layers
+//! (kpromoted / NUMA-balancing tiering) that separate classification from
+//! the migration mechanism.
 
 use numa_machine::Machine;
 use numa_topology::{MemTier, NodeId};
 use numa_vm::PteFlags;
 
-/// One mapped page as a policy sees it.
+/// Minimum heat for a slow-tier page to be promoted (the kernel's
+/// `promotion_threshold`).
+const PROMOTE_MIN_HEAT: u64 = 4;
+
+/// One mapped page as the classifier sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageInfo {
+pub(crate) struct PageInfo {
     /// Virtual page number.
-    pub vpn: u64,
+    pub(crate) vpn: u64,
     /// Decayed access count (see `Machine::decay_heat`).
-    pub heat: u64,
+    pub(crate) heat: u64,
     /// Node currently holding the page.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Tier of that node.
-    pub tier: MemTier,
+    pub(crate) tier: MemTier,
 }
 
-/// Snapshot of everything a policy may consult. Captured from the live
-/// machine at daemon wake-up time; deterministic because the heat map is
-/// ordered and the page walk is sorted.
+/// Snapshot of everything the daemons consult, captured from the live
+/// machine at wake-up time.
 #[derive(Debug, Clone)]
-pub struct TierView {
+pub(crate) struct TierView {
     /// All mapped small pages, in vpn order.
-    pub pages: Vec<PageInfo>,
+    pub(crate) pages: Vec<PageInfo>,
     /// Free frames summed over the DRAM tier.
-    pub dram_free: u64,
+    pub(crate) dram_free: u64,
     /// Free frames summed over the slow tier.
-    pub slow_free: u64,
+    pub(crate) slow_free: u64,
 }
 
 impl TierView {
     /// Capture the view from a machine. Huge and shadow-carrying pages are
     /// skipped — the kernel would refuse to migrate them anyway.
-    pub fn capture(machine: &Machine) -> TierView {
+    pub(crate) fn capture(machine: &Machine) -> TierView {
         let topo = machine.topology();
         let mut pages = Vec::new();
         // The slab page table iterates in ascending vpn order, so one
@@ -77,7 +80,7 @@ impl TierView {
 
     /// Pages currently in the given tier, hottest first (ties by vpn so
     /// the order is total and deterministic).
-    pub fn by_heat(&self, tier: MemTier, hottest_first: bool) -> Vec<PageInfo> {
+    pub(crate) fn by_heat(&self, tier: MemTier, hottest_first: bool) -> Vec<PageInfo> {
         let mut v: Vec<PageInfo> = self
             .pages
             .iter()
@@ -93,151 +96,36 @@ impl TierView {
     }
 }
 
-/// What a policy decided: vpns to move up and vpns to move down.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TierPlan {
-    /// Slow-tier pages to promote into DRAM, in migration order.
-    pub promote: Vec<u64>,
-    /// DRAM pages to demote into the slow tier, in migration order.
-    pub demote: Vec<u64>,
-}
-
-impl TierPlan {
-    /// True when the policy found nothing to move.
-    pub fn is_empty(&self) -> bool {
-        self.promote.is_empty() && self.demote.is_empty()
+/// Decide one wake-up's moves as `(demote, promote)` vpn lists, each in
+/// migration order: promote every slow-tier page at or above
+/// [`PROMOTE_MIN_HEAT`], hottest first, and demote heat-0 DRAM pages
+/// (untouched since the last decay) only when free DRAM cannot take the
+/// promotions.
+pub(crate) fn plan(view: &TierView) -> (Vec<u64>, Vec<u64>) {
+    let hot: Vec<PageInfo> = view
+        .by_heat(MemTier::Slow, true)
+        .into_iter()
+        .filter(|p| p.heat >= PROMOTE_MIN_HEAT)
+        .collect();
+    if hot.is_empty() {
+        return (Vec::new(), Vec::new());
     }
-}
-
-/// A hot/cold classification policy.
-pub trait TierPolicy {
-    /// Decide the round's promotions and demotions.
-    fn plan(&mut self, view: &TierView) -> TierPlan;
-    /// Short name for tables and traces.
-    fn name(&self) -> &'static str;
-}
-
-/// Promote pages whose heat crosses a threshold; demote cold DRAM pages
-/// only when room must be made. The kernel's `promotion_threshold`
-/// discipline.
-#[derive(Debug, Clone)]
-pub struct ThresholdPolicy {
-    /// Minimum heat for a slow-tier page to be promoted.
-    pub promote_min: u64,
-    /// Maximum heat for a DRAM page to be considered cold enough to evict.
-    pub demote_max: u64,
-    /// Cap on promotions per wake-up.
-    pub max_moves: usize,
-}
-
-impl Default for ThresholdPolicy {
-    fn default() -> Self {
-        ThresholdPolicy {
-            promote_min: 4,
-            demote_max: 1,
-            max_moves: 64,
-        }
-    }
-}
-
-impl TierPolicy for ThresholdPolicy {
-    fn plan(&mut self, view: &TierView) -> TierPlan {
-        let hot: Vec<PageInfo> = view
-            .by_heat(MemTier::Slow, true)
-            .into_iter()
-            .filter(|p| p.heat >= self.promote_min)
-            .take(self.max_moves)
-            .collect();
-        if hot.is_empty() {
-            return TierPlan::default();
-        }
-        // Make room for promotions that do not fit in free DRAM by
-        // evicting the coldest eligible DRAM pages (bounded by slow-tier
-        // space: a demotion that cannot land is not planned).
-        let need = (hot.len() as u64).saturating_sub(view.dram_free);
-        let demote: Vec<u64> = view
-            .by_heat(MemTier::Dram, false)
-            .into_iter()
-            .filter(|p| p.heat <= self.demote_max)
-            .take(need.min(view.slow_free) as usize)
-            .map(|p| p.vpn)
-            .collect();
-        // Promotions beyond available room (free + newly evicted) would
-        // fail allocation; trim them.
-        let room = (view.dram_free + demote.len() as u64) as usize;
-        TierPlan {
-            promote: hot.into_iter().take(room).map(|p| p.vpn).collect(),
-            demote,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "threshold"
-    }
-}
-
-/// Keep the hottest pages in DRAM by swapping: each hot slow-tier page
-/// displaces the coldest DRAM page that is strictly colder than it.
-/// Approximates LRU because decayed heat is recency-weighted.
-#[derive(Debug, Clone)]
-pub struct LruishPolicy {
-    /// Cap on swaps per wake-up.
-    pub max_moves: usize,
-}
-
-impl Default for LruishPolicy {
-    fn default() -> Self {
-        LruishPolicy { max_moves: 64 }
-    }
-}
-
-impl TierPolicy for LruishPolicy {
-    fn plan(&mut self, view: &TierView) -> TierPlan {
-        let hot = view.by_heat(MemTier::Slow, true);
-        let cold = view.by_heat(MemTier::Dram, false);
-        let mut plan = TierPlan::default();
-        let mut free = view.dram_free;
-        let mut cold_it = cold.into_iter();
-        for h in hot.into_iter().take(self.max_moves) {
-            if h.heat == 0 {
-                break;
-            }
-            if free > 0 {
-                // Room available: promote without evicting anyone.
-                plan.promote.push(h.vpn);
-                free -= 1;
-                continue;
-            }
-            // Swap with a strictly colder DRAM page, if one exists and
-            // the slow tier can absorb it.
-            match cold_it.next() {
-                Some(c) if c.heat < h.heat && (plan.demote.len() as u64) < view.slow_free => {
-                    plan.demote.push(c.vpn);
-                    plan.promote.push(h.vpn);
-                }
-                _ => break,
-            }
-        }
-        plan
-    }
-
-    fn name(&self) -> &'static str {
-        "lruish"
-    }
-}
-
-/// The do-nothing baseline: initial placement is final placement.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StaticPolicy;
-
-impl TierPolicy for StaticPolicy {
-    fn plan(&mut self, _view: &TierView) -> TierPlan {
-        TierPlan::default()
-    }
-
-    fn name(&self) -> &'static str {
-        "static"
-    }
+    // Make room for promotions that do not fit in free DRAM by evicting
+    // the coldest eligible DRAM pages (bounded by slow-tier space: a
+    // demotion that cannot land is not planned).
+    let need = (hot.len() as u64).saturating_sub(view.dram_free);
+    let demote: Vec<u64> = view
+        .by_heat(MemTier::Dram, false)
+        .into_iter()
+        .filter(|p| p.heat == 0)
+        .take(need.min(view.slow_free) as usize)
+        .map(|p| p.vpn)
+        .collect();
+    // Promotions beyond available room (free + newly evicted) would fail
+    // allocation; trim them.
+    let room = (view.dram_free + demote.len() as u64) as usize;
+    let promote = hot.into_iter().take(room).map(|p| p.vpn).collect();
+    (demote, promote)
 }
 
 #[cfg(test)]
@@ -272,9 +160,9 @@ mod tests {
             8,
             8,
         );
-        let p = ThresholdPolicy::default().plan(&v);
-        assert_eq!(p.promote, vec![1, 3], "hottest first, cold page skipped");
-        assert!(p.demote.is_empty(), "free DRAM means no eviction");
+        let (demote, promote) = plan(&v);
+        assert_eq!(promote, vec![1, 3], "hottest first, cold page skipped");
+        assert!(demote.is_empty(), "free DRAM means no eviction");
     }
 
     #[test]
@@ -285,13 +173,14 @@ mod tests {
                 page(2, 9, 5, MemTier::Slow),
                 page(10, 0, 0, MemTier::Dram),
                 page(11, 50, 1, MemTier::Dram),
+                page(12, 1, 1, MemTier::Dram),
             ],
             0,
             8,
         );
-        let p = ThresholdPolicy::default().plan(&v);
-        assert_eq!(p.demote, vec![10], "only the cold DRAM page is evicted");
-        assert_eq!(p.promote, vec![1], "promotions trimmed to the room made");
+        let (demote, promote) = plan(&v);
+        assert_eq!(demote, vec![10], "only the heat-0 DRAM page is evicted");
+        assert_eq!(promote, vec![1], "promotions trimmed to the room made");
     }
 
     #[test]
@@ -301,52 +190,8 @@ mod tests {
             0,
             0, // slow tier full: nowhere to demote to
         );
-        let p = ThresholdPolicy::default().plan(&v);
-        assert!(p.demote.is_empty());
-        assert!(p.promote.is_empty(), "no room could be made");
-    }
-
-    #[test]
-    fn lruish_uses_free_dram_before_swapping() {
-        let v = view(
-            vec![
-                page(1, 20, 4, MemTier::Slow),
-                page(2, 5, 4, MemTier::Slow),
-                page(10, 1, 0, MemTier::Dram),
-            ],
-            1,
-            8,
-        );
-        let p = LruishPolicy::default().plan(&v);
-        // One free slot absorbs page 1; page 2 then swaps with page 10.
-        assert_eq!(p.promote, vec![1, 2]);
-        assert_eq!(p.demote, vec![10]);
-    }
-
-    #[test]
-    fn lruish_stops_at_hotter_dram() {
-        let v = view(
-            vec![
-                page(1, 20, 4, MemTier::Slow),
-                page(2, 5, 4, MemTier::Slow),
-                page(10, 1, 0, MemTier::Dram),
-                page(11, 30, 1, MemTier::Dram),
-            ],
-            0,
-            8,
-        );
-        let p = LruishPolicy::default().plan(&v);
-        assert_eq!(
-            p.promote,
-            vec![1],
-            "page 2 is colder than every remaining DRAM page"
-        );
-        assert_eq!(p.demote, vec![10]);
-    }
-
-    #[test]
-    fn static_policy_never_moves() {
-        let v = view(vec![page(1, 1000, 4, MemTier::Slow)], 8, 8);
-        assert!(StaticPolicy.plan(&v).is_empty());
+        let (demote, promote) = plan(&v);
+        assert!(demote.is_empty());
+        assert!(promote.is_empty(), "no room could be made");
     }
 }

@@ -9,131 +9,80 @@
 //! otherwise), while `kreclaimd` runs in the background below the *low*
 //! watermark so pressure is relieved before allocations start stalling —
 //! exactly Linux's kswapd/direct-reclaim split.
-//!
-//! Like [`crate::TierDaemon`], the daemon has no host thread: splice it
-//! into a `WorkPlan` as `single_ctx` phases so its wake-ups interleave
-//! deterministically with application phases and its demotion traffic
-//! contends through the same interconnect and lock models.
 
 use crate::policy::TierView;
 use numa_machine::{Machine, Op};
-use numa_rt::WorkPlan;
 use numa_topology::MemTier;
 use numa_vm::PressureLevel;
-use std::cell::RefCell;
-use std::rc::Rc;
 
-/// The background reclaim daemon.
-pub struct ReclaimDaemon {
-    /// Cap on pages demoted per node per wake-up.
-    pub batch: usize,
-    /// Use the transactional tier mechanism (true) or stop-the-world.
-    pub transactional: bool,
-    /// Total demotions planned so far (for reports).
-    pub planned_demotions: u64,
-    /// Wake-ups that found at least one node under pressure.
-    pub pressured_wakeups: u64,
-}
+/// Most pages demoted per node per wake-up (the same batch as one direct
+/// reclaim pass).
+const RECLAIM_BATCH: usize = 32;
 
-impl ReclaimDaemon {
-    /// A daemon demoting at most `batch` pages per node per wake-up.
-    pub fn new(batch: usize, transactional: bool) -> Self {
-        ReclaimDaemon {
-            batch,
-            transactional,
-            planned_demotions: 0,
-            pressured_wakeups: 0,
-        }
+/// One wake-up of the reclaim daemon: transactionally demote the coldest
+/// pages of every DRAM node sitting at or below its low watermark.
+/// Returns no ops on machines without a slow tier or configured
+/// watermarks — reclaim-by-demotion needs both somewhere to demote *to*
+/// and a definition of "too full".
+pub fn reclaim_wake(machine: &Machine) -> Vec<Op> {
+    let topo = machine.topology();
+    if !topo.is_tiered() || !machine.frames.watermarked() {
+        return Vec::new();
     }
-
-    /// One wake-up: demote the coldest pages of every DRAM node sitting
-    /// at or below its low watermark. Returns no ops on machines without
-    /// a slow tier or configured watermarks — reclaim-by-demotion needs
-    /// both somewhere to demote *to* and a definition of "too full".
-    pub fn wake(&mut self, machine: &Machine) -> Vec<Op> {
-        let topo = machine.topology();
-        if !topo.is_tiered() || !machine.frames.watermarked() {
-            return Vec::new();
-        }
-        // Watchdog degradation: when the retry-livelock watchdog has
-        // fired, issuing more background migration traffic would feed the
-        // livelock, not relieve it. Skip the wake-up entirely.
-        if machine.kernel.watchdog_fired() {
-            return Vec::new();
-        }
-        let view = TierView::capture(machine);
-        let mut ops = Vec::new();
-        let mut pressured = false;
-        for node in topo.nodes_in_tier(MemTier::Dram) {
-            if machine.frames.is_offline(node)
-                || machine.frames.pressure_of(node) == PressureLevel::Normal
-            {
-                continue;
-            }
-            pressured = true;
-            // Demote coldest-first until the node would clear its low
-            // watermark (each demotion frees one frame), bounded by the
-            // batch. Destination choice is left to the kernel's demotion
-            // path inside `Op::TierMigrate` handling — the daemon only
-            // nominates victims, like kswapd's LRU scan.
-            let deficit = (machine.frames.watermark_low(node) + 1)
-                .saturating_sub(machine.frames.free_on(node)) as usize;
-            let victims: Vec<u64> = view
-                .by_heat(MemTier::Dram, false)
-                .into_iter()
-                .filter(|p| p.node == node)
-                .take(deficit.min(self.batch))
-                .map(|p| p.vpn)
-                .collect();
-            if victims.is_empty() {
-                continue;
-            }
-            // Nearest slow node with room, ties by id — same choice rule
-            // as the kernel's demotion target.
-            let dest = topo
-                .nodes_in_tier(MemTier::Slow)
-                .into_iter()
-                .filter(|d| !machine.frames.is_offline(*d) && machine.frames.free_on(*d) > 0)
-                .min_by_key(|d| (topo.hops(node, *d), d.0));
-            let Some(dest) = dest else {
-                continue; // slow tier full: nothing to demote into
-            };
-            self.planned_demotions += victims.len() as u64;
-            ops.push(Op::TierMigrate {
-                pages: victims,
-                dest,
-                transactional: self.transactional,
-            });
-        }
-        if pressured {
-            self.pressured_wakeups += 1;
-        }
-        ops
+    // Watchdog degradation: when the retry-livelock watchdog has
+    // fired, issuing more background migration traffic would feed the
+    // livelock, not relieve it. Skip the wake-up entirely.
+    if machine.kernel.watchdog_fired() {
+        return Vec::new();
     }
-
-    /// Splice `rounds` daemon wake-ups into `plan`, each preceded by the
-    /// phases that `work(round)` appends — the same shape as
-    /// [`crate::TierDaemon::splice_into`].
-    pub fn splice_into<F>(
-        daemon: Rc<RefCell<ReclaimDaemon>>,
-        plan: &mut WorkPlan,
-        rounds: usize,
-        mut work: F,
-    ) where
-        F: FnMut(&mut WorkPlan, usize) + 'static,
-    {
-        for round in 0..rounds {
-            work(plan, round);
-            let d = Rc::clone(&daemon);
-            plan.single_ctx(move |machine| d.borrow_mut().wake(machine));
+    let view = TierView::capture(machine);
+    let mut ops = Vec::new();
+    for node in topo.nodes_in_tier(MemTier::Dram) {
+        if machine.frames.is_offline(node)
+            || machine.frames.pressure_of(node) == PressureLevel::Normal
+        {
+            continue;
         }
+        // Demote coldest-first until the node would clear its low
+        // watermark (each demotion frees one frame), bounded by the
+        // batch. The daemon only nominates victims, like kswapd's LRU
+        // scan.
+        let deficit = (machine.frames.watermark_low(node) + 1)
+            .saturating_sub(machine.frames.free_on(node)) as usize;
+        let victims: Vec<u64> = view
+            .by_heat(MemTier::Dram, false)
+            .into_iter()
+            .filter(|p| p.node == node)
+            .take(deficit.min(RECLAIM_BATCH))
+            .map(|p| p.vpn)
+            .collect();
+        if victims.is_empty() {
+            continue;
+        }
+        // Nearest slow node with room, ties by id — same choice rule
+        // as the kernel's demotion target.
+        let dest = topo
+            .nodes_in_tier(MemTier::Slow)
+            .into_iter()
+            .filter(|d| !machine.frames.is_offline(*d) && machine.frames.free_on(*d) > 0)
+            .min_by_key(|d| (topo.hops(node, *d), d.0));
+        let Some(dest) = dest else {
+            continue; // slow tier full: nothing to demote into
+        };
+        ops.push(Op::TierMigrate {
+            pages: victims,
+            dest,
+            transactional: true,
+        });
     }
+    ops
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use numa_machine::{MemAccessKind, ThreadSpec};
+    use numa_stats::Counter;
     use numa_topology::{CoreId, NodeId};
     use numa_vm::{MemPolicy, PAGE_SIZE};
 
@@ -172,29 +121,29 @@ mod tests {
         let mut m = m;
         m.heat.insert(a.vpn(), 50);
         m.heat.insert(a.vpn() + 1, 50);
-        let mut d = ReclaimDaemon::new(32, true);
-        let ops = d.wake(&m);
+        let ops = reclaim_wake(&m);
         assert_eq!(ops.len(), 1, "one pressured node, one batch: {ops:?}");
         match &ops[0] {
-            Op::TierMigrate { pages, dest, .. } => {
+            Op::TierMigrate {
+                pages,
+                dest,
+                transactional,
+            } => {
                 // Deficit is low+1-free = 3 cold pages; node 4 is the
                 // slow node behind node 0.
                 assert_eq!(pages.len(), 3);
                 assert!(!pages.contains(&a.vpn()), "hot pages are spared");
                 assert_eq!(*dest, NodeId(4));
+                assert!(transactional);
             }
             other => panic!("unexpected op {other:?}"),
         }
-        assert_eq!(d.planned_demotions, 3);
-        assert_eq!(d.pressured_wakeups, 1);
     }
 
     #[test]
     fn wake_is_quiet_above_the_watermark() {
         let (m, _a) = pressured_machine(2); // free=6 > low=4
-        let mut d = ReclaimDaemon::new(32, true);
-        assert!(d.wake(&m).is_empty());
-        assert_eq!(d.pressured_wakeups, 0);
+        assert!(reclaim_wake(&m).is_empty());
     }
 
     #[test]
@@ -209,31 +158,30 @@ mod tests {
             )],
             &[],
         );
-        assert!(ReclaimDaemon::new(32, true).wake(&m).is_empty());
+        assert!(reclaim_wake(&m).is_empty());
         // Watermarked but single-tier: nowhere to demote to.
         let mut m = Machine::two_node();
         m.frames.set_watermarks(NodeId(0), 4, 2);
         m.frames.set_watermarks(NodeId(1), 4, 2);
-        assert!(ReclaimDaemon::new(32, true).wake(&m).is_empty());
+        assert!(reclaim_wake(&m).is_empty());
     }
 
     #[test]
     fn spliced_daemon_relieves_pressure_mid_plan() {
-        use numa_rt::Team;
+        use numa_rt::{Team, WorkPlan};
         let (mut m, _a) = pressured_machine(6);
-        let daemon = Rc::new(RefCell::new(ReclaimDaemon::new(32, true)));
         let mut plan = WorkPlan::new();
-        ReclaimDaemon::splice_into(Rc::clone(&daemon), &mut plan, 2, |plan, _round| {
+        for _round in 0..2 {
             plan.each_thread(|_tid| vec![Op::ComputeNs(100)]);
-        });
+            plan.single_ctx(reclaim_wake);
+        }
         Team::all_cores(&m).take(4).run(&mut m, plan);
         assert!(
             m.frames.free_on(NodeId(0)) > m.frames.watermark_low(NodeId(0)),
             "the daemon must lift node 0 back above its low watermark"
         );
-        assert!(daemon.borrow().planned_demotions >= 3);
         assert!(
-            m.kernel.counters.get(numa_stats::Counter::TierDemotions) >= 3,
+            m.kernel.counters.get(Counter::TierDemotions) >= 3,
             "demotions must actually have executed"
         );
     }

@@ -132,24 +132,24 @@ fn kernel_path_beats_user_path() {
     );
 }
 
-/// Next-touch on a file mapping is refused without the extension and
-/// accepted with it (paper §6 future work).
+/// Next-touch is gated to private anonymous memory, as in the paper's
+/// implementation (§6): shared and file mappings are refused, a private
+/// one is marked.
 #[test]
 fn shared_mapping_support_is_gated() {
     use numa_migrate::vm::{MemPolicy, Protection, VmaKind};
-    for (shared_enabled, expect_ok) in [(false, false), (true, true)] {
-        let mut m = NumaSystem::new()
-            .kernel(KernelConfig {
-                next_touch_shared: shared_enabled,
-                ..KernelConfig::default()
-            })
-            .build();
+    for (kind, expect_ok) in [
+        (VmaKind::SharedAnonymous, false),
+        (VmaKind::File, false),
+        (VmaKind::PrivateAnonymous, true),
+    ] {
+        let mut m = NumaSystem::new().build();
         let addr = m
             .space
             .mmap(
                 4 * PAGE_SIZE,
                 Protection::ReadWrite,
-                VmaKind::File,
+                kind,
                 MemPolicy::FirstTouch,
             )
             .unwrap();
@@ -157,7 +157,7 @@ fn shared_mapping_support_is_gated() {
         let r =
             m.kernel
                 .madvise_next_touch(&mut m.space, &mut m.tlb, SimTime::ZERO, CoreId(0), range);
-        assert_eq!(r.is_ok(), expect_ok, "shared={shared_enabled}");
+        assert_eq!(r.is_ok(), expect_ok, "{kind:?}");
     }
 }
 
