@@ -234,7 +234,8 @@ fn sparsewalk_stress() -> String {
     // read and a full release.
     pt.update_range(full, |_, pte| pte.flags |= PteFlags::NEXT_TOUCH);
     let stats = pt.stats();
-    let released = pt.release_range(full).len();
+    let mut released = 0u64;
+    pt.release_range(full, |_, _| released += 1);
     assert!(pt.is_empty(), "sparsewalk release left entries behind");
     format!(
         "seen={seen} mix={mix:016x} nt={} slabs={} released={released}",

@@ -282,10 +282,13 @@ impl Kernel {
         let mut t = self.migration_begin(now, RelocSite::MigratePages, &mut b);
 
         let mut moved = 0u64;
-        let mut status = Vec::new();
+        let mut status = Vec::with_capacity(space.page_table.len());
         // The ordered walk is what gives migrate_pages its better locality
-        // and lower per-page control cost (§4.2).
-        for vpn in space.page_table.sorted_vpns() {
+        // and lower per-page control cost (§4.2). A cursor instead of a
+        // snapshot: the syscall runs atomically and a step never maps or
+        // unmaps a page, so it visits exactly the pages mapped at entry.
+        let mut cursor = space.page_table.next_mapped(0);
+        while let Some(vpn) = cursor {
             let (end, st) = self.migrate_page_step(space, frames, t, vpn, from, to, &mut b);
             t = end;
             if let Some(st) = st {
@@ -294,6 +297,7 @@ impl Kernel {
                 }
                 status.push(st);
             }
+            cursor = space.page_table.next_mapped(vpn + 1);
         }
         Ok(self.migration_syscall_end("migrate_pages", tlb, now, t, core, b, status, moved))
     }
@@ -391,19 +395,15 @@ impl Kernel {
     ) -> Result<SyscallOutcome, VmError> {
         self.trace
             .record(now, TraceEventKind::SyscallEnter { name: "munmap" });
-        let freed = space.munmap(addr)?;
+        let pages = space.munmap(addr, frames)?;
+        self.counters.add(Counter::FramesFreed, pages);
         let topo = self.topology().clone();
         let cost = topo.cost();
         let mut b = Breakdown::new();
-        let pages = freed.len() as u64;
         let ns = cost.madvise_base_ns + cost.madvise_per_page_ns * pages;
         let mut t = self
             .locks
             .mmap_locked(now, ns, CostComponent::Other, &mut b);
-        for f in freed {
-            frames.free(f);
-            self.counters.bump(Counter::FramesFreed);
-        }
         // Any core may hold stale translations for the torn-down range.
         if pages > 0 {
             let hit = tlb.shootdown_all(core);

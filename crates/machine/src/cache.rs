@@ -6,28 +6,19 @@
 //! shared by the node's four cores, which the per-node granularity models
 //! directly.
 
-use numa_sim::FxHashMap;
+use numa_sim::FxHashSet;
 use std::collections::VecDeque;
 
-/// A page-granular FIFO cache of fixed capacity.
-///
-/// Invalidation is lazy: `invalidate` only drops the page from the
-/// residency map, leaving a stale entry in the FIFO order that eviction
-/// skips (each entry carries the sequence number it was inserted under,
-/// so a re-inserted page is never confused with its stale ghost). This
-/// keeps `invalidate` O(1) — it runs once per migrated page, and
-/// migration-heavy runs (next-touch LU) used to spend a linear
-/// `retain` over the whole FIFO on every one. The eviction *order* of
-/// live pages is exactly the eager scheme's.
+/// A page-granular FIFO cache of fixed capacity: a ring of the resident
+/// vpns in insertion order plus their set. Only eviction and `clear`
+/// remove pages, so the ring and the set always hold the same pages.
 #[derive(Debug, Clone)]
 pub struct L3Cache {
     capacity: usize,
-    /// Insertion counter; tags FIFO entries so stale ones are skippable.
-    seq: u64,
-    /// FIFO of (insertion seq, vpn); may contain stale entries.
-    order: VecDeque<(u64, u64)>,
-    /// vpn -> seq of its live FIFO entry. Size == live page count.
-    resident: FxHashMap<u64, u64>,
+    /// Resident vpns, oldest first.
+    order: VecDeque<u64>,
+    /// The vpns in `order`.
+    resident: FxHashSet<u64>,
     hits: u64,
     misses: u64,
 }
@@ -37,9 +28,8 @@ impl L3Cache {
     pub fn new(capacity: usize) -> Self {
         L3Cache {
             capacity,
-            seq: 0,
             order: VecDeque::with_capacity(capacity),
-            resident: FxHashMap::with_capacity_and_hasher(capacity * 2, Default::default()),
+            resident: FxHashSet::with_capacity_and_hasher(capacity * 2, Default::default()),
             hits: 0,
             misses: 0,
         }
@@ -57,37 +47,19 @@ impl L3Cache {
             self.misses += 1;
             return false;
         }
-        if self.resident.contains_key(&vpn) {
+        if self.resident.contains(&vpn) {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        if self.resident.len() == self.capacity {
-            // Pop stale ghosts until the oldest *live* page is evicted.
-            while let Some((seq, old)) = self.order.pop_front() {
-                if self.resident.get(&old) == Some(&seq) {
-                    self.resident.remove(&old);
-                    break;
-                }
+        if self.order.len() == self.capacity {
+            if let Some(old) = self.order.pop_front() {
+                self.resident.remove(&old);
             }
         }
-        self.seq += 1;
-        self.order.push_back((self.seq, vpn));
-        self.resident.insert(vpn, self.seq);
+        self.order.push_back(vpn);
+        self.resident.insert(vpn);
         false
-    }
-
-    /// Invalidate one page (after migration the cached copy is stale on
-    /// the *old* node; on real hardware coherence handles this — here we
-    /// drop it so residency follows the data).
-    pub fn invalidate(&mut self, vpn: u64) {
-        self.resident.remove(&vpn);
-        // Bound the stale backlog so the FIFO cannot outgrow the cache
-        // under invalidation storms with few evictions.
-        if self.order.len() >= 2 * self.capacity.max(32) {
-            let resident = &self.resident;
-            self.order.retain(|(seq, v)| resident.get(v) == Some(seq));
-        }
     }
 
     /// Drop everything.
@@ -166,10 +138,10 @@ mod tests {
     fn invalidate_and_clear() {
         let mut c = L3Cache::new(4);
         c.touch(7);
-        c.invalidate(7);
-        assert!(!c.touch(7));
+        assert!(c.touch(7));
         c.clear();
         assert!(c.is_empty());
+        assert!(!c.touch(7), "a cleared page misses");
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! physical memory rather than by migration history. Each reuse gives the
 //! slot a new generation, and the generation is half of the id, so a
 //! stale id still fails every lookup after its slot holds another frame.
+//! Free slots are chained through their own contents, like `page->lru`,
+//! so freeing a million frames allocates nothing.
+//!
+//! The table grows in chunks of [`FRAME_CHUNK`] slots. The first chunk
+//! grows like a `Vec`, so a tenant machine with a dozen frames stays
+//! small; every later chunk is allocated at full size once and never
+//! moves. A growing table therefore never copies itself, and the peak is
+//! the live slots plus at most one chunk, not twice the table.
 
 use numa_topology::NodeId;
 use serde::{Deserialize, Serialize};
@@ -79,6 +87,69 @@ pub struct Frame {
 /// Node of a slot that holds no live frame.
 const DEAD: u16 = u16::MAX;
 
+/// Log2 of the slots per chunk of the frame table.
+const CHUNK_BITS: u32 = 12;
+
+/// Slots per chunk of the frame table.
+pub const FRAME_CHUNK: usize = 1 << CHUNK_BITS;
+
+/// End of the free-slot chain.
+const NO_FREE: u64 = u64::MAX;
+
+/// A growable table stored in chunks of [`FRAME_CHUNK`] entries: chunk 0
+/// grows like a `Vec` (power-of-two doubling lands exactly on
+/// `FRAME_CHUNK`), and every later chunk is allocated at full size and
+/// never reallocated.
+#[derive(Debug)]
+struct Chunks<T> {
+    chunks: Vec<Vec<T>>,
+}
+
+impl<T> Chunks<T> {
+    fn new() -> Self {
+        Chunks { chunks: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |c| (self.chunks.len() - 1) * FRAME_CHUNK + c.len())
+    }
+
+    fn push(&mut self, v: T) {
+        match self.chunks.last_mut() {
+            Some(c) if c.len() < FRAME_CHUNK => c.push(v),
+            Some(_) => {
+                let mut c = Vec::with_capacity(FRAME_CHUNK);
+                c.push(v);
+                self.chunks.push(c);
+            }
+            None => self.chunks.push(vec![v]),
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<&T> {
+        self.chunks.get(i >> CHUNK_BITS)?.get(i & (FRAME_CHUNK - 1))
+    }
+}
+
+impl<T> std::ops::Index<usize> for Chunks<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        &self.chunks[i >> CHUNK_BITS][i & (FRAME_CHUNK - 1)]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Chunks<T> {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.chunks[i >> CHUNK_BITS][i & (FRAME_CHUNK - 1)]
+    }
+}
+
 /// Identity half of a slot: the generation its current (or, while free,
 /// next) frame carries, and the frame's node, `DEAD` while free. Kept
 /// apart from the contents so the hot `node_of` lookups read a dense
@@ -89,7 +160,9 @@ struct Slot {
     node: u16,
 }
 
-/// Contents half of a slot (see [`Frame`]).
+/// Contents half of a slot (see [`Frame`]). While the slot is free,
+/// `content_tag` links it to the next free slot instead ([`NO_FREE`]
+/// ends the chain).
 #[derive(Debug, Clone, Copy, Default)]
 struct Contents {
     content_tag: u64,
@@ -99,20 +172,21 @@ struct Contents {
 /// Machine-wide frame allocator with per-node accounting.
 ///
 /// The frame table is a generational slot table: `alloc` pops the most
-/// recently freed slot (or grows the table), and `free` marks the slot
-/// dead, bumps its generation and pushes it for reuse. Memory is therefore
-/// O(live frames), not O(frames ever allocated). Every lookup checks the
-/// id's generation and the slot's liveness, so use-after-free and
-/// double-free bugs in the kernel layer stay loud lookup failures instead
-/// of silent aliasing, even after the slot is reused. No id value is ever
-/// issued twice: a slot whose generation would wrap is retired instead of
-/// reused.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// recently freed slot (or grows the table by one slot), and `free` marks
+/// the slot dead, bumps its generation and pushes it onto the free chain.
+/// Memory is therefore O(live frames), not O(frames ever allocated).
+/// Every lookup checks the id's generation and the slot's liveness, so
+/// use-after-free and double-free bugs in the kernel layer stay loud
+/// lookup failures instead of silent aliasing, even after the slot is
+/// reused. No id value is ever issued twice: a slot whose generation
+/// would wrap is retired instead of reused.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct FrameAllocator {
-    slots: Vec<Slot>,
-    contents: Vec<Contents>,
-    /// Dead slots ready for reuse, most recently freed last.
-    free_slots: Vec<u32>,
+    slots: Chunks<Slot>,
+    contents: Chunks<Contents>,
+    /// The most recently freed slot, heading the chain of dead slots
+    /// ready for reuse ([`NO_FREE`] when there is none).
+    free_head: u64,
     next_content: u64,
     /// Frames currently live per node.
     live_per_node: Vec<u64>,
@@ -147,9 +221,9 @@ impl FrameAllocator {
     pub fn with_capacities(capacity_per_node: Vec<u64>) -> Self {
         let nodes = capacity_per_node.len();
         FrameAllocator {
-            slots: Vec::new(),
-            contents: Vec::new(),
-            free_slots: Vec::new(),
+            slots: Chunks::new(),
+            contents: Chunks::new(),
+            free_head: NO_FREE,
             next_content: 0,
             live_per_node: vec![0; nodes],
             capacity_per_node,
@@ -172,17 +246,19 @@ impl FrameAllocator {
         if self.live_per_node[n] >= self.capacity_per_node[n] || self.offline[n] {
             return None;
         }
-        let i = match self.free_slots.pop() {
-            Some(i) => i as usize,
-            None => {
-                assert!(self.slots.len() < u32::MAX as usize, "frame table full");
-                self.slots.push(Slot {
-                    generation: 0,
-                    node: DEAD,
-                });
-                self.contents.push(Contents::default());
-                self.slots.len() - 1
-            }
+        let i = if self.free_head == NO_FREE {
+            let i = self.slots.len();
+            assert!(i < u32::MAX as usize, "frame table full");
+            self.slots.push(Slot {
+                generation: 0,
+                node: DEAD,
+            });
+            self.contents.push(Contents::default());
+            i
+        } else {
+            let i = self.free_head as usize;
+            self.free_head = self.contents[i].content_tag;
+            i
         };
         self.slots[i].node = node.0;
         self.contents[i] = Contents {
@@ -224,7 +300,8 @@ impl FrameAllocator {
         // is ever issued twice.
         if let Some(next) = slot.generation.checked_add(1) {
             slot.generation = next;
-            self.free_slots.push(i as u32);
+            self.contents[i].content_tag = self.free_head;
+            self.free_head = i as u64;
         }
     }
 
@@ -731,6 +808,90 @@ mod tests {
         assert_eq!(fa.slots.len(), 2);
         assert_eq!(fa.get(page).unwrap().content_tag, tag);
         assert_eq!(fa.live_total(), 1);
+    }
+
+    /// An allocator whose table holds `n` live frames on node 0, filling
+    /// slots `0..n` in order.
+    fn populated(n: usize) -> (FrameAllocator, Vec<FrameId>) {
+        let mut fa = FrameAllocator::new(2, 4 * FRAME_CHUNK as u64);
+        let ids: Vec<FrameId> = (0..n).map(|_| fa.alloc(NodeId(0)).unwrap()).collect();
+        assert!(ids.iter().enumerate().all(|(i, id)| id.slot() == i));
+        (fa, ids)
+    }
+
+    #[test]
+    fn table_grows_in_whole_chunks_past_the_first() {
+        let (mut fa, ids) = populated(FRAME_CHUNK + 1);
+        assert_eq!(fa.slots.len(), FRAME_CHUNK + 1);
+        assert_eq!(fa.slots.chunks.len(), 2);
+        assert_eq!(fa.slots.chunks[0].capacity(), FRAME_CHUNK);
+        assert_eq!(fa.contents.chunks[1].capacity(), FRAME_CHUNK);
+        // Filling chunk 1 never moves it; the next slot opens chunk 2.
+        let first_of_1 = fa.slots.chunks[1].as_ptr();
+        for _ in 1..FRAME_CHUNK {
+            fa.alloc(NodeId(1)).unwrap();
+        }
+        assert_eq!(fa.slots.chunks[1].as_ptr(), first_of_1);
+        assert_eq!(fa.slots.chunks.len(), 2);
+        fa.alloc(NodeId(1)).unwrap();
+        assert_eq!(fa.slots.chunks.len(), 3);
+        // Every id still resolves, on both sides of each boundary.
+        for id in [ids[0], ids[FRAME_CHUNK - 1], ids[FRAME_CHUNK]] {
+            assert_eq!(fa.node_of(id), NodeId(0));
+        }
+    }
+
+    #[test]
+    fn slots_are_reused_across_a_chunk_boundary() {
+        let (mut fa, ids) = populated(FRAME_CHUNK + 2);
+        let (last_of_0, first_of_1) = (ids[FRAME_CHUNK - 1], ids[FRAME_CHUNK]);
+        fa.free(first_of_1);
+        fa.free(last_of_0);
+        // LIFO: chunk 0's slot comes back first, then chunk 1's.
+        let a = fa.alloc(NodeId(1)).unwrap();
+        let b = fa.alloc(NodeId(1)).unwrap();
+        assert_eq!((a.slot(), b.slot()), (FRAME_CHUNK - 1, FRAME_CHUNK));
+        assert_eq!(fa.slots.len(), FRAME_CHUNK + 2, "no slot was added");
+        assert_eq!(fa.node_of(b), NodeId(1));
+        for stale in [last_of_0, first_of_1] {
+            assert!(fa.get(stale).is_none());
+        }
+        assert_eq!(fa.node_of(ids[FRAME_CHUNK + 1]), NodeId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown frame")]
+    fn node_of_reused_slot_in_a_later_chunk_panics() {
+        let (mut fa, ids) = populated(FRAME_CHUNK + 1);
+        fa.free(ids[FRAME_CHUNK]);
+        let fresh = fa.alloc(NodeId(0)).unwrap();
+        assert_eq!(fresh.slot(), FRAME_CHUNK);
+        fa.node_of(ids[FRAME_CHUNK]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown frame")]
+    fn free_of_an_id_past_the_table_panics() {
+        let (mut fa, _) = populated(FRAME_CHUNK);
+        fa.free(FrameId::new(FRAME_CHUNK, 0));
+    }
+
+    #[test]
+    fn slot_in_a_later_chunk_is_retired_before_its_generation_wraps() {
+        let (mut fa, ids) = populated(FRAME_CHUNK + 1);
+        fa.free(ids[FRAME_CHUNK]);
+        fa.slots[FRAME_CHUNK].generation = u32::MAX;
+        let last = fa.alloc(NodeId(0)).unwrap();
+        assert_eq!(last, FrameId::new(FRAME_CHUNK, u32::MAX));
+        fa.free(last);
+        let next = fa.alloc(NodeId(0)).unwrap();
+        assert_eq!(
+            next.slot(),
+            FRAME_CHUNK + 1,
+            "the exhausted slot is not reused"
+        );
+        assert!(fa.get(last).is_none());
+        assert!(fa.get(ids[FRAME_CHUNK]).is_none());
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod tlb;
 pub mod vma;
 
 pub use addr::{PageRange, VirtAddr};
-pub use frame::{Frame, FrameAllocator, FrameId, FrameLedger, PressureLevel};
+pub use frame::{Frame, FrameAllocator, FrameId, FrameLedger, PressureLevel, FRAME_CHUNK};
 pub use numa_stats::PtStats;
 pub use page_table::{PageTable, PteRefMut};
 pub use policy::MemPolicy;

@@ -591,9 +591,9 @@ impl PageTable {
         true
     }
 
-    /// Clear records `[r_lo, r_hi)` of slab `i` within `range`, pushing the
-    /// removed PTEs onto `out` in ascending order.
-    fn take_window(&mut self, i: usize, range: PageRange, out: &mut Vec<Pte>) {
+    /// Clear the records of slab `i` within `range`, handing each removed
+    /// entry to `sink` in ascending order.
+    fn take_window<F: FnMut(u64, Pte)>(&mut self, i: usize, range: PageRange, sink: &mut F) {
         let PageTable {
             slabs,
             live,
@@ -611,11 +611,14 @@ impl PageTable {
                 bits &= bits - 1;
                 let flags = s.flags[rec];
                 let vpn = s.vpn_of(rec);
-                out.push(Pte {
-                    frame: s.frames[rec],
-                    shadow: take_shadow(shadows, vpn),
-                    flags,
-                });
+                sink(
+                    vpn,
+                    Pte {
+                        frame: s.frames[rec],
+                        shadow: take_shadow(shadows, vpn),
+                        flags,
+                    },
+                );
                 s.clear_present(rec);
                 s.live -= 1;
                 *live -= 1;
@@ -625,30 +628,31 @@ impl PageTable {
         }
     }
 
-    /// Drop every mapping in `range`, returning the removed entries in
-    /// ascending vpn order, and release the storage of extents that lie
-    /// entirely inside the range (`munmap`). Extents straddling a boundary
-    /// keep their out-of-range reservation.
+    /// Drop every mapping in `range`, handing each removed `(vpn, pte)`
+    /// to `sink` in ascending vpn order as it is released, and release the
+    /// storage of extents that lie entirely inside the range (`munmap`).
+    /// Extents straddling a boundary keep their out-of-range reservation.
     ///
-    /// The run of fully-covered slabs is spliced out with a single
-    /// `drain`, so a munmap over a many-slab space is linear (the old
-    /// per-slab `Vec::remove` made it quadratic).
-    pub fn release_range(&mut self, range: PageRange) -> Vec<Pte> {
-        let mut removed = Vec::new();
+    /// Nothing is buffered: like Linux's `zap_pte_range` feeding a bounded
+    /// `mmu_gather`, the caller frees each frame as its entry goes, so an
+    /// unmap needs no memory that grows with the range. The run of
+    /// fully-covered slabs is spliced out with a single `drain`, so a
+    /// munmap over a many-slab space is linear.
+    pub fn release_range<F: FnMut(u64, Pte)>(&mut self, range: PageRange, mut sink: F) {
         if range.is_empty() {
-            return removed;
+            return;
         }
         let mut i = self.first_slab_from(range.start_vpn);
         // Leading partially-covered slabs: clear records in place.
         while i < self.slabs.len() {
             let s = &self.slabs[i];
             if s.base >= range.end_vpn {
-                return removed;
+                return;
             }
             if s.base >= range.start_vpn && s.end() <= range.end_vpn {
                 break;
             }
-            self.take_window(i, range, &mut removed);
+            self.take_window(i, range, &mut sink);
             i += 1;
         }
         // The contiguous run of fully-covered slabs.
@@ -673,12 +677,16 @@ impl PageTable {
                         let rec = w * WORD + bits.trailing_zeros() as usize;
                         bits &= bits - 1;
                         let flags = s.flags[rec];
+                        let vpn = s.vpn_of(rec);
                         agg.sub(flags);
-                        removed.push(Pte {
-                            frame: s.frames[rec],
-                            shadow: take_shadow(shadows, s.vpn_of(rec)),
-                            flags,
-                        });
+                        sink(
+                            vpn,
+                            Pte {
+                                frame: s.frames[rec],
+                                shadow: take_shadow(shadows, vpn),
+                                flags,
+                            },
+                        );
                     }
                 }
             }
@@ -687,9 +695,8 @@ impl PageTable {
         }
         // At most one trailing partially-covered slab remains.
         if i < self.slabs.len() && self.slabs[i].base < range.end_vpn {
-            self.take_window(i, range, &mut removed);
+            self.take_window(i, range, &mut sink);
         }
-        removed
     }
 
     /// Number of installed entries.
@@ -804,10 +811,21 @@ impl PageTable {
         }
     }
 
-    /// All mapped vpns, sorted — used by `migrate_pages`, which walks the
-    /// address space in order (that ordered walk is why the paper measures
-    /// better locality for it than for `move_pages`, §4.2). With sorted
-    /// slabs this is a plain ordered collect, no sort.
+    /// The lowest mapped vpn at or above `vpn`: one step of an ordered
+    /// cursor walk for callers that change the table between steps and so
+    /// cannot hold a [`WalkRange`] borrow (`migrate_pages`, which walks the
+    /// address space in order — that ordered walk is why the paper
+    /// measures better locality for it than for `move_pages`, §4.2).
+    pub fn next_mapped(&self, vpn: u64) -> Option<u64> {
+        self.walk_range(PageRange::new(vpn, u64::MAX))
+            .next()
+            .map(|(v, _)| v)
+    }
+
+    /// All mapped vpns, sorted: a snapshot for walks that other threads
+    /// may interleave with (the engine's `migrate_pages` and node-offline
+    /// expansions). With sorted slabs this is a plain ordered collect, no
+    /// sort.
     pub fn sorted_vpns(&self) -> Vec<u64> {
         let mut v = Vec::with_capacity(self.live);
         v.extend(self.iter().map(|(vpn, _)| vpn));
@@ -1181,6 +1199,13 @@ mod tests {
         assert_eq!(pt.stats(), recount(pt), "incremental stats drifted");
     }
 
+    /// Release `range`, collecting what the sink is handed.
+    fn release(pt: &mut PageTable, range: PageRange) -> Vec<(u64, Pte)> {
+        let mut removed = Vec::new();
+        pt.release_range(range, |vpn, pte| removed.push((vpn, pte)));
+        removed
+    }
+
     #[test]
     fn map_get_unmap() {
         let mut pt = PageTable::new();
@@ -1269,9 +1294,12 @@ mod tests {
         for vpn in [12u64, 17, 15] {
             pt.map(vpn, Pte::present_rw(FrameId(vpn)));
         }
-        let removed = pt.release_range(PageRange::new(10, 20));
-        let frames: Vec<FrameId> = removed.iter().map(|p| p.frame).collect();
-        assert_eq!(frames, vec![FrameId(12), FrameId(15), FrameId(17)]);
+        let removed = release(&mut pt, PageRange::new(10, 20));
+        let frames: Vec<(u64, FrameId)> = removed.iter().map(|&(v, p)| (v, p.frame)).collect();
+        assert_eq!(
+            frames,
+            vec![(12, FrameId(12)), (15, FrameId(15)), (17, FrameId(17))]
+        );
         assert!(pt.is_empty());
         // The extent is gone: mapping again auto-creates fresh storage.
         assert_eq!(pt.map(12, Pte::present_rw(FrameId(1))), None);
@@ -1284,9 +1312,9 @@ mod tests {
         pt.reserve_range(PageRange::new(0, 10));
         pt.map(2, Pte::present_rw(FrameId(2)));
         pt.map(7, Pte::present_rw(FrameId(7)));
-        let removed = pt.release_range(PageRange::new(0, 5));
+        let removed = release(&mut pt, PageRange::new(0, 5));
         assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].frame, FrameId(2));
+        assert_eq!(removed[0], (2, Pte::present_rw(FrameId(2))));
         assert_eq!(pt.len(), 1);
         assert_eq!(pt.get(7).unwrap().frame, FrameId(7));
     }
@@ -1304,8 +1332,9 @@ mod tests {
             pt.map(vpn, Pte::present_rw(FrameId(vpn)));
         }
         assert_eq!(pt.slabs.len(), 5);
-        let removed = pt.release_range(PageRange::new(2, 42));
-        let vpns: Vec<u64> = removed.iter().map(|p| p.frame.0).collect();
+        let removed = release(&mut pt, PageRange::new(2, 42));
+        assert!(removed.iter().all(|&(v, p)| p.frame == FrameId(v)));
+        let vpns: Vec<u64> = removed.iter().map(|&(v, _)| v).collect();
         assert_eq!(vpns, vec![3, 10, 12, 21, 23, 31, 41]);
         // Slabs 10.. and 20.. and 30.. were fully covered and spliced out;
         // the straddling first and last slabs keep their reservations.
@@ -1461,12 +1490,12 @@ mod tests {
         assert_eq!(pt.slabs[pt.hint.get()].base, 100);
 
         // Releasing the earlier slab shifts the hint back down.
-        pt.release_range(PageRange::new(0, 10));
+        release(&mut pt, PageRange::new(0, 10));
         assert_eq!(pt.slabs[pt.hint.get()].base, 100);
 
         // Releasing the hinted slab itself invalidates the hint; lookups
         // still work through the binary-search fallback.
-        pt.release_range(PageRange::new(100, 110));
+        release(&mut pt, PageRange::new(100, 110));
         assert_eq!(pt.hint.get(), NO_HINT);
         assert!(pt.get(105).is_none());
         pt.map(205, Pte::present_rw(FrameId(2)));
@@ -1488,7 +1517,7 @@ mod tests {
         assert!(pt.get(1).is_none(), "non-head pages carry no entry");
         assert!(pt.get(pages - 1).is_none());
         assert_eq!(pt.sorted_vpns(), vec![0, pages]);
-        let removed = pt.release_range(PageRange::new(0, 2 * pages));
+        let removed = release(&mut pt, PageRange::new(0, 2 * pages));
         assert_eq!(removed.len(), 2);
         assert!(pt.is_empty());
         assert_stats_consistent(&pt);

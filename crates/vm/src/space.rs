@@ -8,7 +8,7 @@ use crate::addr::{PageRange, VirtAddr};
 use crate::page_table::PageTable;
 use crate::ptplace::{PtPlacement, PtReplicaSet, PtSyncMode};
 use crate::vma::{Protection, Vma, VmaKind};
-use crate::{MemPolicy, PAGE_SIZE};
+use crate::{FrameAllocator, MemPolicy, PAGE_SIZE};
 use numa_topology::NodeId;
 use std::collections::BTreeMap;
 
@@ -194,27 +194,24 @@ impl AddressSpace {
         Ok(VirtAddr::from_vpn(start_vpn))
     }
 
-    /// Remove the mapping that starts exactly at `addr`, returning the
-    /// frames that were backing it so the caller can free them.
-    pub fn munmap(&mut self, addr: VirtAddr) -> Result<Vec<crate::FrameId>, VmError> {
+    /// Remove the mapping that starts exactly at `addr`, freeing each
+    /// backing frame into `frames` as its entry is released (ascending vpn
+    /// order), and return the number of pages that were mapped.
+    pub fn munmap(&mut self, addr: VirtAddr, frames: &mut FrameAllocator) -> Result<u64, VmError> {
         let vpn = addr.vpn();
         let vma = self.vmas.remove(&vpn).ok_or(VmError::NoVma(addr))?;
-        // Release the VMA's PTE slab in one pass; entries come back in
-        // ascending vpn order, exactly as the old per-page unmap loop
-        // produced them.
-        let frames = self
-            .page_table
-            .release_range(vma.range)
-            .into_iter()
-            .map(|pte| pte.frame)
-            .collect();
+        let mut pages = 0u64;
+        self.page_table.release_range(vma.range, |_, pte| {
+            frames.free(pte.frame);
+            pages += 1;
+        });
         // Replicas drop the same entries. The write-through is left
         // uncharged on purpose: the timed `Kernel::munmap` charges only the
         // teardown and the shootdown, the same on single-home and
         // replicated spaces.
         self.pt_note_update(vma.range);
         self.generation += 1;
-        Ok(frames)
+        Ok(pages)
     }
 
     /// Insert a fully-formed VMA, rejecting overlaps.
@@ -579,14 +576,16 @@ mod tests {
     #[test]
     fn munmap_returns_backed_frames() {
         use crate::pte::Pte;
-        use crate::FrameId;
         let (mut s, a) = anon_space_with(3);
         let base = a.vpn();
-        s.page_table.map(base, Pte::present_rw(FrameId(11)));
-        s.page_table.map(base + 2, Pte::present_rw(FrameId(12)));
-        let mut frames = s.munmap(a).unwrap();
-        frames.sort();
-        assert_eq!(frames, vec![FrameId(11), FrameId(12)]);
+        let mut frames = FrameAllocator::new(1, 4);
+        let f = frames.alloc(NodeId(0)).unwrap();
+        let g = frames.alloc(NodeId(0)).unwrap();
+        s.page_table.map(base, Pte::present_rw(f));
+        s.page_table.map(base + 2, Pte::present_rw(g));
+        assert_eq!(s.munmap(a, &mut frames).unwrap(), 2);
+        assert!(frames.get(f).is_none() && frames.get(g).is_none());
+        assert_eq!(frames.live_total(), 0);
         assert_eq!(s.vma_count(), 0);
         assert!(s.page_table.is_empty());
     }
@@ -594,7 +593,11 @@ mod tests {
     #[test]
     fn munmap_unknown_errors() {
         let mut s = AddressSpace::new();
-        assert!(matches!(s.munmap(VirtAddr(12345)), Err(VmError::NoVma(_))));
+        let mut frames = FrameAllocator::new(1, 1);
+        assert!(matches!(
+            s.munmap(VirtAddr(12345), &mut frames),
+            Err(VmError::NoVma(_))
+        ));
     }
 
     #[test]

@@ -210,7 +210,14 @@ proptest! {
                 // Huge-remap: drop the range's small mappings, then map the
                 // head page only, HUGE-flagged (the mmap_huge shape).
                 4 => {
-                    pt.release_range(range);
+                    // The sink sees exactly the model's entries, in order.
+                    let mut released = Vec::new();
+                    pt.release_range(range, |vpn, pte| released.push((vpn, pte)));
+                    let expect: Vec<(u64, Pte)> = model
+                        .range(range.start_vpn..range.end_vpn)
+                        .map(|(&vpn, &pte)| (vpn, pte))
+                        .collect();
+                    prop_assert_eq!(released, expect);
                     model.retain(|vpn, _| !range.contains(*vpn));
                     let mut head = Pte::present_rw(FrameId(next_frame));
                     next_frame += 1;
@@ -345,8 +352,9 @@ proptest! {
         let vpn = probe % span;
         let expect = heads.contains(&vpn);
         prop_assert_eq!(pt.get(vpn).is_some(), expect, "get({}) diverged", vpn);
-        let removed = pt.release_range(PageRange::new(0, span));
-        prop_assert_eq!(removed.len(), heads.len());
+        let mut removed = Vec::new();
+        pt.release_range(PageRange::new(0, span), |vpn, _| removed.push(vpn));
+        prop_assert_eq!(removed, heads.clone());
         prop_assert!(pt.is_empty());
     }
 

@@ -73,7 +73,7 @@ fn apply(
         }
         // Huge-remap: drop the small mappings, map the head HUGE.
         _ => {
-            space.page_table.release_range(range);
+            space.page_table.release_range(range, |_, _| {});
             let mut head = Pte::present_rw(FrameId(*next_frame));
             *next_frame += 1;
             head.flags |= PteFlags::HUGE;
