@@ -141,7 +141,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         name: "ptrepl",
         what: "the page-table placement comparison",
         run: ptrepl,
-        pinned: &[pin("ptrepl.json", &[])],
+        pinned: &[pin("ptrepl.json", &[]), pin("ptrepl_full.txt", FULL)],
     },
     Experiment {
         name: "pressure",

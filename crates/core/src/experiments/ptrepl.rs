@@ -30,7 +30,7 @@ use numa_apps::lu::{run_lu, LuConfig};
 use numa_machine::{MemAccessKind, Op, ThreadSpec};
 use numa_rt::{setup, Buffer, MigrationStrategy};
 use numa_topology::NodeId;
-use numa_vm::{PtPlacement, PtSyncMode, PAGE_SIZE};
+use numa_vm::{PtPlacement, PAGE_SIZE};
 
 /// Random-read passes of the `walk` workload (after first touch).
 pub const WALK_SWEEPS: u64 = 16;
@@ -69,16 +69,12 @@ impl PtScenario {
 
     /// The paper machine with this scenario's page-table placement.
     pub fn system(self) -> NumaSystem {
-        let sys = NumaSystem::new();
-        match self {
-            PtScenario::Local => {
-                sys.pt_placement(PtPlacement::SingleHome(NodeId(0)), PtSyncMode::Eager)
-            }
-            PtScenario::Replicated => sys.pt_placement(PtPlacement::Replicated, PtSyncMode::Eager),
-            PtScenario::Remote => {
-                sys.pt_placement(PtPlacement::SingleHome(REMOTE_HOME), PtSyncMode::Eager)
-            }
-        }
+        let placement = match self {
+            PtScenario::Local => PtPlacement::SingleHome(NodeId(0)),
+            PtScenario::Replicated => PtPlacement::Replicated,
+            PtScenario::Remote => PtPlacement::SingleHome(REMOTE_HOME),
+        };
+        NumaSystem::new().pt_placement(placement)
     }
 }
 

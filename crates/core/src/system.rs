@@ -33,7 +33,7 @@ pub struct NumaSystem {
     platform: Platform,
     kernel: KernelConfig,
     cost_override: Option<CostModel>,
-    pt_placement: Option<(PtPlacement, PtSyncMode)>,
+    pt_placement: Option<PtPlacement>,
 }
 
 impl Default for NumaSystem {
@@ -75,11 +75,11 @@ impl NumaSystem {
     }
 
     /// Place the process's page table (ptplace subsystem): a fixed home
-    /// node or per-node replicas, with eager or lazy replica sync. Left
+    /// node or per-node replicas kept current by eager write-through. Left
     /// unset, the page table is cost-free to walk and every existing
     /// experiment's numbers are unchanged.
-    pub fn pt_placement(mut self, placement: PtPlacement, mode: PtSyncMode) -> Self {
-        self.pt_placement = Some((placement, mode));
+    pub fn pt_placement(mut self, placement: PtPlacement) -> Self {
+        self.pt_placement = Some(placement);
         self
     }
 
@@ -101,9 +101,11 @@ impl NumaSystem {
             }
         };
         let mut machine = Machine::new(Arc::new(topo), kernel);
-        if let Some((placement, mode)) = self.pt_placement {
+        if let Some(placement) = self.pt_placement {
             let nodes = machine.topology().node_count();
-            machine.space.pt_configure(placement, mode, nodes);
+            machine
+                .space
+                .pt_configure(placement, PtSyncMode::Eager, nodes);
         }
         machine
     }

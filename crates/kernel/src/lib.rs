@@ -192,12 +192,10 @@ impl Kernel {
     /// the address space runs Mitosis-style replicated page tables, charge
     /// the propagation (ptplace subsystem).
     ///
-    /// Under eager sync the PTE updates are written through to every
-    /// replica now and the caller's clock advances by the write-through
-    /// cost; under lazy sync the range is only marked stale (free — the
-    /// charge lands on the next walk from each node). With placement unset
-    /// or single-homed this is one branch and returns `now` unchanged, so
-    /// existing experiments are byte-identical.
+    /// The PTE updates are written through to every replica now and the
+    /// caller's clock advances by the write-through cost. With placement
+    /// unset or single-homed this is one branch and returns `now`
+    /// unchanged, so existing experiments are byte-identical.
     pub fn pt_note_update(
         &mut self,
         space: &mut numa_vm::AddressSpace,

@@ -57,13 +57,17 @@ fn tiered_replicated_fixture() -> Fx {
     }
 }
 
-/// Does every node's replica equal the primary page table?
+/// Does every node's replica equal the primary page table, entry for
+/// entry and extent for extent?
 fn replicas_agree(fx: &Fx) -> bool {
     let replicas = fx.space.pt_replicas().expect("replicated space");
-    fx.kernel
-        .topology()
-        .node_ids()
-        .all(|n| replicas.agrees_with(n, &fx.space.page_table))
+    fx.kernel.topology().node_ids().all(|n| {
+        replicas.agrees_with(n, &fx.space.page_table)
+            && replicas
+                .replica(n)
+                .extents()
+                .eq(fx.space.page_table.extents())
+    })
 }
 
 fn map_and_populate(fx: &mut Fx, pages: u64) -> VirtAddr {

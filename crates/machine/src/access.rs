@@ -430,11 +430,11 @@ impl Machine {
     /// ptplace model: TLB-miss probability (by access pattern) times the
     /// walk latency from the touching core's node to the page table's
     /// home. With placement unset this is a single branch and no cost —
-    /// existing runs stay byte-identical. Replicated tables walk locally;
-    /// a lazy replica reconciles (and is charged for it) on the first
-    /// walk from a node holding stale ranges.
+    /// existing runs stay byte-identical. Replicated tables walk locally:
+    /// eager write-through keeps every replica current, so a walk never
+    /// pays for a sync.
     fn charge_pt_walk(
-        &mut self,
+        &self,
         core_node: NodeId,
         now: SimTime,
         kind: MemAccessKind,
@@ -443,30 +443,10 @@ impl Machine {
         let Some(placement) = self.space.pt_placement() else {
             return now;
         };
-        // Field borrows of `self.topo`: no `&mut self` calls below.
         let cost = self.topo.cost();
-        let mut now = now;
         let pt_home = match placement {
             numa_vm::PtPlacement::SingleHome(node) => node,
-            numa_vm::PtPlacement::Replicated => {
-                if self.space.pt_node_is_stale(core_node) {
-                    stats.counters.bump(Counter::PtReplicaStaleHits);
-                    let written = self.space.pt_sync_node(core_node);
-                    if written > 0 {
-                        let dur = cost.pt_replica_sync_ns(written);
-                        stats.counters.bump(Counter::PtReplicaSyncs);
-                        self.trace.record(
-                            now,
-                            TraceEventKind::PtReplicaSync {
-                                entries: written,
-                                dur_ns: dur,
-                            },
-                        );
-                        now += dur;
-                    }
-                }
-                core_node
-            }
+            numa_vm::PtPlacement::Replicated => core_node,
         };
         let hops = self.topo.hops(core_node, pt_home);
         let miss = match kind {

@@ -20,39 +20,6 @@ use crate::buffer::Buffer;
 use numa_machine::Op;
 use numa_topology::NodeId;
 
-/// Why a strategy could not be expanded into ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StrategyError {
-    /// [`MigrationStrategy::Sync`] was asked to expand without a
-    /// destination node; synchronous `move_pages` has nowhere to move to.
-    MissingDestination,
-    /// [`MigrationStrategy::UserNextTouch`] must expand through
-    /// [`crate::UserNextTouch::mark_ops`] so the region registry stays in
-    /// sync with the mprotect.
-    NeedsRegistry,
-}
-
-impl std::fmt::Display for StrategyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StrategyError::MissingDestination => {
-                write!(
-                    f,
-                    "MigrationStrategy::Sync needs an explicit destination node"
-                )
-            }
-            StrategyError::NeedsRegistry => {
-                write!(
-                    f,
-                    "use UserNextTouch::mark_ops so the region registry stays in sync"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for StrategyError {}
-
 /// How a workload redistributes buffers after thread migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationStrategy {
@@ -71,44 +38,30 @@ pub enum MigrationStrategy {
 }
 
 impl MigrationStrategy {
-    /// Ops that apply this strategy to `buffer`, with typed failure.
+    /// Ops that apply this strategy to `buffer`.
     ///
     /// `dest` is required by [`MigrationStrategy::Sync`] (the known
     /// destination) and ignored by the next-touch strategies (the
-    /// toucher decides). [`MigrationStrategy::UserNextTouch`] always
-    /// fails here: use [`crate::UserNextTouch::mark_ops`] instead, since
-    /// the registry must be updated alongside the mprotect.
-    pub fn try_ops(self, buffer: &Buffer, dest: Option<NodeId>) -> Result<Vec<Op>, StrategyError> {
+    /// toucher decides). Panics on a `Sync` without a destination and on
+    /// [`MigrationStrategy::UserNextTouch`]: both are API misuse, and the
+    /// latter must go through [`crate::UserNextTouch::mark_ops`] so the
+    /// region registry stays in sync with the mprotect.
+    pub fn ops(self, buffer: &Buffer, dest: Option<NodeId>) -> Vec<Op> {
         match self {
-            MigrationStrategy::Static => Ok(Vec::new()),
+            MigrationStrategy::Static => Vec::new(),
             MigrationStrategy::Sync => {
-                let dest = dest.ok_or(StrategyError::MissingDestination)?;
+                let dest =
+                    dest.expect("MigrationStrategy::Sync needs an explicit destination node");
                 let pages = buffer.page_addrs();
                 let dest = vec![dest; pages.len()];
-                Ok(vec![Op::MovePages { pages, dest }])
+                vec![Op::MovePages { pages, dest }]
             }
-            MigrationStrategy::KernelNextTouch => Ok(vec![Op::MadviseNextTouch {
+            MigrationStrategy::KernelNextTouch => vec![Op::MadviseNextTouch {
                 range: buffer.page_range(),
-            }]),
-            MigrationStrategy::UserNextTouch => Err(StrategyError::NeedsRegistry),
-        }
-    }
-
-    /// Ops that apply this strategy to `buffer` (infallible convenience).
-    ///
-    /// A [`MigrationStrategy::Sync`] without a destination degrades to
-    /// kernel next-touch — the toucher decides, which is the semantically
-    /// closest strategy that needs no destination — instead of dying.
-    /// [`MigrationStrategy::UserNextTouch`] still panics: that is an API
-    /// misuse ([`crate::UserNextTouch::mark_ops`] keeps the registry in
-    /// sync), not a recoverable condition.
-    pub fn ops(self, buffer: &Buffer, dest: Option<NodeId>) -> Vec<Op> {
-        match self.try_ops(buffer, dest) {
-            Ok(ops) => ops,
-            Err(StrategyError::MissingDestination) => MigrationStrategy::KernelNextTouch
-                .try_ops(buffer, None)
-                .expect("kernel next-touch expansion is infallible"),
-            Err(e @ StrategyError::NeedsRegistry) => panic!("{e}"),
+            }],
+            MigrationStrategy::UserNextTouch => {
+                panic!("use UserNextTouch::mark_ops so the region registry stays in sync")
+            }
         }
     }
 
@@ -159,15 +112,11 @@ mod tests {
     }
 
     #[test]
-    fn sync_without_dest_degrades_to_next_touch() {
+    #[should_panic(expected = "explicit destination")]
+    fn sync_without_dest_panics() {
         let mut m = Machine::two_node();
         let b = Buffer::alloc(&mut m, PAGE_SIZE);
-        assert_eq!(
-            MigrationStrategy::Sync.try_ops(&b, None).err(),
-            Some(StrategyError::MissingDestination)
-        );
-        let ops = MigrationStrategy::Sync.ops(&b, None);
-        assert!(matches!(&ops[..], [Op::MadviseNextTouch { range }] if range.pages() == 1));
+        MigrationStrategy::Sync.ops(&b, None);
     }
 
     #[test]

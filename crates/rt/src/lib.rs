@@ -28,7 +28,7 @@ pub mod tenant;
 
 pub use autobalance::AutoBalanceState;
 pub use buffer::Buffer;
-pub use lazy::{MigrationStrategy, StrategyError};
+pub use lazy::MigrationStrategy;
 pub use next_touch::UserNextTouch;
 pub use omp::{Schedule, Team, WorkPlan};
 pub use tenant::{build_tenant, TenantProfile};

@@ -51,11 +51,6 @@ pub enum Schedule {
     /// First-come chunks of the given size from a shared counter —
     /// `schedule(dynamic, chunk)`.
     Dynamic(usize),
-    /// Exponentially shrinking first-come chunks with the given minimum —
-    /// `schedule(guided, min)`: each claim takes half of the remaining
-    /// iterations divided by the team size, so early claims are large
-    /// (low claiming overhead) and late claims are small (good balance).
-    Guided(usize),
 }
 
 type ForBody = Rc<RefCell<dyn FnMut(usize) -> Vec<Op>>>;
@@ -257,17 +252,10 @@ fn thread_program(tid: usize, nthreads: usize, phases: Rc<Vec<Phase>>) -> Progra
                         phase_idx += 1;
                     }
                 }
-                Schedule::Dynamic(_) | Schedule::Guided(_) => {
+                Schedule::Dynamic(chunk) => {
                     let c = counter.get();
                     if c < *iters {
-                        let chunk = match schedule {
-                            Schedule::Dynamic(chunk) => (*chunk).max(1),
-                            Schedule::Guided(min) => {
-                                ((iters - c) / (2 * nthreads)).max((*min).max(1))
-                            }
-                            Schedule::Static => unreachable!(),
-                        };
-                        let hi = (c + chunk).min(*iters);
+                        let hi = (c + (*chunk).max(1)).min(*iters);
                         counter.set(hi);
                         buf.push_back(Op::ComputeNs(DYNAMIC_CLAIM_NS));
                         let mut b = body.borrow_mut();
@@ -347,42 +335,6 @@ mod tests {
         let mut v = seen.borrow().clone();
         v.sort();
         assert_eq!(v, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn guided_schedule_covers_all_iterations_once() {
-        let mut m = Machine::opteron_4p();
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let seen2 = Rc::clone(&seen);
-        let mut plan = WorkPlan::new();
-        plan.parallel_for(173, Schedule::Guided(2), move |i| {
-            seen2.borrow_mut().push(i);
-            vec![Op::ComputeNs(5)]
-        });
-        Team::all_cores(&m).run(&mut m, plan);
-        let mut v = seen.borrow().clone();
-        v.sort();
-        assert_eq!(v, (0..173).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn guided_claims_fewer_chunks_than_dynamic1() {
-        // Guided's claiming overhead (one claim op per chunk) must be far
-        // below dynamic(1)'s one-claim-per-iteration.
-        let claims = |schedule| {
-            let mut m = Machine::opteron_4p();
-            let mut plan = WorkPlan::new();
-            plan.parallel_for(256, schedule, |_| vec![Op::ComputeNs(1_000)]);
-            let r = Team::all_cores(&m).take(4).run(&mut m, plan);
-            // Each claim costs DYNAMIC_CLAIM_NS of Compute on top of the
-            // 256 x 1000ns bodies; recover the claim count.
-            let compute = r.stats.breakdown.get(numa_stats::CostComponent::Compute);
-            (compute - 256_000) / DYNAMIC_CLAIM_NS
-        };
-        let dynamic1 = claims(Schedule::Dynamic(1));
-        let guided = claims(Schedule::Guided(1));
-        assert_eq!(dynamic1, 256);
-        assert!(guided < 64, "guided made {guided} claims");
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub enum TraceEventKind {
     /// A migration degraded gracefully: the page stays on its source node
     /// and the workload keeps running.
     MigrationDegraded { page: u64, reason: &'static str },
-    /// Page-table replica write-through or reconcile: `entries` PTEs were
+    /// Page-table replica write-through: `entries` PTEs were
     /// published to replicas (ptplace subsystem).
     PtReplicaSync { entries: u64, dur_ns: u64 },
     /// A single-homed page table migrated to follow its thread (numaPTE);

@@ -83,12 +83,8 @@ pub enum Counter {
     /// Page walks that crossed the interconnect to reach a remotely homed
     /// page table (ptplace subsystem).
     PtWalksRemote,
-    /// Replica write-through/reconcile episodes that wrote at least one
-    /// PTE (eager propagation or lazy reconciliation).
+    /// Replica write-through episodes that wrote at least one PTE.
     PtReplicaSyncs,
-    /// Walks from a node whose replica was stale and had to reconcile
-    /// first (lazy replication only).
-    PtReplicaStaleHits,
     /// Direct-reclaim runs performed on the allocating thread (memory
     /// pressure below the min watermark, or a failed allocation).
     DirectReclaims,
@@ -116,7 +112,7 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in declaration (= `Ord`) order. The registry's
     /// iteration and display orders derive from this list.
-    pub const ALL: [Counter; 42] = [
+    pub const ALL: [Counter; 41] = [
         Counter::FirstTouchFaults,
         Counter::NextTouchFaults,
         Counter::SegvSignals,
@@ -149,7 +145,6 @@ impl Counter {
         Counter::MigrationsGaveUp,
         Counter::PtWalksRemote,
         Counter::PtReplicaSyncs,
-        Counter::PtReplicaStaleHits,
         Counter::DirectReclaims,
         Counter::ReclaimScans,
         Counter::PagesReclaimed,

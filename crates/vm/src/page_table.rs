@@ -22,7 +22,7 @@
 //!   maintained incrementally at map/unmap/protect time instead of by
 //!   end-of-run scans.
 //! * **Replica diffs are word-parallel.** [`PageTable::sync_from`]
-//!   reconciles a replica against the primary with a bitmap-XOR pre-filter
+//!   brings a replica up to the primary with a bitmap-XOR pre-filter
 //!   and slice payload compares bounded by the requested window, falling
 //!   back to per-record work only where a 64-record block actually
 //!   differs inside it.
@@ -722,6 +722,14 @@ impl PageTable {
         }
     }
 
+    /// The extents in ascending order, each as its page range and its
+    /// stride in pages per record (tests and invariant checks).
+    pub fn extents(&self) -> impl Iterator<Item = (PageRange, u64)> + '_ {
+        self.slabs
+            .iter()
+            .map(|s| (PageRange::new(s.base, s.end()), s.stride))
+    }
+
     /// Iterate over `(vpn, pte)` pairs in ascending vpn order (the slab
     /// layout is sorted, so order costs nothing).
     pub fn iter(&self) -> WalkRange<'_> {
@@ -936,13 +944,13 @@ impl PageTable {
         changed
     }
 
-    /// Reconcile `self` (a replica) with `primary` over `range`: entries
+    /// Bring `self` (a replica) up to `primary` over `range`: entries
     /// present only here are unmapped, entries present only in the primary
     /// are installed, and entries that differ are overwritten. Returns the
     /// number of PTEs written (the quantity the cost model charges for).
     ///
-    /// Geometry-aligned slab pairs — the overwhelmingly common case, since
-    /// replicas start as clones and see the same reserve/release ranges —
+    /// Geometry-aligned slab pairs — every kernel-driven sync, since the
+    /// address space applies each extent edit to its mirror too —
     /// diff word-parallel via [`PageTable::sync_aligned`]; whole primary
     /// slabs falling into a replica gap are adopted by cloning the arrays.
     /// Everything else (and any table carrying in-flight shadow entries)

@@ -86,12 +86,13 @@ impl AddressSpace {
 
     /// Configure page-table placement. With [`PtPlacement::Replicated`],
     /// one replica per node is built from the current primary table and
-    /// kept in sync per `mode` (eager replicas share one mirror table);
-    /// with [`PtPlacement::SingleHome`] the table is pinned to that node,
-    /// walks from elsewhere pay the distance and `mode` is unused.
-    pub fn pt_configure(&mut self, placement: PtPlacement, mode: PtSyncMode, nodes: usize) {
+    /// kept in sync by eager write-through (all replicas share one mirror
+    /// table); with [`PtPlacement::SingleHome`] the table is pinned to
+    /// that node and walks from elsewhere pay the distance. `PtSyncMode`
+    /// has the one variant [`PtSyncMode::Eager`].
+    pub fn pt_configure(&mut self, placement: PtPlacement, _mode: PtSyncMode, nodes: usize) {
         self.pt_replicas = match placement {
-            PtPlacement::Replicated => Some(PtReplicaSet::new(nodes, &self.page_table, mode)),
+            PtPlacement::Replicated => Some(PtReplicaSet::new(nodes, &self.page_table)),
             PtPlacement::SingleHome(_) => None,
         };
         self.pt_placement = Some(placement);
@@ -110,11 +111,10 @@ impl AddressSpace {
         }
     }
 
-    /// Record that the primary table changed over `range`. Under eager
-    /// replication the change is written through to every replica and the
-    /// number of PTEs written is returned (the caller charges for them);
-    /// under lazy replication the range is marked stale everywhere and 0
-    /// is returned. Without replicas this is free and returns 0.
+    /// Record that the primary table changed over `range`: with replicas
+    /// the change is written through to every one and the number of PTEs
+    /// written is returned (the caller charges for them). Without
+    /// replicas this is free and returns 0.
     pub fn pt_note_update(&mut self, range: PageRange) -> u64 {
         match self.pt_replicas.as_mut() {
             Some(replicas) => replicas.propagate(&self.page_table, range),
@@ -122,18 +122,11 @@ impl AddressSpace {
         }
     }
 
-    /// Does `node`'s replica need reconciling before a walk from there?
-    pub fn pt_node_is_stale(&self, node: NodeId) -> bool {
-        self.pt_replicas.as_ref().is_some_and(|r| r.is_stale(node))
-    }
-
-    /// Reconcile `node`'s replica with the primary (lazy mode, on the
-    /// first walk from a node after an update). Returns PTEs written.
-    pub fn pt_sync_node(&mut self, node: NodeId) -> u64 {
-        match self.pt_replicas.as_mut() {
-            Some(r) => r.reconcile(node, &self.page_table),
-            None => 0,
-        }
+    /// The replica mirror, when replicated. Every extent edit of the
+    /// primary goes to the mirror too, so the two tables' slabs stay
+    /// geometry-aligned and write-through diffs take the fast path.
+    fn pt_mirror(&mut self) -> Option<&mut PageTable> {
+        self.pt_replicas.as_mut().map(PtReplicaSet::mirror_mut)
     }
 
     /// The replica set, when replicated (tests and invariant checks).
@@ -154,6 +147,9 @@ impl AddressSpace {
         // 511 slots per 2 MB would be dead weight. Best-effort — a
         // non-huge-aligned or already-populated extent stays base-grain.
         self.page_table.convert_range_to_huge(range);
+        if let Some(mirror) = self.pt_mirror() {
+            mirror.convert_range_to_huge(range);
+        }
         self.generation += 1;
         Ok(())
     }
@@ -205,11 +201,12 @@ impl AddressSpace {
             frames.free(pte.frame);
             pages += 1;
         });
-        // Replicas drop the same entries. The write-through is left
-        // uncharged on purpose: the timed `Kernel::munmap` charges only the
-        // teardown and the shootdown, the same on single-home and
-        // replicated spaces.
-        self.pt_note_update(vma.range);
+        // Replicas drop the same extent. That write-through is uncharged:
+        // the timed `Kernel::munmap` charges only the teardown and the
+        // shootdown, the same on single-home and replicated spaces.
+        if let Some(mirror) = self.pt_mirror() {
+            mirror.release_range(vma.range, |_, _| {});
+        }
         self.generation += 1;
         Ok(pages)
     }
@@ -236,6 +233,9 @@ impl AddressSpace {
         // Pre-size the VMA's dense PTE slab so every later fault is an
         // indexed store, never a structural insertion.
         self.page_table.reserve_range(vma.range);
+        if let Some(mirror) = self.pt_mirror() {
+            mirror.reserve_range(vma.range);
+        }
         self.vmas.insert(vma.range.start_vpn, vma);
         self.generation += 1;
         Ok(())

@@ -7,10 +7,14 @@
 //!   its size).
 //! * `munmap` frees each frame as the page table releases its entry, so
 //!   it allocates nothing that grows with the size of the VMA.
+//! * A replicated space's mirror table shares the primary's extents:
+//!   `munmap` releases the mirror's extent with the primary's, so
+//!   mmap/munmap cycles leave no empty extents behind in it.
 
 use numa_topology::NodeId;
 use numa_vm::{
-    AddressSpace, FrameAllocator, FrameId, MemPolicy, Protection, Pte, VmaKind, FRAME_CHUNK,
+    AddressSpace, FrameAllocator, FrameId, MemPolicy, PageRange, PageTable, Protection,
+    PtPlacement, PtSyncMode, Pte, PteFlags, VirtAddr, VmaKind, FRAME_CHUNK, PAGES_PER_HUGE,
     PAGE_SIZE,
 };
 
@@ -83,4 +87,86 @@ fn munmap_allocates_nothing_that_grows_with_the_vma() {
     let large = munmap_allocs(100_000);
     assert!(large.bytes <= 1024, "munmap of 100,000 pages: {large:?}");
     assert_eq!(large.bytes, small.bytes, "{small:?} vs {large:?}");
+}
+
+/// A space with replicated page tables on four nodes.
+fn replicated_space() -> AddressSpace {
+    let mut space = AddressSpace::new();
+    space.pt_configure(PtPlacement::Replicated, PtSyncMode::Eager, 4);
+    space
+}
+
+fn mmap_pages(space: &mut AddressSpace, pages: u64) -> VirtAddr {
+    space
+        .mmap(
+            pages * PAGE_SIZE,
+            Protection::ReadWrite,
+            VmaKind::PrivateAnonymous,
+            MemPolicy::FirstTouch,
+        )
+        .unwrap()
+}
+
+fn mirror(space: &AddressSpace) -> &PageTable {
+    space.pt_replicas().unwrap().replica(NodeId(0))
+}
+
+/// The mirror's extents, slab count and mapped entries equal the
+/// primary's.
+fn assert_mirror_matches(space: &AddressSpace, when: &str) {
+    let (m, p) = (mirror(space), &space.page_table);
+    let (ms, ps) = (m.stats(), p.stats());
+    assert_eq!(
+        (ms.slabs, ms.mapped),
+        (ps.slabs, ps.mapped),
+        "mirror (slabs, mapped) vs primary {when}"
+    );
+    assert!(m.extents().eq(p.extents()), "mirror extents differ {when}");
+}
+
+#[test]
+fn replica_mirror_releases_the_extent_of_every_munmap() {
+    const PAGES: u64 = 4096;
+    let mut space = replicated_space();
+    let mut frames = FrameAllocator::new(2, 2 * PAGES);
+    // One mapping stays live across the cycles.
+    let keep = mmap_pages(&mut space, 64);
+    assert_mirror_matches(&space, "after the first mmap");
+    for cycle in 0..20 {
+        let addr = mmap_pages(&mut space, PAGES);
+        assert_mirror_matches(&space, &format!("after mmap {cycle}"));
+        let range = PageRange::new(addr.vpn(), addr.vpn() + PAGES);
+        for vpn in range.iter() {
+            let frame = frames.alloc(NodeId((vpn % 2) as u16)).unwrap();
+            space.page_table.map(vpn, Pte::present_rw(frame));
+        }
+        assert_eq!(space.pt_note_update(range), 4 * PAGES);
+        assert_mirror_matches(&space, &format!("after the faults of cycle {cycle}"));
+        assert_eq!(space.munmap(addr, &mut frames).unwrap(), PAGES);
+        assert_mirror_matches(&space, &format!("after munmap {cycle}"));
+    }
+    assert_eq!(mirror(&space).stats().slabs, 1, "only the kept extent");
+    space.munmap(keep, &mut frames).unwrap();
+    assert_eq!(mirror(&space).stats().slabs, 0);
+}
+
+#[test]
+fn set_vma_huge_converts_the_mirror_extent_too() {
+    let mut space = replicated_space();
+    let addr = mmap_pages(&mut space, 2 * PAGES_PER_HUGE);
+    space.set_vma_huge(addr).unwrap();
+    assert_mirror_matches(&space, "after set_vma_huge");
+    let strides: Vec<u64> = mirror(&space).extents().map(|(_, s)| s).collect();
+    assert_eq!(strides, vec![PAGES_PER_HUGE], "one huge-stride extent");
+    // A huge fault on the second head writes one record through to each
+    // of the four replicas and leaves the extents alone.
+    let head = addr.vpn() + PAGES_PER_HUGE;
+    let mut pte = Pte::present_rw(FrameId(7));
+    pte.flags |= PteFlags::HUGE;
+    space.page_table.map(head, pte);
+    assert_eq!(
+        space.pt_note_update(PageRange::new(head, head + PAGES_PER_HUGE)),
+        4
+    );
+    assert_mirror_matches(&space, "after a huge fault");
 }

@@ -5,23 +5,18 @@
 //! mutation shapes the kernel performs — fault map, unmap, protect,
 //! migrate (frame flip), huge-remap — each followed by the
 //! `pt_note_update` call the kernel issues. The replication protocol's
-//! contract: **at every sync point each replica agrees PTE-for-PTE with
-//! the primary.**
+//! contract: **after every write-through each replica agrees PTE-for-PTE
+//! with the primary.**
 //!
-//! * Eager mode: every `pt_note_update` is a sync point — all replicas
-//!   agree after every single op.
-//! * Lazy mode: updates only mark ranges stale; a replica's sync point
-//!   is its `pt_sync_node` reconcile. Reconciling a rotating node after
-//!   each op exercises staleness accumulated across many ops; a final
-//!   reconcile of all nodes must converge everything.
-//! * Eager storage: the replica set keeps one mirror table for all nodes.
-//!   A reference model of N independent per-node tables, each synced on
+//! * Eager write-through: every `pt_note_update` is a sync point — all
+//!   replicas agree after every single op.
+//! * Storage: the replica set keeps one mirror table for all nodes. A
+//!   reference model of N independent per-node tables, each synced on
 //!   its own, must write the same number of PTEs after every op.
 
 use numa_topology::NodeId;
 use numa_vm::{
-    AddressSpace, FrameId, PageRange, PageTable, PtPlacement, PtReplicaSet, PtSyncMode, Pte,
-    PteFlags,
+    AddressSpace, FrameId, PageRange, PageTable, PtPlacement, PtSyncMode, Pte, PteFlags,
 };
 use proptest::prelude::*;
 
@@ -85,8 +80,7 @@ fn apply(
 
 proptest! {
     /// Eager write-through: after every op's `pt_note_update`, every
-    /// replica agrees PTE-for-PTE with the primary, and nothing is ever
-    /// left stale.
+    /// replica agrees PTE-for-PTE with the primary.
     #[test]
     fn eager_replicas_agree_after_every_update(ops in op_strategy()) {
         let mut space = AddressSpace::new();
@@ -98,84 +92,12 @@ proptest! {
             let replicas = space.pt_replicas().unwrap();
             for node in 0..NODES {
                 let node = NodeId(node as u16);
-                prop_assert!(!replicas.is_stale(node), "eager mode never leaves {node} stale");
                 prop_assert!(
                     replicas.agrees_with(node, &space.page_table),
                     "replica on {node} diverged from the primary after {}({start}+{len})",
                     kind
                 );
             }
-        }
-    }
-
-    /// Lazy reconcile: updates only mark replicas stale; a replica
-    /// agrees with the primary exactly at its own sync points. A
-    /// rotating node reconciles after each op (staleness accumulated
-    /// over several ops collapses in one reconcile), and a final
-    /// all-node reconcile converges every replica.
-    #[test]
-    fn lazy_replicas_agree_at_sync_points(ops in op_strategy()) {
-        let mut space = AddressSpace::new();
-        space.pt_configure(PtPlacement::Replicated, PtSyncMode::Lazy, NODES);
-        let mut next_frame = 0u64;
-        for (i, (kind, start, len, salt)) in ops.into_iter().enumerate() {
-            let range = apply(&mut space, kind, start, len, salt, &mut next_frame);
-            let written = space.pt_note_update(range);
-            prop_assert_eq!(written, 0, "lazy updates must not write replicas");
-            if range.pages() > 0 {
-                for node in 0..NODES {
-                    prop_assert!(
-                        space.pt_node_is_stale(NodeId(node as u16)),
-                        "an un-reconciled replica must be stale after an update"
-                    );
-                }
-            }
-            // Sync point for one rotating node only.
-            let node = NodeId((i % NODES) as u16);
-            space.pt_sync_node(node);
-            prop_assert!(!space.pt_node_is_stale(node));
-            prop_assert!(
-                space.pt_replicas().unwrap().agrees_with(node, &space.page_table),
-                "replica on {node} diverged at its sync point"
-            );
-        }
-        // Final sync point for everyone.
-        for node in 0..NODES {
-            let node = NodeId(node as u16);
-            space.pt_sync_node(node);
-            let replicas = space.pt_replicas().unwrap();
-            prop_assert!(!replicas.is_stale(node));
-            prop_assert!(
-                replicas.agrees_with(node, &space.page_table),
-                "replica on {node} diverged after the final reconcile"
-            );
-        }
-    }
-
-    /// Mode equivalence: the same op sequence leaves eager replicas and
-    /// fully-reconciled lazy replicas in identical states — the sync
-    /// discipline changes *when* PTEs are written, never *what*.
-    #[test]
-    fn eager_and_reconciled_lazy_converge(ops in op_strategy()) {
-        let mut eager = AddressSpace::new();
-        eager.pt_configure(PtPlacement::Replicated, PtSyncMode::Eager, NODES);
-        let mut lazy = AddressSpace::new();
-        lazy.pt_configure(PtPlacement::Replicated, PtSyncMode::Lazy, NODES);
-        let (mut fe, mut fl) = (0u64, 0u64);
-        for (kind, start, len, salt) in ops {
-            let re = apply(&mut eager, kind, start, len, salt, &mut fe);
-            eager.pt_note_update(re);
-            let rl = apply(&mut lazy, kind, start, len, salt, &mut fl);
-            lazy.pt_note_update(rl);
-        }
-        for node in 0..NODES {
-            let node = NodeId(node as u16);
-            lazy.pt_sync_node(node);
-            let er = eager.pt_replicas().unwrap().replica(node);
-            let lr = lazy.pt_replicas().unwrap().replica(node);
-            let e: Vec<(u64, Pte)> = er.iter().collect();
-            let l: Vec<(u64, Pte)> = lr.iter().collect();
-            prop_assert_eq!(e, l, "eager and lazy replicas diverged on {}", node);
         }
     }
 
@@ -194,7 +116,7 @@ proptest! {
             let written = space.pt_note_update(range);
             let expected: u64 = reference
                 .iter_mut()
-                .map(|t: &mut PageTable| PtReplicaSet::sync_range(t, &space.page_table, range))
+                .map(|t: &mut PageTable| t.sync_from(&space.page_table, range))
                 .sum();
             prop_assert_eq!(written, expected, "write count diverged after {}({}+{})", kind, start, len);
             let replicas = space.pt_replicas().unwrap();
