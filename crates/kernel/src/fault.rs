@@ -70,8 +70,8 @@ impl Kernel {
     ///
     /// Fault-handling costs are added to `b` directly: faults fire per
     /// touched page on the access hot path, and returning a fresh
-    /// [`Breakdown`] per fault (heap allocation plus a full-width merge
-    /// in every caller) was measurable host time.
+    /// [`Breakdown`] per fault would cost a full-width merge in every
+    /// caller.
     #[allow(clippy::too_many_arguments)]
     pub fn handle_fault(
         &mut self,
@@ -119,7 +119,7 @@ impl Kernel {
                     };
                 }
                 let mut t0 = now;
-                let frame = match self.alloc_frame(frames, policy_target, policy_fallback) {
+                let (frame, node) = match self.alloc_frame(frames, policy_target, policy_fallback) {
                     Some(f) => f,
                     None => {
                         // Allocation slow path: with reclaim enabled,
@@ -142,7 +142,6 @@ impl Kernel {
                         }
                     }
                 };
-                let node = frames.node_of(frame);
                 let mut flags = PteFlags::PRESENT | PteFlags::READ;
                 if prot == Protection::ReadWrite {
                     flags |= PteFlags::WRITE;
@@ -208,7 +207,6 @@ impl Kernel {
                 // Move the page to the toucher's node. A full local bank
                 // (or an injected fault) leaves it where it is — the
                 // paper's silent degradation.
-                let src = frames.node_of(pte.frame);
                 let (mut t, status) = self.relocate_page(
                     space,
                     frames,
@@ -220,7 +218,9 @@ impl Kernel {
                 );
                 let (migrated, node) = match status {
                     PageStatus::Moved(dst) => (true, dst),
-                    _ => (false, src),
+                    PageStatus::AlreadyThere(src) => (false, src),
+                    // A failed move leaves the page mapped where it was.
+                    _ => (false, frames.node_of(pte.frame)),
                 };
                 // Restore protection per the VMA; only the faulting core's
                 // TLB needs invalidating (the madvise already shot down the

@@ -24,61 +24,73 @@ pub struct Interconnect {
     mem_ctl: Vec<Resource>,
     /// Per-node DRAM bandwidth (bytes/ns).
     mem_bw: Vec<f64>,
-    /// Service times of [`Interconnect::access`] by `(from, mem, bytes)`.
-    memo: RouteMemo,
+    /// Service times of [`Interconnect::access`] by `(from, mem, bytes)`:
+    /// the memory controller's, then each route link's.
+    access_memo: RouteMemo,
+    /// Service times of [`Interconnect::transfer`] by `(src, dst, bytes,
+    /// initiator_bw)`: the source controller's, the destination
+    /// controller's, the initiator's duration, then each route link's.
+    transfer_memo: RouteMemo,
 }
 
-/// Entries of the route memo (a power of two).
+/// Entries of a route memo (a power of two).
 const ROUTE_MEMO: usize = 64;
 
-/// The service times one [`Interconnect::access`] books, memoized by
-/// `(from, mem, bytes)`: the memory controller's, then each route link's
-/// in route order. A direct-mapped table of [`ROUTE_MEMO`] entries that
-/// never grows; a colliding key overwrites. The bandwidths are fixed per
+/// Service times memoized by `(from, to, bytes, initiator bandwidth)`: a
+/// fixed number of leading times, then one per route link in route
+/// order. A direct-mapped table of [`ROUTE_MEMO`] entries that never
+/// grows; a colliding key overwrites. The bandwidths are fixed per
 /// machine, so an entry never goes stale.
 #[derive(Debug)]
 struct RouteMemo {
-    /// `((from << 16) | mem, bytes)` per entry; `u64::MAX` marks empty.
-    keys: Vec<(u64, u64)>,
+    /// `[(from << 16) | to, bytes, initiator bandwidth bits]` per entry
+    /// (`access` passes a bandwidth of 0); `u64::MAX` in the first word
+    /// marks empty.
+    keys: Vec<[u64; 3]>,
     /// `stride` service times per entry.
     svc: Vec<u64>,
-    /// One plus the longest route's link count.
+    /// Times per entry ahead of the route's links.
+    heads: usize,
+    /// `heads` plus the longest route's link count.
     stride: usize,
 }
 
 impl RouteMemo {
-    fn new(topo: &Topology) -> Self {
+    fn new(topo: &Topology, heads: usize) -> Self {
         let longest = topo
             .node_ids()
             .flat_map(|a| topo.node_ids().map(move |b| topo.route(a, b).len()))
             .max()
             .unwrap_or(0);
         RouteMemo {
-            keys: vec![(u64::MAX, 0); ROUTE_MEMO],
-            svc: vec![0; ROUTE_MEMO * (longest + 1)],
-            stride: longest + 1,
+            keys: vec![[u64::MAX, 0, 0]; ROUTE_MEMO],
+            svc: vec![0; ROUTE_MEMO * (heads + longest)],
+            heads,
+            stride: heads + longest,
         }
     }
 
-    /// The service times of `bytes` from `from` to `mem` over `route`,
-    /// computed on a miss exactly as an unmemoized booking would.
+    /// The `heads` leading times followed by the link times of `bytes`
+    /// over `route` (each link's `bytes / link_bw`). On a miss `fill`
+    /// writes the leading times, and both are computed exactly as an
+    /// unmemoized booking would.
     fn get(
         &mut self,
-        from: NodeId,
-        mem: NodeId,
-        bytes: u64,
+        (from, to, bytes, bw): (NodeId, NodeId, u64, f64),
         route: &[numa_topology::LinkId],
         link_bw: &[f64],
-        mem_bw: &[f64],
+        fill: impl FnOnce(&mut [u64]),
     ) -> &[u64] {
-        let pair = (u64::from(from.0) << 16) | u64::from(mem.0);
-        let hash = (bytes ^ pair.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let pair = (u64::from(from.0) << 16) | u64::from(to.0);
+        let key = [pair, bytes, bw.to_bits()];
+        let hash = (bytes ^ pair.rotate_left(32) ^ key[2]).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let i = (hash >> (64 - ROUTE_MEMO.trailing_zeros())) as usize;
-        let svc = &mut self.svc[i * self.stride..][..=route.len()];
-        if self.keys[i] != (pair, bytes) {
-            self.keys[i] = (pair, bytes);
-            svc[0] = round_ns(bytes as f64 / mem_bw[mem.index()]);
-            for (s, l) in svc[1..].iter_mut().zip(route) {
+        let svc = &mut self.svc[i * self.stride..][..self.heads + route.len()];
+        if self.keys[i] != key {
+            self.keys[i] = key;
+            let (heads, links) = svc.split_at_mut(self.heads);
+            fill(heads);
+            for (s, l) in links.iter_mut().zip(route) {
                 *s = round_ns(bytes as f64 / link_bw[l.index()]);
             }
         }
@@ -119,7 +131,8 @@ impl Interconnect {
             link_bw,
             mem_ctl,
             mem_bw,
-            memo: RouteMemo::new(topo),
+            access_memo: RouteMemo::new(topo, 1),
+            transfer_memo: RouteMemo::new(topo, 3),
         }
     }
 
@@ -134,7 +147,8 @@ impl Interconnect {
     ///
     /// The transfer occupies every route link and both memory controllers
     /// for their own `bytes/bandwidth` windows; the initiator finishes
-    /// after `bytes/initiator_bw`.
+    /// after `bytes/initiator_bw`. The service times come from the
+    /// transfer memo; the bookings stay per call.
     pub fn transfer(
         &mut self,
         topo: &Topology,
@@ -156,20 +170,24 @@ impl Interconnect {
         }
         start = start.max(self.mem_ctl[src.index()].busy_until());
         // Occupy them for their own service windows.
-        for l in route {
-            let svc = round_ns(bytes as f64 / self.link_bw[l.index()]);
-            self.links[l.index()].occupy(start, svc);
+        let mem_bw = &self.mem_bw;
+        let svc =
+            self.transfer_memo
+                .get((src, dst, bytes, initiator_bw), route, &self.link_bw, |h| {
+                    h[0] = round_ns(bytes as f64 / mem_bw[src.index()]);
+                    h[1] = round_ns(bytes as f64 / mem_bw[dst.index()]);
+                    h[2] = round_ns(bytes as f64 / initiator_bw);
+                });
+        for (l, &s) in route.iter().zip(&svc[3..]) {
+            self.links[l.index()].occupy(start, s);
         }
-        let src_svc = round_ns(bytes as f64 / self.mem_bw[src.index()]);
-        self.mem_ctl[src.index()].occupy(start, src_svc);
+        self.mem_ctl[src.index()].occupy(start, svc[0]);
         if dst != src {
-            let dst_svc = round_ns(bytes as f64 / self.mem_bw[dst.index()]);
-            self.mem_ctl[dst.index()].occupy(start, dst_svc);
+            self.mem_ctl[dst.index()].occupy(start, svc[1]);
         }
-        let duration = round_ns(bytes as f64 / initiator_bw);
         TransferOutcome {
             start,
-            end: start + duration,
+            end: start + svc[2],
             wait_ns: start.since(now),
         }
     }
@@ -193,9 +211,12 @@ impl Interconnect {
             start = start.max(self.links[l.index()].busy_until());
         }
         start = start.max(self.mem_ctl[mem.index()].busy_until());
+        let mem_bw = &self.mem_bw;
         let svc = self
-            .memo
-            .get(from, mem, bytes, route, &self.link_bw, &self.mem_bw);
+            .access_memo
+            .get((from, mem, bytes, 0.0), route, &self.link_bw, |h| {
+                h[0] = round_ns(bytes as f64 / mem_bw[mem.index()]);
+            });
         for (l, &s) in route.iter().zip(&svc[1..]) {
             self.links[l.index()].occupy(start, s);
         }
@@ -287,6 +308,40 @@ mod tests {
             }
             mem_busy[mem.index()] +=
                 (bytes as f64 / topo.node(mem).dram_bw_bytes_per_ns).round() as u64;
+        }
+        for (l, &busy) in link_busy.iter().enumerate() {
+            assert_eq!(ic.link_busy_ns(l), busy, "link {l}");
+        }
+        for (n, &busy) in mem_busy.iter().enumerate() {
+            assert_eq!(ic.mem_busy_ns(NodeId(n as u16)), busy, "mc {n}");
+        }
+    }
+
+    #[test]
+    fn memoized_transfer_books_the_float_service_times() {
+        // 500 distinct (src, dst, bytes, bw) keys, far more than memo
+        // entries, each booked twice in a row in each of six rounds, so
+        // entries are filled, hit, evicted and refilled. Local copies
+        // book one controller, remote ones two.
+        let topo = presets::tiered_4p2();
+        let mut ic = Interconnect::new(&topo);
+        let (mut link_busy, mut mem_busy) = (vec![0u64; topo.link_count()], vec![0u64; 6]);
+        let rate = |bytes: u64, bw: f64| (bytes as f64 / bw).round() as u64;
+        for i in 0..6_000u64 {
+            let j = i / 2 % 500;
+            let (src, dst) = (NodeId((j % 6) as u16), NodeId((j / 6 % 6) as u16));
+            let bytes = 1 + (j * 7919) % 300 * 61;
+            let bw = [0.7, 1.0, 2.0, 3.3][(j / 36 % 4) as usize];
+            let now = SimTime(i * 100_000);
+            let t = ic.transfer(&topo, now, src, dst, bytes, bw);
+            assert_eq!(t.end, t.start + rate(bytes, bw), "transfer {i}");
+            for l in topo.route(src, dst) {
+                link_busy[l.index()] += rate(bytes, topo.link(*l).bandwidth_bytes_per_ns);
+            }
+            mem_busy[src.index()] += rate(bytes, topo.node(src).dram_bw_bytes_per_ns);
+            if dst != src {
+                mem_busy[dst.index()] += rate(bytes, topo.node(dst).dram_bw_bytes_per_ns);
+            }
         }
         for (l, &busy) in link_busy.iter().enumerate() {
             assert_eq!(ic.link_busy_ns(l), busy, "link {l}");

@@ -153,21 +153,20 @@ impl Kernel {
     /// at all). With `Some(f)` the policy's own fallback is tried first
     /// and then, Linux-zonelist style, every remaining node in
     /// [`Kernel::fallback_order`] — so a fault under memory pressure
-    /// degrades to a distant placement instead of an OOM.
+    /// degrades to a distant placement instead of an OOM. Returns the
+    /// frame and the node it landed on.
     pub(crate) fn alloc_frame(
         &mut self,
         frames: &mut FrameAllocator,
         node: NodeId,
         fallback: Option<NodeId>,
-    ) -> Option<FrameId> {
-        let mut got = frames.alloc(node).or_else(|| {
-            fallback
-                .filter(|f| *f != node)
-                .and_then(|f| frames.alloc(f))
-        });
+    ) -> Option<(FrameId, NodeId)> {
+        let on = |frames: &mut FrameAllocator, n: NodeId| frames.alloc(n).map(|f| (f, n));
+        let mut got = on(frames, node)
+            .or_else(|| fallback.filter(|f| *f != node).and_then(|f| on(frames, f)));
         if got.is_none() && fallback.is_some() {
             for n in self.fallback_order(node) {
-                got = frames.alloc(n);
+                got = on(frames, n);
                 if got.is_some() {
                     break;
                 }
@@ -349,9 +348,10 @@ mod tests {
         for n in [NodeId(2), NodeId(0)] {
             while frames.alloc(n).is_some() {}
         }
-        let got = k
+        let (got, node) = k
             .alloc_frame(&mut frames, NodeId(2), Some(NodeId(0)))
             .expect("zonelist must find room");
+        assert_eq!(node, NodeId(3));
         assert_eq!(frames.node_of(got), NodeId(3));
         assert!(
             k.alloc_frame(&mut frames, NodeId(2), None).is_none(),

@@ -266,7 +266,7 @@ impl Kernel {
                     .ok_or(Failure::NoDestination)?
             }
         };
-        let new_frame = self
+        let (new_frame, _) = self
             .alloc_frame(frames, dst, None)
             .ok_or(Failure::NoFrame)?;
         let copy_start = *t;

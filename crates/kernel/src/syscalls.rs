@@ -656,7 +656,7 @@ impl Kernel {
                 if node == home {
                     continue;
                 }
-                let Some(f) = self.alloc_frame(frames, node, None) else {
+                let Some((f, _)) = self.alloc_frame(frames, node, None) else {
                     continue;
                 };
                 let xfer = self.interconnect.transfer(

@@ -95,7 +95,7 @@ impl Kernel {
                 return None;
             }
         }
-        let Some(dst_frame) = self.alloc_frame(frames, dst_node, None) else {
+        let Some((dst_frame, _)) = self.alloc_frame(frames, dst_node, None) else {
             self.degrade(now, vpn, "frame_exhausted");
             return None;
         };

@@ -1,7 +1,11 @@
-//! Peak-memory bound of `migrate_pages(2)`, pinned with a counting global
-//! allocator: the syscall walks the page table with a cursor instead of
-//! a snapshot of every vpn, so the only allocation that grows with the
-//! address space is its `status` vector.
+//! Peak-memory bounds of the relocation paths, pinned with a counting
+//! global allocator:
+//!
+//! * `migrate_pages(2)` walks the page table with a cursor instead of a
+//!   snapshot of every vpn, so the only allocation that grows with the
+//!   address space is its `status` vector.
+//! * One evacuation step allocates nothing: its cost breakdown lives
+//!   inline, not on the heap.
 
 #[path = "../../vm/tests/common/counting_alloc.rs"]
 mod counting_alloc;
@@ -84,4 +88,52 @@ fn migrate_pages_allocates_only_its_status_vector() {
         "{small:?} vs {large:?}"
     );
     assert!(large.bytes - status(20_000) <= 1024, "{large:?}");
+}
+
+#[test]
+fn evacuate_page_step_allocates_nothing() {
+    let topo = Arc::new(presets::opteron_4p());
+    let mut frames = FrameAllocator::new(topo.node_count(), 64);
+    let mut tlb = Tlb::new(topo.core_count());
+    let mut kernel = Kernel::new(topo, KernelConfig::default());
+    let mut space = AddressSpace::new();
+    let base = space
+        .mmap(
+            2 * PAGE_SIZE,
+            Protection::ReadWrite,
+            VmaKind::PrivateAnonymous,
+            MemPolicy::FirstTouch,
+        )
+        .unwrap();
+    for p in 0..2 {
+        let r = kernel.handle_fault(
+            &mut space,
+            &mut frames,
+            &mut tlb,
+            SimTime::ZERO,
+            CoreId(0),
+            base + p * PAGE_SIZE,
+            true,
+            &mut Breakdown::new(),
+        );
+        assert!(matches!(r, FaultResolution::Resolved { .. }), "{r:?}");
+    }
+    // One free slot, so relocating never grows the frame table.
+    let spare = frames.alloc(NodeId(2)).unwrap();
+    frames.free(spare);
+    kernel.node_offline_begin(&mut frames, SimTime(1_000), NodeId(0));
+    // The first relocation fills the kernel's per-size cost-quanta cache
+    // once; every later step must allocate nothing.
+    let step = |kernel: &mut Kernel, space: &mut AddressSpace, frames: &mut FrameAllocator, vpn| {
+        let (t, b, status) =
+            kernel.evacuate_page_step(space, frames, SimTime(2_000), vpn, NodeId(0));
+        assert!(
+            matches!(status, Some(PageStatus::Moved(n)) if n != NodeId(0)),
+            "{status:?}"
+        );
+        assert!(t > SimTime(2_000) && b.total() > 0, "the step was charged");
+    };
+    step(&mut kernel, &mut space, &mut frames, base.vpn());
+    let ((), allocs) = measure(|| step(&mut kernel, &mut space, &mut frames, base.vpn() + 1));
+    assert_eq!(allocs.bytes, 0, "{allocs:?}");
 }

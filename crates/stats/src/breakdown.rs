@@ -101,6 +101,7 @@ impl CostComponent {
     /// `ALL` order coincide (asserted by test), so the discriminant *is*
     /// the index — `Breakdown::add` sits on the engine's per-touch path
     /// and a 15-way linear scan per add was measurable there.
+    #[inline]
     fn index(self) -> usize {
         self as usize
     }
@@ -112,31 +113,29 @@ impl fmt::Display for CostComponent {
     }
 }
 
-/// Accumulated virtual-nanosecond totals per [`CostComponent`].
+/// Accumulated virtual-nanosecond totals per [`CostComponent`]: one
+/// inline slot per component, so a `Breakdown` costs no heap allocation
+/// and `add` is one indexed add.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Breakdown {
-    totals: Vec<u64>,
+    totals: [u64; CostComponent::ALL.len()],
 }
 
 impl Breakdown {
     /// An empty breakdown.
     pub fn new() -> Self {
-        Breakdown {
-            totals: vec![0; CostComponent::ALL.len()],
-        }
+        Self::default()
     }
 
     /// Add `ns` to `component`.
+    #[inline]
     pub fn add(&mut self, component: CostComponent, ns: u64) {
-        if self.totals.is_empty() {
-            self.totals = vec![0; CostComponent::ALL.len()];
-        }
         self.totals[component.index()] += ns;
     }
 
     /// Total for one component.
     pub fn get(&self, component: CostComponent) -> u64 {
-        self.totals.get(component.index()).copied().unwrap_or(0)
+        self.totals[component.index()]
     }
 
     /// Sum over all components.
@@ -156,21 +155,14 @@ impl Breakdown {
 
     /// Merge another breakdown into this one.
     pub fn merge(&mut self, other: &Breakdown) {
-        if self.totals.is_empty() {
-            self.totals = vec![0; CostComponent::ALL.len()];
-        }
-        for (i, v) in other.totals.iter().enumerate() {
-            if let Some(slot) = self.totals.get_mut(i) {
-                *slot += v;
-            }
+        for (slot, v) in self.totals.iter_mut().zip(&other.totals) {
+            *slot += v;
         }
     }
 
     /// Reset all totals to zero.
     pub fn clear(&mut self) {
-        for v in &mut self.totals {
-            *v = 0;
-        }
+        self.totals = [0; CostComponent::ALL.len()];
     }
 
     /// Non-zero components in display order, as `(component, ns, percent)`.

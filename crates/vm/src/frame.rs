@@ -14,6 +14,12 @@
 //! Free slots are chained through their own contents, like `page->lru`,
 //! so freeing a million frames allocates nothing.
 //!
+//! A slot is one 24-byte record — generation, node, content tag, write
+//! generation — like one `struct page`: a relocation's liveness check,
+//! node lookup, content copy and free of the source frame all read one
+//! record, so a random visit order costs one cache miss per frame (two
+//! for the quarter of slots that straddle a line), not one per array.
+//!
 //! The table grows in chunks of [`FRAME_CHUNK`] slots. The first chunk
 //! grows like a `Vec`, so a tenant machine with a dozen frames stays
 //! small; every later chunk is allocated at full size once and never
@@ -132,6 +138,21 @@ impl<T> Chunks<T> {
     fn get(&self, i: usize) -> Option<&T> {
         self.chunks.get(i >> CHUNK_BITS)?.get(i & (FRAME_CHUNK - 1))
     }
+
+    #[inline]
+    fn get_mut(&mut self, i: usize) -> Option<&mut T> {
+        self.chunks
+            .get_mut(i >> CHUNK_BITS)?
+            .get_mut(i & (FRAME_CHUNK - 1))
+    }
+}
+
+/// The panic of every accessor handed an id that names no live frame:
+/// `what` names the operation.
+#[cold]
+#[inline(never)]
+fn dead(id: FrameId, what: &str) -> ! {
+    panic!("{what} unknown frame {id:?}")
 }
 
 impl<T> std::ops::Index<usize> for Chunks<T> {
@@ -150,23 +171,26 @@ impl<T> std::ops::IndexMut<usize> for Chunks<T> {
     }
 }
 
-/// Identity half of a slot: the generation its current (or, while free,
-/// next) frame carries, and the frame's node, `DEAD` while free. Kept
-/// apart from the contents so the hot `node_of` lookups read a dense
-/// 8-byte array.
+/// One slot of the frame table: the generation its current (or, while
+/// free, next) frame carries, the frame's node (`DEAD` while free), and
+/// the frame's contents (see [`Frame`]). While the slot is free,
+/// `content_tag` links it to the next free slot instead ([`NO_FREE`] ends
+/// the chain). One record, so the identity check and the contents a
+/// relocation reads sit side by side.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     generation: u32,
     node: u16,
-}
-
-/// Contents half of a slot (see [`Frame`]). While the slot is free,
-/// `content_tag` links it to the next free slot instead ([`NO_FREE`]
-/// ends the chain).
-#[derive(Debug, Clone, Copy, Default)]
-struct Contents {
     content_tag: u64,
     write_gen: u64,
+}
+
+impl Slot {
+    /// Does the slot hold the live frame `id`?
+    #[inline]
+    fn holds(&self, id: FrameId) -> bool {
+        self.generation == id.generation() && self.node != DEAD
+    }
 }
 
 /// Machine-wide frame allocator with per-node accounting.
@@ -183,7 +207,6 @@ struct Contents {
 #[derive(Debug, Serialize, Deserialize)]
 pub struct FrameAllocator {
     slots: Chunks<Slot>,
-    contents: Chunks<Contents>,
     /// The most recently freed slot, heading the chain of dead slots
     /// ready for reuse ([`NO_FREE`] when there is none).
     free_head: u64,
@@ -222,7 +245,6 @@ impl FrameAllocator {
         let nodes = capacity_per_node.len();
         FrameAllocator {
             slots: Chunks::new(),
-            contents: Chunks::new(),
             free_head: NO_FREE,
             next_content: 0,
             live_per_node: vec![0; nodes],
@@ -252,96 +274,101 @@ impl FrameAllocator {
             self.slots.push(Slot {
                 generation: 0,
                 node: DEAD,
+                content_tag: NO_FREE,
+                write_gen: 0,
             });
-            self.contents.push(Contents::default());
             i
         } else {
             let i = self.free_head as usize;
-            self.free_head = self.contents[i].content_tag;
+            self.free_head = self.slots[i].content_tag;
             i
         };
-        self.slots[i].node = node.0;
-        self.contents[i] = Contents {
-            content_tag: self.next_content,
-            write_gen: 0,
-        };
+        let slot = &mut self.slots[i];
+        slot.node = node.0;
+        slot.content_tag = self.next_content;
+        slot.write_gen = 0;
+        let id = FrameId::new(i, slot.generation);
         self.next_content += 1;
         self.live_per_node[n] += 1;
         self.allocated_total += 1;
-        Some(FrameId::new(i, self.slots[i].generation))
+        Some(id)
     }
 
     /// The slot of a live frame, or `None` for an id never issued, freed,
     /// or whose slot now holds a later generation.
     #[inline]
-    fn live_slot(&self, id: FrameId) -> Option<usize> {
-        let i = id.slot();
-        let s = self.slots.get(i)?;
-        (s.generation == id.generation() && s.node != DEAD).then_some(i)
+    fn live_slot(&self, id: FrameId) -> Option<&Slot> {
+        self.slots.get(id.slot()).filter(|s| s.holds(id))
     }
 
     /// [`FrameAllocator::live_slot`], panicking on a dead id: `what` names
     /// the operation in the message.
     #[inline]
-    fn slot_of(&self, id: FrameId, what: &str) -> usize {
-        self.live_slot(id)
-            .unwrap_or_else(|| panic!("{what} unknown frame {id:?}"))
+    fn slot_of(&self, id: FrameId, what: &str) -> &Slot {
+        self.live_slot(id).unwrap_or_else(|| dead(id, what))
+    }
+
+    /// [`FrameAllocator::slot_of`] for writing.
+    #[inline]
+    fn slot_of_mut(&mut self, id: FrameId, what: &str) -> &mut Slot {
+        match self.slots.get_mut(id.slot()) {
+            Some(s) if s.holds(id) => s,
+            _ => dead(id, what),
+        }
     }
 
     /// Free a frame. Panics on double-free or unknown frame — both are
     /// kernel-layer bugs, never workload conditions.
     pub fn free(&mut self, id: FrameId) {
-        let i = self.slot_of(id, "free of");
-        let slot = &mut self.slots[i];
-        self.live_per_node[usize::from(slot.node)] -= 1;
-        self.freed_total += 1;
+        let free_head = self.free_head;
+        let slot = self.slot_of_mut(id, "free of");
+        let node = usize::from(slot.node);
         slot.node = DEAD;
         // A slot whose generation would wrap is retired, so no id value
         // is ever issued twice.
         if let Some(next) = slot.generation.checked_add(1) {
             slot.generation = next;
-            self.contents[i].content_tag = self.free_head;
-            self.free_head = i as u64;
+            slot.content_tag = free_head;
+            self.free_head = id.slot() as u64;
         }
+        self.live_per_node[node] -= 1;
+        self.freed_total += 1;
     }
 
     /// Look up a live frame.
     #[inline]
     pub fn get(&self, id: FrameId) -> Option<Frame> {
-        let i = self.live_slot(id)?;
-        let c = self.contents[i];
+        let s = self.live_slot(id)?;
         Some(Frame {
-            node: NodeId(self.slots[i].node),
-            content_tag: c.content_tag,
-            write_gen: c.write_gen,
+            node: NodeId(s.node),
+            content_tag: s.content_tag,
+            write_gen: s.write_gen,
         })
     }
 
     /// The node a live frame resides on. Panics on unknown frames.
     #[inline]
     pub fn node_of(&self, id: FrameId) -> NodeId {
-        NodeId(self.slots[self.slot_of(id, "lookup of")].node)
+        NodeId(self.slot_of(id, "lookup of").node)
     }
 
     /// Copy contents from `src` to `dst` (the `copy_highpage` analogue).
     pub fn copy_contents(&mut self, src: FrameId, dst: FrameId) {
-        let tag = self.contents[self.slot_of(src, "copy from")].content_tag;
-        let d = self.slot_of(dst, "copy to");
-        self.contents[d].content_tag = tag;
+        let tag = self.slot_of(src, "copy from").content_tag;
+        self.slot_of_mut(dst, "copy to").content_tag = tag;
     }
 
     /// Record a write to a live frame, bumping its write generation.
     /// Panics on unknown frames.
     #[inline]
     pub fn note_write(&mut self, id: FrameId) {
-        let i = self.slot_of(id, "write to");
-        self.contents[i].write_gen += 1;
+        self.slot_of_mut(id, "write to").write_gen += 1;
     }
 
     /// Current write generation of a live frame. Panics on unknown frames.
     #[inline]
     pub fn write_gen(&self, id: FrameId) -> u64 {
-        self.contents[self.slot_of(id, "lookup of")].write_gen
+        self.slot_of(id, "lookup of").write_gen
     }
 
     /// Frames currently live on `node`.
@@ -782,6 +809,21 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "unknown frame")]
+    fn copy_contents_from_reused_slot_panics() {
+        let (mut fa, stale) = reused_slot();
+        let dst = fa.alloc(NodeId(0)).unwrap();
+        fa.copy_contents(stale, dst);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown frame")]
+    fn write_gen_of_reused_slot_panics() {
+        let (fa, stale) = reused_slot();
+        fa.write_gen(stale);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown frame")]
     fn free_of_reused_slot_panics() {
         let (mut fa, stale) = reused_slot();
         fa.free(stale);
@@ -792,6 +834,11 @@ mod tests {
     fn note_write_to_reused_slot_panics() {
         let (mut fa, stale) = reused_slot();
         fa.note_write(stale);
+    }
+
+    #[test]
+    fn a_slot_is_one_24_byte_record() {
+        assert_eq!(std::mem::size_of::<Slot>(), 24);
     }
 
     #[test]
@@ -825,7 +872,7 @@ mod tests {
         assert_eq!(fa.slots.len(), FRAME_CHUNK + 1);
         assert_eq!(fa.slots.chunks.len(), 2);
         assert_eq!(fa.slots.chunks[0].capacity(), FRAME_CHUNK);
-        assert_eq!(fa.contents.chunks[1].capacity(), FRAME_CHUNK);
+        assert_eq!(fa.slots.chunks[1].capacity(), FRAME_CHUNK);
         // Filling chunk 1 never moves it; the next slot opens chunk 2.
         let first_of_1 = fa.slots.chunks[1].as_ptr();
         for _ in 1..FRAME_CHUNK {

@@ -23,9 +23,9 @@ mod counting_alloc;
 
 use counting_alloc::{measure, Allocs};
 
-/// Bytes of the larger of the table's two per-slot arrays in one chunk:
-/// the contents half holds a content tag and a write generation.
-const CHUNK_BYTES: usize = FRAME_CHUNK * 16;
+/// Bytes of one chunk of the frame table: a slot is one 24-byte record
+/// (generation, node, content tag, write generation).
+const CHUNK_BYTES: usize = FRAME_CHUNK * 24;
 
 #[test]
 fn frame_table_never_allocates_more_than_one_chunk_once_the_first_is_full() {
@@ -53,7 +53,7 @@ fn frame_table_never_allocates_more_than_one_chunk_once_the_first_is_full() {
         "a block of {} bytes, more than one {CHUNK_BYTES}-byte chunk",
         allocs.largest
     );
-    // Three chunks of both halves (24 bytes a slot), plus the chunk list.
+    // Three chunks of 24-byte slots, plus the chunk list.
     assert!(allocs.bytes <= 3 * FRAME_CHUNK * 24 + 1024, "{allocs:?}");
 }
 
