@@ -163,19 +163,23 @@ where
     )
 }
 
-/// Replica write-through stress at the vm layer: fault in a
-/// million-page address space under eager replication for four nodes
-/// (one mirror table charged four times), flip every frame (the
-/// `move_pages` PTE rewrite), then unmap half — ~12M replica PTE writes
-/// charged, ~3M performed by the window-bounded diff. Single-threaded by
-/// construction (one address space), so the jobs value is irrelevant and
-/// the checksum trivially jobs-invariant.
+/// Replica write-through stress at the vm layer: map one million-page
+/// VMA under eager replication for four nodes (one mirror table charged
+/// four times, sharing the VMA's extent with the primary), fault in every
+/// page, flip every frame (the `move_pages` PTE rewrite), then unmap
+/// half — ~12M replica PTE writes charged, ~3M performed by the
+/// window-bounded slab-for-slab diff. Single-threaded by construction
+/// (one address space), so the jobs value is irrelevant and the checksum
+/// trivially jobs-invariant.
 fn ptrepl_replica_stress() -> String {
-    use numa_migrate::vm::{AddressSpace, FrameId, PageRange, PtPlacement, PtSyncMode, Pte};
+    use numa_migrate::vm::{AddressSpace, FrameId, PageRange, PtPlacement, PtSyncMode, Pte, Vma};
     const PAGES: u64 = 1 << 20;
     let full = PageRange::new(0, PAGES);
     let mut space = AddressSpace::new();
     space.pt_configure(PtPlacement::Replicated, PtSyncMode::Eager, 4);
+    space
+        .insert_vma(Vma::anon(full))
+        .expect("the span below the mmap base is free");
     for vpn in 0..PAGES {
         space.page_table.map(vpn, Pte::present_rw(FrameId(vpn)));
     }

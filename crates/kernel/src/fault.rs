@@ -599,6 +599,65 @@ mod tests {
         assert!(fx.space.page_table.get(addr.vpn() + 300).is_none());
     }
 
+    /// The one geometry change a fault can make: after an `mprotect`
+    /// splits a huge VMA at an offset that is no multiple of a huge page,
+    /// a fault in the right-hand piece maps a head that is not on the
+    /// slab's huge grid, so the primary's slab falls back to base pages.
+    /// The write-through must demote the replicas' slab too.
+    #[test]
+    fn split_huge_fault_demotes_the_replicas_with_the_primary() {
+        use numa_vm::{PtPlacement, PtSyncMode};
+        let mut fx = Fixture::with_config(crate::KernelConfig {
+            huge_page_migration: true,
+            ..crate::KernelConfig::default()
+        });
+        let nodes = fx.kernel.topology().node_count();
+        fx.space
+            .pt_configure(PtPlacement::Replicated, PtSyncMode::Eager, nodes);
+        let addr = fx
+            .kernel
+            .mmap_huge(
+                &mut fx.space,
+                2 * PAGES_PER_HUGE * PAGE_SIZE,
+                MemPolicy::FirstTouch,
+            )
+            .unwrap();
+        let base = addr.vpn();
+        let fault = |fx: &mut Fixture, vpn: u64| {
+            let r = fx.kernel.handle_fault(
+                &mut fx.space,
+                &mut fx.frames,
+                &mut fx.tlb,
+                SimTime::ZERO,
+                CoreId(0),
+                VirtAddr::from_vpn(vpn),
+                false,
+                &mut Breakdown::new(),
+            );
+            assert!(matches!(r, FaultResolution::Resolved { .. }), "{r:?}");
+        };
+        fault(&mut fx, base);
+        let split = base + 300;
+        let left = PageRange::new(base, split);
+        fx.space.mprotect(left, Protection::ReadOnly).unwrap();
+        assert_eq!(fx.space.vma_count(), 2, "the mprotect split the VMA");
+        fault(&mut fx, split + 100);
+        let strides: Vec<u64> = fx.space.page_table.extents().map(|(_, s)| s).collect();
+        assert_eq!(strides, vec![1], "the primary's slab was demoted");
+        assert_eq!(fx.space.page_table.sorted_vpns(), vec![base, split]);
+        let replicas = fx.space.pt_replicas().unwrap();
+        for node in fx.kernel.topology().node_ids() {
+            assert!(replicas.agrees_with(node, &fx.space.page_table), "{node}");
+            assert!(
+                replicas
+                    .replica(node)
+                    .extents()
+                    .eq(fx.space.page_table.extents()),
+                "replica on {node} kept another geometry"
+            );
+        }
+    }
+
     #[test]
     fn kernel_nt_faults_do_not_shootdown_globally() {
         let mut fx = Fixture::new();

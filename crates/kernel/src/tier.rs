@@ -468,6 +468,44 @@ mod tests {
         assert_eq!(syncs(&fx), before + 3);
     }
 
+    /// A transaction's shadow edits are PTE writes like any other: the
+    /// shadow install, a commit's flip and an abort's shadow drop each
+    /// write one entry on every node's replica.
+    #[test]
+    fn txn_shadow_edits_write_one_pte_per_replica() {
+        use numa_vm::{PtPlacement, PtSyncMode};
+        let mut fx = Fixture::tiered();
+        let nodes = fx.kernel.topology().node_count();
+        fx.space
+            .pt_configure(PtPlacement::Replicated, PtSyncMode::Eager, nodes);
+        let pages = [mapped_page(&mut fx), mapped_page(&mut fx)];
+        fx.kernel.trace.enable(64);
+        let mut b = Breakdown::new();
+        for (vpn, want) in pages
+            .into_iter()
+            .zip([TxnOutcome::Committed, TxnOutcome::Aborted])
+        {
+            let (space, frames) = (&mut fx.space, &mut fx.frames);
+            let end = fx
+                .kernel
+                .tier_txn_begin(space, frames, SimTime::ZERO, vpn, NodeId(4), &mut b)
+                .expect("begin");
+            if want == TxnOutcome::Aborted {
+                frames.note_write(space.page_table.get(vpn).unwrap().frame);
+            }
+            let (_, outcome) = fx.kernel.tier_txn_commit(space, frames, end, vpn, &mut b);
+            assert_eq!(outcome, want);
+        }
+        let written: Vec<u64> = (fx.kernel.trace.snapshot().iter())
+            .filter_map(|e| match e.kind {
+                TraceEventKind::PtReplicaSync { entries, .. } => Some(entries),
+                _ => None,
+            })
+            .collect();
+        // Begin and commit, then begin and abort.
+        assert_eq!(written, vec![nodes as u64; 4]);
+    }
+
     #[test]
     fn txn_concurrent_write_aborts() {
         let mut fx = Fixture::tiered();

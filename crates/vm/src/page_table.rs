@@ -3,7 +3,8 @@
 //! Struct-of-arrays PTE slabs with present bitmaps: the table is a sorted
 //! vector of non-overlapping extents, each owning a `u64` present-bitmap
 //! (one bit per record) plus parallel dense arrays for frames and flags.
-//! `AddressSpace` reserves one slab per VMA at `mmap` time, so the access
+//! `AddressSpace` reserves one slab per VMA at `mmap` time, and a reserved
+//! extent is the only storage a mapping can land in, so the access
 //! hot path (`get`/`get_mut`) is a hint-cached binary search over a handful
 //! of extents plus two indexed loads, and batch walks
 //! (`walk_range`/`update_range`/`release_range`) skip absent runs with
@@ -21,11 +22,12 @@
 //! * **Stats are O(1).** Flag-class tallies ([`PageTable::stats`]) are
 //!   maintained incrementally at map/unmap/protect time instead of by
 //!   end-of-run scans.
-//! * **Replica diffs are word-parallel.** [`PageTable::sync_from`]
-//!   brings a replica up to the primary with a bitmap-XOR pre-filter
-//!   and slice payload compares bounded by the requested window, falling
-//!   back to per-record work only where a 64-record block actually
-//!   differs inside it.
+//! * **Replica diffs are word-parallel.** A replica mirror receives every
+//!   extent edit the primary does, so the two tables have one slab
+//!   geometry and `sync_from` diffs slab *i* against slab *i* with a
+//!   bitmap-XOR pre-filter and slice payload compares bounded by the
+//!   requested window, doing per-record work only where a 64-record
+//!   block actually differs inside it.
 //!
 //! Shadow frames (in-flight tier migrations) are rare and short-lived, so
 //! they live out of line in a side map; the dense arrays never widen for
@@ -170,59 +172,6 @@ impl Slab {
         }
         bits
     }
-
-    /// Append one absent record at the top.
-    fn push_absent(&mut self) {
-        if self.records().is_multiple_of(WORD) {
-            self.present.push(0);
-        }
-        self.frames.push(FrameId(0));
-        self.flags.push(PteFlags::EMPTY);
-    }
-
-    /// Prepend one absent record, extending the slab downward by a page
-    /// (base-stride slabs only): shift the whole bitmap up one bit.
-    fn prepend_absent(&mut self) {
-        debug_assert_eq!(self.stride, 1);
-        if self.records().is_multiple_of(WORD) {
-            self.present.push(0);
-        }
-        let mut carry = 0u64;
-        for w in &mut self.present {
-            let out = *w >> (WORD - 1);
-            *w = (*w << 1) | carry;
-            carry = out;
-        }
-        debug_assert_eq!(carry, 0, "presence bit shifted past allocated words");
-        self.frames.insert(0, FrameId(0));
-        self.flags.insert(0, PteFlags::EMPTY);
-        self.base -= 1;
-    }
-
-    /// Append the immediately-following slab `other` onto `self`,
-    /// stitching its bitmap in at a (generally unaligned) bit offset.
-    fn append(&mut self, other: Slab) {
-        debug_assert_eq!(self.stride, 1);
-        debug_assert_eq!(other.stride, 1);
-        debug_assert_eq!(self.end(), other.base, "slabs must be adjacent");
-        let off = self.records();
-        self.frames.extend_from_slice(&other.frames);
-        self.flags.extend_from_slice(&other.flags);
-        self.present.resize(self.records().div_ceil(WORD), 0);
-        let (shift, base_w) = (off % WORD, off / WORD);
-        for (wi, &w) in other.present.iter().enumerate() {
-            self.present[base_w + wi] |= w << shift;
-            if shift != 0 {
-                let spill = w >> (WORD - shift);
-                if let Some(slot) = self.present.get_mut(base_w + wi + 1) {
-                    *slot |= spill;
-                } else {
-                    debug_assert_eq!(spill, 0, "spill past the stitched bitmap");
-                }
-            }
-        }
-        self.live += other.live;
-    }
 }
 
 /// Read a vpn's shadow frame, short-circuiting while no migration is in
@@ -274,11 +223,10 @@ impl FlagAgg {
 /// Map from virtual page number to page-table entry, stored as dense
 /// per-extent struct-of-arrays slabs.
 ///
-/// Extents are created by [`PageTable::reserve_range`] (called for every
-/// VMA insertion) or on demand by [`PageTable::map`] for standalone use;
-/// they are released by [`PageTable::release_range`] (`munmap`). Unmapping
-/// a single page keeps its reservation, matching a VMA whose page was
-/// merely migrated away or never touched.
+/// Extents are created only by [`PageTable::reserve_range`] (called for
+/// every VMA insertion) and released by [`PageTable::release_range`]
+/// (`munmap`). Unmapping a single page keeps its reservation, matching a
+/// VMA whose page was merely migrated away or never touched.
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
     /// Extents sorted by `base`, non-overlapping.
@@ -408,16 +356,14 @@ impl PageTable {
     /// Install a mapping. Returns the previous entry if one existed
     /// (callers that expect a fresh mapping assert on `None`).
     ///
-    /// Mapping a vpn outside every reserved extent grows the table,
-    /// coalescing with an adjacent slab on either side where possible.
-    /// Standalone users (tests, reference models) therefore never need to
-    /// reserve explicitly. Mapping a non-head page of a huge-converted
-    /// extent demotes that extent back to base-page records first.
+    /// `vpn` must lie in a reserved extent: as a PTE outside every VMA
+    /// would be, a map anywhere else is a programming error and panics.
+    /// Mapping a non-head page of a huge-converted extent demotes that
+    /// extent back to base-page records first.
     pub fn map(&mut self, vpn: u64, pte: Pte) -> Option<Pte> {
-        let i = match self.slab_index(vpn) {
-            Some(i) => i,
-            None => self.grow_for(vpn),
-        };
+        let i = self
+            .slab_index(vpn)
+            .unwrap_or_else(|| panic!("map of vpn {vpn} outside every reserved extent"));
         if self.slabs[i].stride != 1
             && !(vpn - self.slabs[i].base).is_multiple_of(self.slabs[i].stride)
         {
@@ -457,7 +403,8 @@ impl PageTable {
 
     /// Expand a huge-stride slab back into base-page records, relocating
     /// each head entry to its base-page offset. Rare: only a base-grain
-    /// map landing inside a converted extent needs it.
+    /// map landing inside a converted extent needs it, and the replica
+    /// sync that repeats that map's demotion on the mirror.
     fn demote_slab(&mut self, i: usize) {
         let old = &self.slabs[i];
         debug_assert!(old.stride > 1);
@@ -475,46 +422,6 @@ impl PageTable {
         }
         fresh.live = old.live;
         self.slabs[i] = fresh;
-    }
-
-    /// Make room for an unreserved `vpn`; returns the slab index covering
-    /// it. Coalesces with a base-stride neighbour on either side —
-    /// preceding (`prev.end() == vpn`), following (`next.base == vpn + 1`),
-    /// or both (the new page bridges them into one slab) — so ascending
-    /// *and* descending standalone map sequences build one extent instead
-    /// of fragmenting into one single-page slab per page.
-    fn grow_for(&mut self, vpn: u64) -> usize {
-        let idx = self.slabs.partition_point(|s| s.base <= vpn);
-        let prev_adj =
-            idx > 0 && self.slabs[idx - 1].stride == 1 && self.slabs[idx - 1].end() == vpn;
-        let next_adj = self
-            .slabs
-            .get(idx)
-            .is_some_and(|s| s.stride == 1 && s.base == vpn + 1);
-        match (prev_adj, next_adj) {
-            (true, true) => {
-                // Bridge: extend the left slab by one page, then stitch the
-                // right slab's records onto it.
-                let next = self.slabs.remove(idx);
-                self.slabs[idx - 1].push_absent();
-                self.slabs[idx - 1].append(next);
-                self.hint_removed(idx, idx + 1);
-                idx - 1
-            }
-            (true, false) => {
-                self.slabs[idx - 1].push_absent();
-                idx - 1
-            }
-            (false, true) => {
-                self.slabs[idx].prepend_absent();
-                idx
-            }
-            (false, false) => {
-                self.slabs.insert(idx, Slab::new(vpn, 1, 1));
-                self.hint_inserted(idx);
-                idx
-            }
-        }
     }
 
     /// Remove a mapping, returning it. The slot's reservation is kept —
@@ -840,205 +747,115 @@ impl PageTable {
         v
     }
 
-    /// Index of our slab with exactly the same extent geometry as `s`
-    /// (base, stride and record count), if any.
-    fn aligned_with(&self, s: &Slab) -> Option<usize> {
-        let idx = self.slabs.partition_point(|t| t.base < s.base);
-        let t = self.slabs.get(idx)?;
-        (t.base == s.base && t.stride == s.stride && t.records() == s.records()).then_some(idx)
-    }
-
-    /// Does any slab intersect `[lo, hi)`?
-    fn overlaps(&self, lo: u64, hi: u64) -> bool {
-        let idx = self.first_slab_from(lo);
-        self.slabs.get(idx).is_some_and(|s| s.base < hi)
-    }
-
-    /// Clone a whole primary slab into a gap of this table. Safe to copy
-    /// the arrays verbatim because absent records are canonicalized.
-    fn adopt_slab(&mut self, ps: &Slab) -> u64 {
-        debug_assert!(!self.overlaps(ps.base, ps.end()));
-        for (w, &word) in ps.present.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let rec = w * WORD + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.agg.add(ps.flags[rec]);
-            }
-        }
-        self.live += ps.live;
-        let idx = self.slabs.partition_point(|t| t.base <= ps.base);
-        self.slabs.insert(idx, ps.clone());
-        self.hint_inserted(idx);
-        ps.live as u64
-    }
-
-    /// Word-parallel diff of one geometry-aligned slab pair: presence XOR
-    /// picks out installs and removals, slice equality over the part of
-    /// each 64-record block inside the window skips clean blocks, and only
-    /// genuinely-differing records are touched. Bounding the pre-filter by
-    /// the window keeps a 1-page sync O(1) instead of a 64-record compare.
-    /// Returns the number of records written. Fast path only — neither
-    /// table may carry shadows here.
-    fn sync_aligned(&mut self, ps: &Slab, si: usize, range: PageRange) -> u64 {
-        let PageTable {
-            slabs, live, agg, ..
-        } = self;
-        let s = &mut slabs[si];
-        debug_assert_eq!(
-            (s.base, s.stride, s.records()),
-            (ps.base, ps.stride, ps.records())
-        );
-        let (r_lo, r_hi) = s.window(range);
-        let mut changed = 0u64;
-        let mut w = r_lo / WORD;
-        while w * WORD < r_hi {
-            let lo_bit = w * WORD;
-            let sw = s.masked_word(w, r_lo, r_hi);
-            let pw = ps.masked_word(w, r_lo, r_hi);
-            let lo = lo_bit.max(r_lo);
-            let hi = (lo_bit + WORD).min(r_hi);
-            if sw == pw
-                && s.frames[lo..hi] == ps.frames[lo..hi]
-                && s.flags[lo..hi] == ps.flags[lo..hi]
-            {
-                w += 1;
-                continue;
-            }
-            let mut bits = sw & !pw; // replica-only: unmap
-            while bits != 0 {
-                let rec = lo_bit + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                agg.sub(s.flags[rec]);
-                s.clear_present(rec);
-                s.live -= 1;
-                *live -= 1;
-                changed += 1;
-            }
-            let mut bits = pw & !sw; // primary-only: install
-            while bits != 0 {
-                let rec = lo_bit + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                s.set_present(rec);
-                s.frames[rec] = ps.frames[rec];
-                s.flags[rec] = ps.flags[rec];
-                agg.add(ps.flags[rec]);
-                s.live += 1;
-                *live += 1;
-                changed += 1;
-            }
-            let mut bits = sw & pw; // both present: overwrite if differing
-            while bits != 0 {
-                let rec = lo_bit + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if s.frames[rec] != ps.frames[rec] || s.flags[rec] != ps.flags[rec] {
-                    agg.sub(s.flags[rec]);
-                    agg.add(ps.flags[rec]);
-                    s.frames[rec] = ps.frames[rec];
-                    s.flags[rec] = ps.flags[rec];
-                    changed += 1;
-                }
-            }
-            w += 1;
-        }
-        changed
-    }
-
-    /// Bring `self` (a replica) up to `primary` over `range`: entries
-    /// present only here are unmapped, entries present only in the primary
-    /// are installed, and entries that differ are overwritten. Returns the
-    /// number of PTEs written (the quantity the cost model charges for).
+    /// Bring `self` (the replica mirror) up to `primary` over `range`:
+    /// entries present only here are unmapped, entries present only in the
+    /// primary are installed, and entries whose frame, flags or shadow
+    /// differ are overwritten. Returns the number of PTEs written (the
+    /// quantity the cost model charges for).
     ///
-    /// Geometry-aligned slab pairs — every kernel-driven sync, since the
-    /// address space applies each extent edit to its mirror too —
-    /// diff word-parallel via [`PageTable::sync_aligned`]; whole primary
-    /// slabs falling into a replica gap are adopted by cloning the arrays.
-    /// Everything else (and any table carrying in-flight shadow entries)
-    /// takes the generic per-record path with identical semantics.
-    pub fn sync_from(&mut self, primary: &PageTable, range: PageRange) -> u64 {
+    /// The address space applies every extent edit to the mirror too, so
+    /// slab *i* here has the geometry of the primary's slab *i*. The one
+    /// geometry change made outside an extent edit, [`PageTable::map`]
+    /// demoting a huge slab, is repeated here before the pair is diffed.
+    /// Each pair is diffed word-parallel: presence XOR picks out installs
+    /// and removals, slice equality over the part of each 64-record block
+    /// inside the window skips clean blocks, and only differing records
+    /// are touched. Bounding the pre-filter by the window keeps a 1-page
+    /// sync O(1) instead of a 64-record compare.
+    pub(crate) fn sync_from(&mut self, primary: &PageTable, range: PageRange) -> u64 {
         if range.is_empty() {
             return 0;
         }
-        let fast = self.shadows.is_empty() && primary.shadows.is_empty();
+        debug_assert_eq!(self.slabs.len(), primary.slabs.len(), "extents diverged");
+        let shadowed = !self.shadows.is_empty() || !primary.shadows.is_empty();
+        // Give our record at `vpn` the primary's shadow, or none.
+        let copy_shadow = |shadows: &mut BTreeMap<u64, FrameId>, vpn: u64| {
+            if shadowed {
+                match probe_shadow(&primary.shadows, vpn) {
+                    Some(f) => shadows.insert(vpn, f),
+                    None => shadows.remove(&vpn),
+                };
+            }
+        };
         let mut changed = 0u64;
-
-        // Pass 1: drop replica-only entries. Aligned pairs handle their
-        // removals word-parallel in pass 2; everything else probes the
-        // primary per present record.
-        let mut i = self.first_slab_from(range.start_vpn);
-        while i < self.slabs.len() && self.slabs[i].base < range.end_vpn {
-            if fast && self.aligned_twin_in(primary, i) {
-                i += 1;
-                continue;
+        let mut i = primary.first_slab_from(range.start_vpn);
+        while i < primary.slabs.len() && primary.slabs[i].base < range.end_vpn {
+            let ps = &primary.slabs[i];
+            if self.slabs[i].stride != ps.stride {
+                self.demote_slab(i);
             }
-            let mut stale = Vec::new();
-            {
-                let s = &self.slabs[i];
-                let (r_lo, r_hi) = s.window(range);
-                let mut w = r_lo / WORD;
-                while w * WORD < r_hi {
-                    let mut bits = s.masked_word(w, r_lo, r_hi);
-                    while bits != 0 {
-                        let rec = w * WORD + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let vpn = s.vpn_of(rec);
-                        if primary.get(vpn).is_none() {
-                            stale.push(vpn);
-                        }
-                    }
-                    w += 1;
-                }
-            }
-            for vpn in stale {
-                self.unmap(vpn);
-                changed += 1;
-            }
-            i += 1;
-        }
-
-        // Pass 2: install fresh and overwrite differing entries.
-        let mut pi = primary.first_slab_from(range.start_vpn);
-        while pi < primary.slabs.len() && primary.slabs[pi].base < range.end_vpn {
-            let ps = &primary.slabs[pi];
-            if fast {
-                if let Some(si) = self.aligned_with(ps) {
-                    changed += self.sync_aligned(ps, si, range);
-                    pi += 1;
-                    continue;
-                }
-                if range.start_vpn <= ps.base
-                    && ps.end() <= range.end_vpn
-                    && !self.overlaps(ps.base, ps.end())
+            let PageTable {
+                slabs,
+                live,
+                shadows,
+                agg,
+                ..
+            } = &mut *self;
+            let s = &mut slabs[i];
+            debug_assert_eq!(
+                (s.base, s.stride, s.records()),
+                (ps.base, ps.stride, ps.records()),
+                "slab {i} geometry diverged"
+            );
+            let (r_lo, r_hi) = s.window(range);
+            for w in r_lo / WORD..r_hi.div_ceil(WORD) {
+                let lo_bit = w * WORD;
+                let sw = s.masked_word(w, r_lo, r_hi);
+                let pw = ps.masked_word(w, r_lo, r_hi);
+                let (lo, hi) = (lo_bit.max(r_lo), (lo_bit + WORD).min(r_hi));
+                let vpns = s.vpn_of(lo)..s.vpn_of(hi);
+                if sw == pw
+                    && s.frames[lo..hi] == ps.frames[lo..hi]
+                    && s.flags[lo..hi] == ps.flags[lo..hi]
+                    && (!shadowed || shadows.range(vpns.clone()).eq(primary.shadows.range(vpns)))
                 {
-                    changed += self.adopt_slab(ps);
-                    pi += 1;
                     continue;
                 }
-            }
-            let (r_lo, r_hi) = ps.window(range);
-            let mut w = r_lo / WORD;
-            while w * WORD < r_hi {
-                let mut bits = ps.masked_word(w, r_lo, r_hi);
+                let mut bits = sw & !pw; // replica-only: unmap
                 while bits != 0 {
-                    let rec = w * WORD + bits.trailing_zeros() as usize;
+                    let rec = lo_bit + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let vpn = ps.vpn_of(rec);
-                    let pte = primary.load(ps, rec, vpn);
-                    if self.get(vpn) != Some(pte) {
-                        self.map(vpn, pte);
+                    copy_shadow(shadows, s.vpn_of(rec));
+                    agg.sub(s.flags[rec]);
+                    s.clear_present(rec);
+                    s.live -= 1;
+                    *live -= 1;
+                    changed += 1;
+                }
+                let mut bits = pw & !sw; // primary-only: install
+                while bits != 0 {
+                    let rec = lo_bit + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    s.set_present(rec);
+                    s.frames[rec] = ps.frames[rec];
+                    s.flags[rec] = ps.flags[rec];
+                    copy_shadow(shadows, s.vpn_of(rec));
+                    agg.add(ps.flags[rec]);
+                    s.live += 1;
+                    *live += 1;
+                    changed += 1;
+                }
+                let mut bits = sw & pw; // both present: overwrite if differing
+                while bits != 0 {
+                    let rec = lo_bit + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let vpn = s.vpn_of(rec);
+                    if s.frames[rec] != ps.frames[rec]
+                        || s.flags[rec] != ps.flags[rec]
+                        || (shadowed && shadows.get(&vpn) != primary.shadows.get(&vpn))
+                    {
+                        agg.sub(s.flags[rec]);
+                        agg.add(ps.flags[rec]);
+                        s.frames[rec] = ps.frames[rec];
+                        s.flags[rec] = ps.flags[rec];
+                        copy_shadow(shadows, vpn);
                         changed += 1;
                     }
                 }
-                w += 1;
             }
-            pi += 1;
+            i += 1;
         }
         changed
-    }
-
-    /// Does our slab `i` have a geometry-aligned twin in `other`?
-    fn aligned_twin_in(&self, other: &PageTable, i: usize) -> bool {
-        other.aligned_with(&self.slabs[i]).is_some()
     }
 }
 
@@ -1207,6 +1024,13 @@ mod tests {
         assert_eq!(pt.stats(), recount(pt), "incremental stats drifted");
     }
 
+    /// A table with one extent reserved over `[lo, hi)`.
+    fn reserved(lo: u64, hi: u64) -> PageTable {
+        let mut pt = PageTable::new();
+        pt.reserve_range(PageRange::new(lo, hi));
+        pt
+    }
+
     /// Release `range`, collecting what the sink is handed.
     fn release(pt: &mut PageTable, range: PageRange) -> Vec<(u64, Pte)> {
         let mut removed = Vec::new();
@@ -1216,7 +1040,7 @@ mod tests {
 
     #[test]
     fn map_get_unmap() {
-        let mut pt = PageTable::new();
+        let mut pt = reserved(0, 8);
         assert!(pt.is_empty());
         assert_eq!(pt.map(5, Pte::present_rw(FrameId(1))), None);
         assert!(pt.get(5).is_some());
@@ -1229,7 +1053,7 @@ mod tests {
 
     #[test]
     fn remap_returns_previous() {
-        let mut pt = PageTable::new();
+        let mut pt = reserved(0, 8);
         pt.map(1, Pte::present_rw(FrameId(1)));
         let prev = pt.map(1, Pte::present_rw(FrameId(2)));
         assert_eq!(prev.unwrap().frame, FrameId(1));
@@ -1239,7 +1063,7 @@ mod tests {
 
     #[test]
     fn get_mut_allows_flag_updates() {
-        let mut pt = PageTable::new();
+        let mut pt = reserved(0, 16);
         pt.map(9, Pte::present_rw(FrameId(3)));
         pt.get_mut(9).unwrap().mark_next_touch();
         assert!(pt.get(9).unwrap().flags.contains(PteFlags::NEXT_TOUCH));
@@ -1249,7 +1073,7 @@ mod tests {
 
     #[test]
     fn get_mut_shadow_roundtrip() {
-        let mut pt = PageTable::new();
+        let mut pt = reserved(0, 8);
         pt.map(4, Pte::present_rw(FrameId(1)));
         pt.get_mut(4).unwrap().set_shadow(FrameId(9));
         assert_eq!(pt.get(4).unwrap().shadow, Some(FrameId(9)));
@@ -1264,11 +1088,18 @@ mod tests {
 
     #[test]
     fn sorted_vpns_sorted() {
-        let mut pt = PageTable::new();
+        let mut pt = reserved(0, 16);
         for vpn in [9u64, 2, 7, 4] {
             pt.map(vpn, Pte::present_rw(FrameId(vpn)));
         }
         assert_eq!(pt.sorted_vpns(), vec![2, 4, 7, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside every reserved extent")]
+    fn map_outside_every_reserved_extent_panics() {
+        let mut pt = reserved(0, 8);
+        pt.map(8, Pte::present_rw(FrameId(1)));
     }
 
     #[test]
@@ -1284,12 +1115,13 @@ mod tests {
 
     #[test]
     fn reserve_fills_only_gaps() {
-        let mut pt = PageTable::new();
+        let mut pt = reserved(4, 6);
         pt.map(5, Pte::present_rw(FrameId(1)));
         // Overlapping reservation must not disturb the existing entry.
         pt.reserve_range(PageRange::new(0, 10));
         assert_eq!(pt.get(5).unwrap().frame, FrameId(1));
         assert_eq!(pt.len(), 1);
+        assert_eq!(pt.slabs.len(), 3, "only the two gaps got fresh slabs");
         pt.map(0, Pte::present_rw(FrameId(2)));
         pt.map(9, Pte::present_rw(FrameId(3)));
         assert_eq!(pt.sorted_vpns(), vec![0, 5, 9]);
@@ -1309,7 +1141,9 @@ mod tests {
             vec![(12, FrameId(12)), (15, FrameId(15)), (17, FrameId(17))]
         );
         assert!(pt.is_empty());
-        // The extent is gone: mapping again auto-creates fresh storage.
+        assert_eq!(pt.extents().count(), 0, "the extent is gone");
+        // A fresh reservation (the next `mmap`) takes mappings again.
+        pt.reserve_range(PageRange::new(10, 20));
         assert_eq!(pt.map(12, Pte::present_rw(FrameId(1))), None);
         assert_stats_consistent(&pt);
     }
@@ -1420,53 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_unreserved_maps_extend_one_slab() {
-        let mut pt = PageTable::new();
-        for vpn in 1..10u64 {
-            pt.map(vpn, Pte::present_rw(FrameId(vpn)));
-        }
-        assert_eq!(pt.len(), 9);
-        assert_eq!(pt.sorted_vpns(), (1..10).collect::<Vec<u64>>());
-        assert_eq!(pt.slabs.len(), 1, "sequential maps coalesce into one slab");
-    }
-
-    #[test]
-    fn descending_maps_coalesce_into_one_slab() {
-        // Regression: grow_for only merged with the preceding slab, so a
-        // descending map sequence fragmented into one slab per page.
-        let mut pt = PageTable::new();
-        for vpn in (1..10u64).rev() {
-            pt.map(vpn, Pte::present_rw(FrameId(vpn)));
-        }
-        assert_eq!(pt.len(), 9);
-        assert_eq!(pt.sorted_vpns(), (1..10).collect::<Vec<u64>>());
-        assert_eq!(pt.slabs.len(), 1, "descending maps coalesce into one slab");
-        assert_stats_consistent(&pt);
-    }
-
-    #[test]
-    fn bridging_map_merges_both_neighbours() {
-        let mut pt = PageTable::new();
-        // Build two separated runs crossing a word boundary, then bridge.
-        for vpn in 0..70u64 {
-            pt.map(vpn, Pte::present_rw(FrameId(vpn)));
-        }
-        for vpn in 71..140u64 {
-            pt.map(vpn, Pte::present_rw(FrameId(vpn)));
-        }
-        assert_eq!(pt.slabs.len(), 2);
-        pt.map(70, Pte::present_rw(FrameId(70)));
-        assert_eq!(pt.slabs.len(), 1, "bridge page stitches the two slabs");
-        assert_eq!(pt.len(), 140);
-        let got: Vec<u64> = pt.iter().map(|(v, _)| v).collect();
-        assert_eq!(got, (0..140).collect::<Vec<u64>>());
-        for vpn in 0..140u64 {
-            assert_eq!(pt.get(vpn).unwrap().frame, FrameId(vpn), "vpn {vpn}");
-        }
-        assert_stats_consistent(&pt);
-    }
-
-    #[test]
     fn unmap_keeps_reservation() {
         let mut pt = PageTable::new();
         pt.reserve_range(PageRange::new(0, 4));
@@ -1546,28 +1333,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_from_matches_generic_semantics() {
-        let mut primary = PageTable::new();
-        let mut replica = PageTable::new();
-        primary.reserve_range(PageRange::new(0, 192));
-        replica.reserve_range(PageRange::new(0, 192));
-        for vpn in [1u64, 64, 65, 100, 130] {
-            primary.map(vpn, Pte::present_rw(FrameId(vpn)));
-        }
-        for vpn in [1u64, 64, 70, 130] {
-            replica.map(vpn, Pte::present_rw(FrameId(vpn)));
-        }
-        primary.get_mut(130).unwrap().frame = FrameId(999);
-        // 70 unmapped, 65 and 100 installed, 130 overwritten.
-        let changed = replica.sync_from(&primary, PageRange::new(0, 192));
-        assert_eq!(changed, 4);
-        assert_eq!(replica.sorted_vpns(), vec![1, 64, 65, 100, 130]);
-        assert_eq!(replica.get(130).unwrap().frame, FrameId(999));
-        assert_eq!(replica.sync_from(&primary, PageRange::new(0, 192)), 0);
-        assert_stats_consistent(&replica);
-    }
-
-    #[test]
     fn sync_from_touches_only_the_window() {
         let mut primary = PageTable::new();
         let mut replica = PageTable::new();
@@ -1591,17 +1356,35 @@ mod tests {
         assert_stats_consistent(&replica);
     }
 
+    /// Shadow frames ride along in the diff: a record whose shadow alone
+    /// differs is one write, and the mirror's side map follows the
+    /// primary's through install, replacement, commit and unmap.
     #[test]
-    fn sync_from_adopts_whole_slabs_into_gaps() {
-        let mut primary = PageTable::new();
-        for vpn in 0..100u64 {
+    fn sync_from_carries_shadows() {
+        let mut primary = reserved(0, 128);
+        for vpn in [3u64, 70] {
             primary.map(vpn, Pte::present_rw(FrameId(vpn)));
         }
-        let mut replica = PageTable::new();
-        let changed = replica.sync_from(&primary, PageRange::new(0, 1000));
-        assert_eq!(changed, 100);
-        assert_eq!(replica.len(), 100);
-        assert_eq!(replica.sorted_vpns(), primary.sorted_vpns());
+        let mut replica = primary.clone();
+        let all = PageRange::new(0, 128);
+        primary.get_mut(70).unwrap().set_shadow(FrameId(700));
+        assert_eq!(replica.sync_from(&primary, all), 1);
+        assert_eq!(replica.get(70).unwrap().shadow, Some(FrameId(700)));
+        assert_eq!(replica.sync_from(&primary, all), 0);
+        // A new shadow frame under the same flags is still a write.
+        primary.get_mut(70).unwrap().shadow = Some(FrameId(701));
+        assert_eq!(replica.sync_from(&primary, all), 1);
+        assert_eq!(replica.get(70), primary.get(70));
+        primary.get_mut(70).unwrap().commit_shadow();
+        assert_eq!(replica.sync_from(&primary, all), 1);
+        assert_eq!(replica.get(70), primary.get(70));
+        primary.get_mut(3).unwrap().set_shadow(FrameId(300));
+        primary.unmap(70);
+        assert_eq!(replica.sync_from(&primary, all), 2);
+        assert!(replica.iter().eq(primary.iter()));
+        primary.unmap(3);
+        assert_eq!(replica.sync_from(&primary, all), 1);
+        assert_eq!(replica.stats(), primary.stats());
         assert_stats_consistent(&replica);
     }
 }

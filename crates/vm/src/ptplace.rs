@@ -15,14 +15,14 @@
 //!   per-node copies;
 //! * [`PtReplicaSet`] — the per-node replica tables, kept equal to the
 //!   primary by eager write-through (Mitosis' protocol): every PTE update
-//!   is diffed into the replicas at once by [`PageTable::sync_from`], a
+//!   is diffed into the replicas at once, slab for slab, by a
 //!   word-parallel, window-bounded bitmap diff over the struct-of-arrays
 //!   PTE slabs. Replicas that receive the same writes are identical, so
 //!   the set stores one mirror table and charges its write count once per
 //!   node. The address space applies every extent edit (reserve, huge
-//!   conversion, release) to the mirror as well, so the mirror's slabs
-//!   line up with the primary's and each diff takes the geometry-aligned
-//!   fast path.
+//!   conversion, release) to the mirror as well, so the mirror always has
+//!   the primary's slab geometry; the diff repeats the one change a map
+//!   makes on its own, demoting a huge slab, and needs no other shape.
 //!
 //! All *timing* (walk latency, sync charges, shootdowns) lives in the
 //! kernel and machine layers; like the rest of `numa-vm` this file only
@@ -100,8 +100,8 @@ impl PtReplicaSet {
     }
 
     /// Do the mapped entries of `node`'s replica equal the primary's,
-    /// PTE for PTE? (Lockstep-test support; storage layout may differ, so
-    /// equality is over the mapped-entry sequences.)
+    /// PTE for PTE? (Lockstep-test support; equality is over the
+    /// mapped-entry sequences.)
     pub fn agrees_with(&self, node: NodeId, primary: &PageTable) -> bool {
         self.replica(node).iter().eq(primary.iter())
     }
@@ -113,8 +113,11 @@ mod tests {
     use crate::pte::Pte;
     use crate::FrameId;
 
+    /// A table reserved over `[0, 192)` with `vpns` mapped: three bitmap
+    /// words, so diffs cross word boundaries.
     fn pt_with(vpns: &[u64]) -> PageTable {
         let mut pt = PageTable::new();
+        pt.reserve_range(PageRange::new(0, 192));
         for &v in vpns {
             pt.map(v, Pte::present_rw(FrameId(v)));
         }
@@ -123,15 +126,15 @@ mod tests {
 
     #[test]
     fn sync_installs_removes_and_overwrites() {
-        let mut primary = pt_with(&[1, 2, 5]);
-        let mut replica = pt_with(&[2, 3]);
+        let mut primary = pt_with(&[1, 64, 65, 130]);
+        let mut replica = pt_with(&[64, 70, 130]);
         // Make an entry differ in place.
-        primary.get_mut(2).unwrap().frame = FrameId(99);
-        let changed = replica.sync_from(&primary, PageRange::new(0, 10));
-        // 3 removed, 1 and 5 installed, 2 overwritten.
+        primary.get_mut(130).unwrap().frame = FrameId(999);
+        let changed = replica.sync_from(&primary, PageRange::new(0, 192));
+        // 70 removed, 1 and 65 installed, 130 overwritten.
         assert_eq!(changed, 4);
-        assert_eq!(replica.sorted_vpns(), vec![1, 2, 5]);
-        assert_eq!(replica.get(2).unwrap().frame, FrameId(99));
+        assert_eq!(replica.sorted_vpns(), vec![1, 64, 65, 130]);
+        assert_eq!(replica.get(130).unwrap().frame, FrameId(999));
         let set = PtReplicaSet::new(1, &replica);
         assert!(set.agrees_with(NodeId(0), &primary));
     }
@@ -146,7 +149,7 @@ mod tests {
 
     #[test]
     fn eager_propagate_hits_all_nodes() {
-        let mut primary = PageTable::new();
+        let mut primary = pt_with(&[]);
         let mut set = PtReplicaSet::new(3, &primary);
         primary.map(8, Pte::present_rw(FrameId(1)));
         let changed = set.propagate(&primary, PageRange::new(8, 9));
