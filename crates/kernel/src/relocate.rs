@@ -2,7 +2,12 @@
 //!
 //! Every mechanism that moves a mapped page is one kernel operation under
 //! a different caller: isolate the page, allocate on the target node,
-//! copy under the page-table lock, remap, free the old frame. Linux runs
+//! copy under the page-table lock, remap, free the old frame. The frame
+//! table does the allocate, copy and free as one in-place move
+//! ([`FrameAllocator::relocate`]) once the copy is charged, so a page
+//! keeps its frame-table slot for life and a move never grows the table;
+//! the room on the target node is checked where the allocation happens,
+//! before the copy. Linux runs
 //! all of its callers through one `migrate_pages()` core keyed by `enum
 //! migrate_reason`; here [`Kernel::relocate_page`] is keyed by
 //! [`RelocSite`], and everything that differs between the callers is one
@@ -155,10 +160,11 @@ impl Kernel {
     /// An already-placed page costs only control work. Otherwise fault
     /// injection is consulted first, before any side effect, so a
     /// disabled injector leaves every path byte-identical. Then the
-    /// destination is resolved, a frame allocated, the copy run with its
-    /// locked fraction under the page-table lock, the contents copied,
-    /// the mapping re-checked, the PTE remapped, the old frame freed, the
-    /// success counted and the page-table replicas noted.
+    /// destination is resolved and checked for room, the copy run with
+    /// its locked fraction under the page-table lock, the mapping
+    /// re-checked, the frame moved in place ([`FrameAllocator::relocate`]:
+    /// new node, same contents, the old id stale) and the PTE remapped,
+    /// the success counted and the page-table replicas noted.
     #[allow(clippy::too_many_arguments)]
     pub fn relocate_page(
         &mut self,
@@ -266,9 +272,12 @@ impl Kernel {
                     .ok_or(Failure::NoDestination)?
             }
         };
-        let (new_frame, _) = self
-            .alloc_frame(frames, dst, None)
-            .ok_or(Failure::NoFrame)?;
+        // The allocation of the destination frame. The frame itself is
+        // taken after the copy, by moving the source frame in place.
+        if !frames.has_room(dst) {
+            return Err(Failure::NoFrame);
+        }
+        self.counters.bump(Counter::FramesAllocated);
         let copy_start = *t;
         *t = self.locked_migration_copy(*t, src, dst, bytes, control_ns, row, b);
         if row.trace_copy {
@@ -282,18 +291,20 @@ impl Kernel {
                 },
             );
         }
-        frames.copy_contents(pte.frame, new_frame);
         // Typed propagation instead of an `expect`: if the mapping
         // vanished while the copy ran, discard the copy and report the
-        // page gone rather than aborting the simulation.
+        // page gone rather than aborting the simulation. The source frame
+        // stays live.
         let Some(mut entry) = space.page_table.get_mut(vpn) else {
-            frames.free(new_frame);
             self.counters.bump(Counter::FramesFreed);
             return Err(Failure::Vanished);
         };
-        entry.frame = new_frame;
+        // The copy, the remap and the free of the source in one move: the
+        // page keeps its frame-table slot, and `pte.frame` goes stale.
+        entry.frame = frames
+            .relocate(pte.frame, dst)
+            .expect("the destination had room before the copy");
         drop(entry); // write back before the replica sync reads it
-        frames.free(pte.frame);
         self.counters.bump(Counter::FramesFreed);
         if let Some(counter) = row.success {
             self.counters.bump(counter);

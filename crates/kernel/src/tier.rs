@@ -228,7 +228,7 @@ impl Kernel {
             let abort_ns = self.topo.cost().tier_abort_ns;
             b.add(CostComponent::FaultControl, abort_ns);
             if let Some(mut pte) = space.page_table.get_mut(vpn) {
-                if pte.has_shadow() && pte.shadow == Some(txn.dst_frame) {
+                if pte.shadow == Some(txn.dst_frame) {
                     pte.abort_shadow();
                 }
             }

@@ -16,9 +16,18 @@
 //!
 //! A slot is one 24-byte record — generation, node, content tag, write
 //! generation — like one `struct page`: a relocation's liveness check,
-//! node lookup, content copy and free of the source frame all read one
-//! record, so a random visit order costs one cache miss per frame (two
-//! for the quarter of slots that straddle a line), not one per array.
+//! node lookup and content all sit in one record, so a random visit order
+//! costs one cache miss per frame (two for the quarter of slots that
+//! straddle a line), not one per array.
+//!
+//! A relocation moves a frame in place ([`FrameAllocator::relocate`]):
+//! the page keeps its slot, which takes the destination node and a new
+//! generation, so the old id goes stale as a freed one does. Allocating
+//! first and freeing after would hand each move the slot the previous
+//! move freed, scattering the pages of a region over the table; in place,
+//! a page keeps the slot its first touch gave it, and a walk in
+//! first-touch order reads the slots in the order those touches took
+//! them. Short of a generation wrap, a move never grows the table.
 //!
 //! The table grows in chunks of [`FRAME_CHUNK`] slots. The first chunk
 //! grows like a `Vec`, so a tenant machine with a dozen frames stays
@@ -196,8 +205,9 @@ impl Slot {
 /// Machine-wide frame allocator with per-node accounting.
 ///
 /// The frame table is a generational slot table: `alloc` pops the most
-/// recently freed slot (or grows the table by one slot), and `free` marks
-/// the slot dead, bumps its generation and pushes it onto the free chain.
+/// recently freed slot (or grows the table by one slot), `free` marks the
+/// slot dead, bumps its generation and pushes it onto the free chain, and
+/// `relocate` bumps the generation of a live slot and changes its node.
 /// Memory is therefore O(live frames), not O(frames ever allocated).
 /// Every lookup checks the id's generation and the slot's liveness, so
 /// use-after-free and double-free bugs in the kernel layer stay loud
@@ -264,10 +274,10 @@ impl FrameAllocator {
     /// of a zone with no eligible free pages — the kernel layer's
     /// zonelist/reclaim/OOM machinery decides what happens next).
     pub fn alloc(&mut self, node: NodeId) -> Option<FrameId> {
-        let n = node.index();
-        if self.live_per_node[n] >= self.capacity_per_node[n] || self.offline[n] {
+        if !self.has_room(node) {
             return None;
         }
+        let n = node.index();
         let i = if self.free_head == NO_FREE {
             let i = self.slots.len();
             assert!(i < u32::MAX as usize, "frame table full");
@@ -292,6 +302,51 @@ impl FrameAllocator {
         self.live_per_node[n] += 1;
         self.allocated_total += 1;
         Some(id)
+    }
+
+    /// Can `node` take one more frame: is its bank online and not full?
+    #[inline]
+    pub fn has_room(&self, node: NodeId) -> bool {
+        let n = node.index();
+        self.live_per_node[n] < self.capacity_per_node[n] && !self.offline[n]
+    }
+
+    /// Move the live frame `src` to `node` in place, the allocate, copy
+    /// and free of a page relocation in one call: the page keeps its slot
+    /// and its content tag, gets a zero write generation as a fresh frame
+    /// does, and a new id. The slot's generation is bumped, so `src` is
+    /// stale and every later lookup of it panics. The move counts as one
+    /// allocation on `node` and one free of `src`, and advances the
+    /// content-tag counter as `alloc` does, so every later frame gets the
+    /// tag an alloc + copy + free would have given it.
+    ///
+    /// Returns `None`, changing nothing, when `node`'s bank is full or
+    /// offline. Panics on an unknown `src`. A slot whose generation would
+    /// wrap cannot issue a new id: that frame moves to a fresh slot with
+    /// [`FrameAllocator::alloc`] + [`FrameAllocator::copy_contents`] +
+    /// [`FrameAllocator::free`], which retires the old slot.
+    pub fn relocate(&mut self, src: FrameId, node: NodeId) -> Option<FrameId> {
+        let room = self.has_room(node);
+        let slot = self.slot_of_mut(src, "relocate of");
+        if !room {
+            return None;
+        }
+        let Some(generation) = slot.generation.checked_add(1) else {
+            let dst = self.alloc(node)?;
+            self.copy_contents(src, dst);
+            self.free(src);
+            return Some(dst);
+        };
+        let from = usize::from(slot.node);
+        slot.generation = generation;
+        slot.node = node.0;
+        slot.write_gen = 0;
+        self.next_content += 1;
+        self.live_per_node[from] -= 1;
+        self.live_per_node[node.index()] += 1;
+        self.allocated_total += 1;
+        self.freed_total += 1;
+        Some(FrameId::new(src.slot(), generation))
     }
 
     /// The slot of a live frame, or `None` for an id never issued, freed,
@@ -853,6 +908,123 @@ mod tests {
             page = new;
         }
         assert_eq!(fa.slots.len(), 2);
+        assert_eq!(fa.get(page).unwrap().content_tag, tag);
+        assert_eq!(fa.live_total(), 1);
+    }
+
+    #[test]
+    fn relocate_moves_a_frame_in_place() {
+        let mut fa = FrameAllocator::new(2, 10);
+        let src = fa.alloc(NodeId(0)).unwrap();
+        fa.note_write(src);
+        let tag = fa.get(src).unwrap().content_tag;
+        let dst = fa.relocate(src, NodeId(1)).unwrap();
+        assert_eq!(dst.slot(), src.slot(), "the page keeps its slot");
+        assert_ne!(dst, src);
+        assert!(fa.get(src).is_none(), "the old id is stale");
+        let frame = fa.get(dst).unwrap();
+        assert_eq!(frame.node, NodeId(1));
+        assert_eq!(frame.content_tag, tag, "the contents move with the page");
+        assert_eq!(frame.write_gen, 0, "a moved frame starts unwritten");
+        assert_eq!(fa.slots.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown frame")]
+    fn node_of_a_relocated_id_panics() {
+        let mut fa = FrameAllocator::new(2, 10);
+        let src = fa.alloc(NodeId(0)).unwrap();
+        fa.relocate(src, NodeId(1)).unwrap();
+        fa.node_of(src);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown frame")]
+    fn relocate_of_a_stale_id_panics() {
+        let mut fa = FrameAllocator::new(2, 10);
+        let src = fa.alloc(NodeId(0)).unwrap();
+        fa.relocate(src, NodeId(1)).unwrap();
+        fa.relocate(src, NodeId(0));
+    }
+
+    #[test]
+    fn relocate_accounts_as_an_alloc_plus_a_free() {
+        let (mut moved, mut copied) = (FrameAllocator::new(2, 10), FrameAllocator::new(2, 10));
+        for fa in [&mut moved, &mut copied] {
+            fa.alloc(NodeId(0)).unwrap();
+            fa.alloc(NodeId(1)).unwrap();
+        }
+        let src = FrameId::new(0, 0);
+        moved.relocate(src, NodeId(1)).unwrap();
+        let dst = copied.alloc(NodeId(1)).unwrap();
+        copied.copy_contents(src, dst);
+        copied.free(src);
+        for node in [NodeId(0), NodeId(1)] {
+            assert_eq!(moved.live_on(node), copied.live_on(node));
+        }
+        assert_eq!(moved.allocated_total(), copied.allocated_total());
+        assert_eq!(moved.freed_total(), copied.freed_total());
+        // Every later frame gets the content tag it would have got.
+        let (a, b) = (
+            moved.alloc(NodeId(0)).unwrap(),
+            copied.alloc(NodeId(0)).unwrap(),
+        );
+        assert_eq!(
+            moved.get(a).unwrap().content_tag,
+            copied.get(b).unwrap().content_tag
+        );
+    }
+
+    #[test]
+    fn relocate_to_a_full_or_offline_node_changes_nothing() {
+        let mut fa = FrameAllocator::with_capacities(vec![2, 1, 2]);
+        let src = fa.alloc(NodeId(0)).unwrap();
+        fa.alloc(NodeId(1)).unwrap();
+        fa.set_offline(NodeId(2));
+        let before = |fa: &FrameAllocator| {
+            (
+                fa.get(src),
+                [0, 1, 2].map(|n| fa.live_on(NodeId(n))),
+                fa.allocated_total(),
+                fa.freed_total(),
+                fa.next_content,
+            )
+        };
+        let snapshot = before(&fa);
+        assert_eq!(fa.relocate(src, NodeId(1)), None, "full");
+        assert_eq!(fa.relocate(src, NodeId(2)), None, "offline");
+        assert_eq!(before(&fa), snapshot);
+        assert_eq!(fa.node_of(src), NodeId(0), "the source stays live");
+    }
+
+    #[test]
+    fn relocate_at_the_last_generation_moves_to_a_fresh_slot() {
+        let mut fa = FrameAllocator::new(2, 10);
+        let a = fa.alloc(NodeId(0)).unwrap();
+        fa.free(a);
+        fa.slots[0].generation = u32::MAX;
+        let last = fa.alloc(NodeId(0)).unwrap();
+        assert_eq!(last, FrameId::new(0, u32::MAX));
+        let tag = fa.get(last).unwrap().content_tag;
+        let moved = fa.relocate(last, NodeId(1)).unwrap();
+        assert_eq!(moved.slot(), 1);
+        assert_eq!(fa.get(moved).unwrap().content_tag, tag);
+        assert!(fa.get(last).is_none());
+        assert_eq!(fa.live_on(NodeId(0)), 0);
+        assert_eq!(fa.live_on(NodeId(1)), 1);
+        let next = fa.alloc(NodeId(0)).unwrap();
+        assert_eq!(next.slot(), 2, "the exhausted slot is retired");
+    }
+
+    #[test]
+    fn relocation_cycles_keep_the_one_slot() {
+        let mut fa = FrameAllocator::new(2, 10);
+        let mut page = fa.alloc(NodeId(0)).unwrap();
+        let tag = fa.get(page).unwrap().content_tag;
+        for i in 0..10_000u16 {
+            page = fa.relocate(page, NodeId((i + 1) % 2)).unwrap();
+        }
+        assert_eq!(fa.slots.len(), 1);
         assert_eq!(fa.get(page).unwrap().content_tag, tag);
         assert_eq!(fa.live_total(), 1);
     }

@@ -34,12 +34,6 @@ impl PteFlags {
     /// This PTE points at a node-local replica of a read-only page
     /// (replication extension, paper §6 future work).
     pub const REPLICA: PteFlags = PteFlags(1 << 5);
-    /// A transactional tier migration is in flight: the page exists
-    /// non-exclusively in both tiers (`Pte::shadow` holds the in-progress
-    /// destination copy) until the migration commits or aborts. The
-    /// mapping stays fully usable — that is the point of the transactional
-    /// scheme (Nomad, OSDI'23).
-    pub const SHADOW: PteFlags = PteFlags(1 << 6);
 
     /// Does `self` contain every bit of `other`?
     pub fn contains(self, other: PteFlags) -> bool {
@@ -94,7 +88,6 @@ impl fmt::Display for PteFlags {
             (PteFlags::NEXT_TOUCH, "NT"),
             (PteFlags::HUGE, "H"),
             (PteFlags::REPLICA, "Repl"),
-            (PteFlags::SHADOW, "Sh"),
         ] {
             if self.contains(bit) {
                 parts.push(name);
@@ -113,10 +106,13 @@ impl fmt::Display for PteFlags {
 pub struct Pte {
     /// The physical frame backing this page.
     pub frame: FrameId,
-    /// In-progress tier-migration destination frame, valid while
-    /// [`PteFlags::SHADOW`] is set: the copy being built in the other
-    /// tier. Accesses are still served from `frame`; a commit flips
-    /// `frame` to the shadow, an abort discards it.
+    /// In-progress tier-migration destination frame: while it is set, a
+    /// transactional tier migration is in flight and the page exists
+    /// non-exclusively in both tiers until the migration commits or
+    /// aborts. The mapping stays fully usable — that is the point of the
+    /// transactional scheme (Nomad, OSDI'23). Accesses are still served
+    /// from `frame`; a commit flips `frame` to the shadow, an abort
+    /// discards it. The flags never record a shadow.
     pub shadow: Option<FrameId>,
     /// Flag bits.
     pub flags: PteFlags,
@@ -169,7 +165,6 @@ impl Pte {
     /// the page is now non-exclusive across both frames.
     pub fn set_shadow(&mut self, dst: FrameId) {
         self.shadow = Some(dst);
-        self.flags |= PteFlags::SHADOW;
     }
 
     /// Commit the transactional migration: the shadow becomes the mapped
@@ -179,21 +174,18 @@ impl Pte {
         let dst = self.shadow.take().expect("commit without shadow copy");
         let src = self.frame;
         self.frame = dst;
-        self.flags = self.flags & !PteFlags::SHADOW;
         src
     }
 
     /// Abort the transactional migration: the mapping is untouched.
     /// Returns the discarded shadow frame for the caller to free.
     pub fn abort_shadow(&mut self) -> FrameId {
-        let dst = self.shadow.take().expect("abort without shadow copy");
-        self.flags = self.flags & !PteFlags::SHADOW;
-        dst
+        self.shadow.take().expect("abort without shadow copy")
     }
 
     /// Is a transactional tier migration in flight on this page?
     pub fn has_shadow(&self) -> bool {
-        self.flags.contains(PteFlags::SHADOW)
+        self.shadow.is_some()
     }
 }
 
@@ -241,8 +233,10 @@ mod tests {
     #[test]
     fn shadow_commit_and_abort() {
         let mut pte = Pte::present_rw(FrameId(1));
+        let flags = pte.flags;
         pte.set_shadow(FrameId(9));
         assert!(pte.has_shadow());
+        assert_eq!(pte.flags, flags, "a shadow never edits the flags");
         // The mapping stays fully usable while the copy is in flight.
         assert!(pte.permits(true));
         assert_eq!(pte.frame, FrameId(1));

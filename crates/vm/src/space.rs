@@ -193,19 +193,36 @@ impl AddressSpace {
     /// Remove the mapping that starts exactly at `addr`, freeing each
     /// backing frame into `frames` as its entry is released (ascending vpn
     /// order), and return the number of pages that were mapped.
+    ///
+    /// The page tables release the whole gap between the neighbouring
+    /// VMAs, not just this one's range. No PTE lies outside a VMA, so the
+    /// gap holds exactly this VMA's entries, and every extent left with no
+    /// VMA over it goes: the last piece of a VMA that `mprotect` split
+    /// takes the extent the pieces shared.
     pub fn munmap(&mut self, addr: VirtAddr, frames: &mut FrameAllocator) -> Result<u64, VmError> {
         let vpn = addr.vpn();
         let vma = self.vmas.remove(&vpn).ok_or(VmError::NoVma(addr))?;
+        let prev_end = self
+            .vmas
+            .range(..vma.range.start_vpn)
+            .next_back()
+            .map_or(0, |(_, v)| v.range.end_vpn);
+        let next_start = self
+            .vmas
+            .range(vma.range.end_vpn..)
+            .next()
+            .map_or(u64::MAX, |(_, v)| v.range.start_vpn);
+        let gap = PageRange::new(prev_end, next_start);
         let mut pages = 0u64;
-        self.page_table.release_range(vma.range, |_, pte| {
+        self.page_table.release_range(gap, |_, pte| {
             frames.free(pte.frame);
             pages += 1;
         });
-        // Replicas drop the same extent. That write-through is uncharged:
+        // Replicas drop the same extents. That write-through is uncharged:
         // the timed `Kernel::munmap` charges only the teardown and the
         // shootdown, the same on single-home and replicated spaces.
         if let Some(mirror) = self.pt_mirror() {
-            mirror.release_range(vma.range, |_, _| {});
+            mirror.release_range(gap, |_, _| {});
         }
         self.generation += 1;
         Ok(pages)

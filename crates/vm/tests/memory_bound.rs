@@ -9,7 +9,8 @@
 //!   it allocates nothing that grows with the size of the VMA.
 //! * A replicated space's mirror table shares the primary's extents:
 //!   `munmap` releases the mirror's extent with the primary's, so
-//!   mmap/munmap cycles leave no empty extents behind in it.
+//!   mmap/munmap cycles leave no empty extents behind in it, even when
+//!   `mprotect` split the VMA and each piece is unmapped on its own.
 
 use numa_topology::NodeId;
 use numa_vm::{
@@ -148,6 +149,43 @@ fn replica_mirror_releases_the_extent_of_every_munmap() {
     assert_eq!(mirror(&space).stats().slabs, 1, "only the kept extent");
     space.munmap(keep, &mut frames).unwrap();
     assert_eq!(mirror(&space).stats().slabs, 0);
+}
+
+#[test]
+fn munmap_of_every_piece_of_a_split_vma_releases_its_extent() {
+    let mut space = replicated_space();
+    let mut frames = FrameAllocator::new(2, 64);
+    let addr = mmap_pages(&mut space, 10);
+    let base = addr.vpn();
+    let range = PageRange::new(base, base + 10);
+    for vpn in range.iter() {
+        let frame = frames.alloc(NodeId((vpn % 2) as u16)).unwrap();
+        space.page_table.map(vpn, Pte::present_rw(frame));
+    }
+    space.pt_note_update(range);
+    space
+        .mprotect(PageRange::new(base + 3, base + 7), Protection::ReadOnly)
+        .unwrap();
+    assert_eq!(space.vma_count(), 3);
+    assert_mirror_matches(&space, "after the split");
+    // The middle piece first, so no single munmap covers the extent.
+    for (start, pages) in [(base + 3, 4), (base, 3), (base + 7, 3)] {
+        let piece = VirtAddr::from_vpn(start);
+        assert_eq!(space.munmap(piece, &mut frames).unwrap(), pages);
+        assert_mirror_matches(&space, &format!("after the munmap at {start}"));
+    }
+    assert_eq!(space.vma_count(), 0);
+    assert_eq!(frames.live_total(), 0);
+    assert_eq!(
+        space.page_table.stats().slabs,
+        0,
+        "the primary keeps no extent"
+    );
+    assert_eq!(
+        mirror(&space).stats().slabs,
+        0,
+        "the mirror keeps no extent"
+    );
 }
 
 #[test]

@@ -111,25 +111,49 @@ proptest! {
         prop_assert_eq!(space.vma_count(), 1, "uniform protection must merge to one VMA");
     }
 
-    /// Frame allocator conservation: after any alloc/free interleaving,
-    /// live counts equal allocations minus frees, per node and globally,
-    /// and capacity is never exceeded.
+    /// Frame allocator conservation: after any alloc/free/relocate
+    /// interleaving, live counts equal allocations minus frees, per node
+    /// and globally, and capacity is never exceeded. A relocation keeps
+    /// the content tag and leaves the old id stale.
     #[test]
     fn frame_allocator_conservation(
-        ops in proptest::collection::vec((0u16..3, any::<bool>()), 1..200)
+        ops in proptest::collection::vec((0u16..3, 0u8..3, 0u16..3), 1..200)
     ) {
         let cap = 20u64;
         let mut fa = FrameAllocator::new(3, cap);
         let mut live: Vec<Vec<numa_vm::FrameId>> = vec![Vec::new(); 3];
-        for (node, is_alloc) in ops {
+        for (node, op, dest) in ops {
             let n = NodeId(node);
-            if is_alloc {
-                match fa.alloc(n) {
+            match op {
+                0 => match fa.alloc(n) {
                     Some(id) => live[node as usize].push(id),
                     None => prop_assert_eq!(fa.live_on(n), cap, "alloc may only fail when full"),
+                },
+                1 => {
+                    if let Some(id) = live[node as usize].pop() {
+                        fa.free(id);
+                    }
                 }
-            } else if let Some(id) = live[node as usize].pop() {
-                fa.free(id);
+                _ => {
+                    if let Some(&id) = live[node as usize].last() {
+                        let d = NodeId(dest);
+                        let tag = fa.get(id).unwrap().content_tag;
+                        match fa.relocate(id, d) {
+                            Some(moved) => {
+                                live[node as usize].pop();
+                                live[dest as usize].push(moved);
+                                prop_assert!(fa.get(id).is_none(), "the old id is stale");
+                                let frame = fa.get(moved).unwrap();
+                                prop_assert_eq!(frame.content_tag, tag);
+                                prop_assert_eq!(frame.node, d);
+                            }
+                            None => {
+                                prop_assert_eq!(fa.live_on(d), cap, "relocate may only fail when full");
+                                prop_assert_eq!(fa.node_of(id), n);
+                            }
+                        }
+                    }
+                }
             }
             for k in 0..3u16 {
                 prop_assert_eq!(fa.live_on(NodeId(k)), live[k as usize].len() as u64);
@@ -138,6 +162,7 @@ proptest! {
         }
         let total_live: usize = live.iter().map(Vec::len).sum();
         prop_assert_eq!(fa.live_total(), total_live as u64);
+        prop_assert_eq!(fa.allocated_total() - fa.freed_total(), total_live as u64);
     }
 
     /// Interleave policy is a pure function of vpn and spreads exactly
