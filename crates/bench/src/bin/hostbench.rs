@@ -164,11 +164,10 @@ where
 }
 
 /// Replica write-through stress at the vm layer: map one million-page
-/// VMA under eager replication for four nodes (one mirror table charged
-/// four times, sharing the VMA's extent with the primary), fault in every
-/// page, flip every frame (the `move_pages` PTE rewrite), then unmap
-/// half — ~12M replica PTE writes charged, ~3M performed by the
-/// window-bounded slab-for-slab diff. Single-threaded by construction
+/// VMA under eager replication for four nodes, fault in every page, flip
+/// every frame (the `move_pages` PTE rewrite), then unmap half — ~12M
+/// replica PTE writes charged, counted from ~3M dirty bits of the
+/// primary's slabs, four times over. Single-threaded by construction
 /// (one address space), so the jobs value is irrelevant and the checksum
 /// trivially jobs-invariant.
 fn ptrepl_replica_stress() -> String {

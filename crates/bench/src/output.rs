@@ -6,9 +6,9 @@
 //! [`RunOutput::table`] (which both prints it and records it), and
 //! `main` calls [`RunOutput::finish`] at the end. With neither `--json`
 //! nor `--trace` given, `finish` is a no-op beyond the printing already
-//! done. Rows print only through [`RunOutput::table`] and
-//! [`RunOutput::note`], so [`RunOutput::stdout`] is the exact stdout of
-//! its run.
+//! done. Rows print only through [`RunOutput::table`] and the
+//! crate-private `RunOutput::note`, so [`RunOutput::stdout`] is the exact
+//! stdout of its run.
 
 use crate::{Experiment, Options};
 use numa_migrate::stats::{Json, Table};

@@ -146,7 +146,7 @@ enum Failure {
     Injected(FaultKind),
     NoDestination,
     NoFrame,
-    /// The mapping vanished while the copy ran.
+    /// No page is mapped at the vpn.
     Vanished,
 }
 
@@ -161,10 +161,10 @@ impl Kernel {
     /// injection is consulted first, before any side effect, so a
     /// disabled injector leaves every path byte-identical. Then the
     /// destination is resolved and checked for room, the copy run with
-    /// its locked fraction under the page-table lock, the mapping
-    /// re-checked, the frame moved in place ([`FrameAllocator::relocate`]:
-    /// new node, same contents, the old id stale) and the PTE remapped,
-    /// the success counted and the page-table replicas noted.
+    /// its locked fraction under the page-table lock, the frame moved in
+    /// place ([`FrameAllocator::relocate`]: new node, same contents, the
+    /// old id stale) and the PTE remapped, the success counted and the
+    /// page-table replicas noted.
     #[allow(clippy::too_many_arguments)]
     pub fn relocate_page(
         &mut self,
@@ -291,16 +291,14 @@ impl Kernel {
                 },
             );
         }
-        // Typed propagation instead of an `expect`: if the mapping
-        // vanished while the copy ran, discard the copy and report the
-        // page gone rather than aborting the simulation. The source frame
-        // stays live.
-        let Some(mut entry) = space.page_table.get_mut(vpn) else {
-            self.counters.bump(Counter::FramesFreed);
-            return Err(Failure::Vanished);
-        };
-        // The copy, the remap and the free of the source in one move: the
-        // page keeps its frame-table slot, and `pte.frame` goes stale.
+        // The copy borrows only the kernel, so nothing can unmap the page
+        // while it runs. The copy, the remap and the free of the source in
+        // one move: the page keeps its frame-table slot, and `pte.frame`
+        // goes stale.
+        let mut entry = space
+            .page_table
+            .get_mut(vpn)
+            .expect("a page stays mapped while its copy runs");
         entry.frame = frames
             .relocate(pte.frame, dst)
             .expect("the destination had room before the copy");

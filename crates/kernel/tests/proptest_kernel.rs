@@ -1,17 +1,19 @@
 //! Property-based tests for the migration syscalls: placement follows the
 //! request, contents survive, frames are conserved — for arbitrary page
 //! subsets, destinations and orderings — and replicated page tables stay
-//! in lockstep with the primary through the tier paths.
+//! in lockstep with the primary through the tier paths, writing as many
+//! PTEs as independent per-node copies would.
 
 use numa_kernel::{Kernel, KernelConfig, PageStatus, TxnOutcome};
-use numa_sim::SimTime;
+use numa_sim::{SimTime, TraceEventKind};
 use numa_stats::Breakdown;
 use numa_topology::{presets, CoreId, NodeId};
 use numa_vm::{
-    AddressSpace, FrameAllocator, MemPolicy, Protection, PtPlacement, PtSyncMode, Tlb, VirtAddr,
-    VmaKind, PAGE_SIZE,
+    AddressSpace, FrameAllocator, MemPolicy, Protection, PtPlacement, PtSyncMode, Pte, Tlb,
+    VirtAddr, VmaKind, PAGE_SIZE,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 struct Fx {
@@ -57,17 +59,61 @@ fn tiered_replicated_fixture() -> Fx {
     }
 }
 
-/// Does every node's replica equal the primary page table, entry for
-/// entry and extent for extent?
-fn replicas_agree(fx: &Fx) -> bool {
+/// The write-through reference: one independent snapshot of every
+/// mapped entry (frame, flags and shadow) per node.
+struct NodeSnapshots(Vec<BTreeMap<u64, Pte>>);
+
+impl NodeSnapshots {
+    /// Snapshots of an empty table, as a replicated space starts.
+    fn new(fx: &Fx) -> Self {
+        NodeSnapshots(vec![BTreeMap::new(); fx.kernel.topology().node_count()])
+    }
+
+    /// Bring every node's snapshot up to the primary and return the PTEs
+    /// written across all nodes: one per vpn added, dropped or changed.
+    fn sync(&mut self, fx: &Fx) -> u64 {
+        let want: BTreeMap<u64, Pte> = fx.space.page_table.iter().collect();
+        let mut written = 0;
+        for snap in &mut self.0 {
+            let dropped = snap.keys().filter(|vpn| !want.contains_key(vpn)).count();
+            let changed = want.iter().filter(|&(vpn, pte)| snap.get(vpn) != Some(pte));
+            written += (dropped + changed.count()) as u64;
+            snap.clone_from(&want);
+        }
+        written
+    }
+}
+
+/// The PTE writes the kernel charged since the last call: the summed
+/// `PtReplicaSync` entries of its trace, which is then cleared.
+fn charged_writes(fx: &Fx) -> u64 {
+    assert_eq!(fx.kernel.trace.dropped(), 0, "trace ring too small");
+    let charged = (fx.kernel.trace.snapshot().iter())
+        .filter_map(|e| match e.kind {
+            TraceEventKind::PtReplicaSync { entries, .. } => Some(entries),
+            _ => None,
+        })
+        .sum();
+    fx.kernel.trace.clear();
+    charged
+}
+
+/// Is every replica in step with the primary, and did the kernel charge
+/// exactly the writes the per-node snapshots took to catch up?
+fn replicas_in_step(fx: &Fx, reference: &mut NodeSnapshots) -> Result<(), String> {
     let replicas = fx.space.pt_replicas().expect("replicated space");
-    fx.kernel.topology().node_ids().all(|n| {
-        replicas.agrees_with(n, &fx.space.page_table)
-            && replicas
-                .replica(n)
-                .extents()
-                .eq(fx.space.page_table.extents())
-    })
+    if let Some(n) =
+        (fx.kernel.topology().node_ids()).find(|&n| !replicas.agrees_with(n, &fx.space.page_table))
+    {
+        return Err(format!("the replica on {n} is stale"));
+    }
+    let (charged, written) = (charged_writes(fx), reference.sync(fx));
+    if charged != written {
+        return Err(format!(
+            "{charged} PTE writes charged, {written} by the reference"
+        ));
+    }
+    Ok(())
 }
 
 fn map_and_populate(fx: &mut Fx, pages: u64) -> VirtAddr {
@@ -270,16 +316,20 @@ proptest! {
     /// Replica lockstep through the tier paths: on an eager-replicated
     /// space, any interleaving of `move_pages`, stop-the-world tier moves,
     /// transactional tier moves and stores keeps every replica equal to
-    /// the primary after every step. Stores between a transaction's begin
-    /// and its commit make that commit abort.
+    /// the primary after every step, and each step charges exactly the
+    /// PTE writes that bring N independent per-node snapshots up to the
+    /// primary. Stores between a transaction's begin and its commit make
+    /// that commit abort.
     #[test]
     fn tier_ops_keep_replicas_in_lockstep(
         ops in proptest::collection::vec((0u8..5, 0u64..12, 0u16..6), 1..60),
     ) {
         const PAGES: u64 = 12;
         let mut fx = tiered_replicated_fixture();
+        fx.kernel.trace.enable(4096);
+        let mut reference = NodeSnapshots::new(&fx);
         let base = map_and_populate(&mut fx, PAGES);
-        prop_assert!(replicas_agree(&fx));
+        prop_assert_eq!(replicas_in_step(&fx, &mut reference), Ok(()));
         let mut pending: Vec<(u64, SimTime)> = Vec::new();
         let mut t = SimTime(1_000_000);
         let mut b = Breakdown::new();
@@ -323,7 +373,8 @@ proptest! {
                     }
                 }
             }
-            prop_assert!(replicas_agree(&fx), "replica diverged after op {}", kind);
+            let step = replicas_in_step(&fx, &mut reference);
+            prop_assert_eq!(step, Ok(()), "after op {}", kind);
         }
         for (vpn, copy_end) in pending {
             let (end, outcome) = fx.kernel.tier_txn_commit(
@@ -331,7 +382,7 @@ proptest! {
             );
             prop_assert!(matches!(outcome, TxnOutcome::Committed | TxnOutcome::Aborted));
             t = t.max(end);
-            prop_assert!(replicas_agree(&fx));
+            prop_assert_eq!(replicas_in_step(&fx, &mut reference), Ok(()));
         }
         // Every transaction resolved: one live frame per mapped page.
         prop_assert_eq!(fx.frames.live_total(), PAGES);

@@ -22,19 +22,17 @@
 //! * **Stats are O(1).** Flag-class tallies ([`PageTable::stats`]) are
 //!   maintained incrementally at map/unmap/protect time instead of by
 //!   end-of-run scans.
-//! * **Replica diffs are word-parallel.** A replica mirror receives every
-//!   extent edit the primary does, so the two tables have one slab
-//!   geometry and `sync_from` diffs slab *i* against slab *i* with a
-//!   bitmap-XOR pre-filter and slice payload compares bounded by the
-//!   requested window, doing per-record work only where a 64-record
-//!   block actually differs inside it.
+//! * **Replica write counts are popcounts.** Beside `present`, each slab
+//!   keeps a dirty bitmap: every write that changes a record's frame,
+//!   flags or shadow sets its bit. A replica write-through over a range
+//!   ([`crate::PtReplicaSet::propagate`]) counts and clears the range's
+//!   bits word by word, so replicas need no table of their own and a
+//!   1-page note is O(1).
 //!
 //! Shadow frames (in-flight tier migrations) are rare and short-lived, so
 //! they live out of line in a side map; the dense arrays never widen for
 //! them, and while the map is empty — the overwhelmingly common state —
-//! every probe short-circuits on one length test. Absent records are
-//! canonicalized to `FrameId(0)` / `PteFlags::EMPTY`, which is what makes
-//! whole-slice compares between tables meaningful.
+//! every probe short-circuits on one length test.
 //!
 //! The real kernel uses a radix tree; slabs give the same semantics, and
 //! the *cost* of page-table walks is charged separately by the kernel
@@ -49,7 +47,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 
-/// Bits per present-bitmap word.
+/// Bits per bitmap word.
 const WORD: usize = 64;
 
 /// Sentinel for an invalidated lookup hint.
@@ -57,12 +55,8 @@ const NO_HINT: usize = usize::MAX;
 
 /// One contiguous extent of PTE records, stored struct-of-arrays.
 ///
-/// Invariants:
-/// * bitmap bits at or above `records()` are always zero (so word-level
-///   scans never need a tail mask beyond the requested window);
-/// * absent records hold `FrameId(0)` / `PteFlags::EMPTY` (so slice
-///   compares between tables see identical bytes wherever presence
-///   agrees).
+/// Invariant: bitmap bits at or above `records()` are always zero (so
+/// word-level scans never need a tail mask beyond the requested window).
 #[derive(Debug, Clone)]
 struct Slab {
     /// First vpn covered.
@@ -72,6 +66,10 @@ struct Slab {
     stride: u64,
     /// Present bitmap, one bit per record.
     present: Vec<u64>,
+    /// Dirty bitmap, one bit per record: set when a write changes the
+    /// record's frame, flags or shadow, cleared when a replica
+    /// write-through covers it.
+    dirty: Vec<u64>,
     /// Backing frame per record.
     frames: Vec<FrameId>,
     /// Flag bits per record.
@@ -87,6 +85,7 @@ impl Slab {
             base,
             stride,
             present: vec![0; records.div_ceil(WORD)],
+            dirty: vec![0; records.div_ceil(WORD)],
             frames: vec![FrameId(0); records],
             flags: vec![PteFlags::EMPTY; records],
             live: 0,
@@ -133,13 +132,26 @@ impl Slab {
         self.present[rec / WORD] |= 1u64 << (rec % WORD);
     }
 
-    /// Clear presence and canonicalize the payload so absent records
-    /// compare equal across tables.
     #[inline]
     fn clear_present(&mut self, rec: usize) {
         self.present[rec / WORD] &= !(1u64 << (rec % WORD));
-        self.frames[rec] = FrameId(0);
-        self.flags[rec] = PteFlags::EMPTY;
+    }
+
+    #[inline]
+    fn set_dirty(&mut self, rec: usize) {
+        self.dirty[rec / WORD] |= 1u64 << (rec % WORD);
+    }
+
+    /// Clear the dirty bits of records `[r_lo, r_hi)` and return how
+    /// many were set.
+    fn take_dirty(&mut self, r_lo: usize, r_hi: usize) -> u64 {
+        let mut taken = 0;
+        for w in r_lo / WORD..r_hi.div_ceil(WORD) {
+            let bits = masked(&self.dirty, w, r_lo, r_hi);
+            taken += u64::from(bits.count_ones());
+            self.dirty[w] &= !bits;
+        }
+        taken
     }
 
     /// The record window `[lo, hi)` intersecting `range` (may be empty).
@@ -158,20 +170,20 @@ impl Slab {
         };
         (lo, hi)
     }
+}
 
-    /// The bitmap word `w` restricted to records `[r_lo, r_hi)`.
-    #[inline]
-    fn masked_word(&self, w: usize, r_lo: usize, r_hi: usize) -> u64 {
-        let lo_bit = w * WORD;
-        let mut bits = self.present[w];
-        if r_lo > lo_bit {
-            bits &= !0u64 << (r_lo - lo_bit);
-        }
-        if r_hi < lo_bit + WORD {
-            bits &= (1u64 << (r_hi - lo_bit)) - 1;
-        }
-        bits
+/// Word `w` of a slab bitmap restricted to records `[r_lo, r_hi)`.
+#[inline]
+fn masked(map: &[u64], w: usize, r_lo: usize, r_hi: usize) -> u64 {
+    let lo_bit = w * WORD;
+    let mut bits = map[w];
+    if r_lo > lo_bit {
+        bits &= !0u64 << (r_lo - lo_bit);
     }
+    if r_hi < lo_bit + WORD {
+        bits &= (1u64 << (r_hi - lo_bit)) - 1;
+    }
+    bits
 }
 
 /// Read a vpn's shadow frame, short-circuiting while no migration is in
@@ -392,6 +404,9 @@ impl PageTable {
             *live += 1;
             None
         };
+        if prev != Some(pte) {
+            s.set_dirty(rec);
+        }
         s.frames[rec] = pte.frame;
         s.flags[rec] = pte.flags;
         agg.add(pte.flags);
@@ -402,22 +417,27 @@ impl PageTable {
     }
 
     /// Expand a huge-stride slab back into base-page records, relocating
-    /// each head entry to its base-page offset. Rare: only a base-grain
-    /// map landing inside a converted extent needs it, and the replica
-    /// sync that repeats that map's demotion on the mirror.
+    /// each head entry, and its dirty bit, to its base-page offset. Rare:
+    /// only a base-grain map landing inside a converted extent needs it.
     fn demote_slab(&mut self, i: usize) {
         let old = &self.slabs[i];
         debug_assert!(old.stride > 1);
+        let stride = old.stride as usize;
         let mut fresh = Slab::new(old.base, (old.end() - old.base) as usize, 1);
-        for (w, &word) in old.present.iter().enumerate() {
-            let mut bits = word;
+        for (w, (&present, &dirty)) in old.present.iter().zip(&old.dirty).enumerate() {
+            let mut bits = present;
             while bits != 0 {
                 let rec = w * WORD + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let new_rec = rec * old.stride as usize;
-                fresh.set_present(new_rec);
-                fresh.frames[new_rec] = old.frames[rec];
-                fresh.flags[new_rec] = old.flags[rec];
+                fresh.set_present(rec * stride);
+                fresh.frames[rec * stride] = old.frames[rec];
+                fresh.flags[rec * stride] = old.flags[rec];
+            }
+            let mut bits = dirty;
+            while bits != 0 {
+                let rec = w * WORD + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                fresh.set_dirty(rec * stride);
             }
         }
         fresh.live = old.live;
@@ -447,6 +467,7 @@ impl PageTable {
             flags,
         };
         s.clear_present(rec);
+        s.set_dirty(rec);
         s.live -= 1;
         *live -= 1;
         agg.sub(flags);
@@ -479,6 +500,8 @@ impl PageTable {
     /// afterwards; non-head lookups return `None` and non-head maps panic.
     /// Returns `false` (leaving base-page storage in place) when the range
     /// is not huge-alignable or its slab is already populated or shared.
+    /// The converted extent starts with no dirty bits, like a fresh
+    /// reservation.
     pub fn convert_range_to_huge(&mut self, range: PageRange) -> bool {
         if range.is_empty() || !range.pages().is_multiple_of(crate::PAGES_PER_HUGE) {
             return false;
@@ -499,7 +522,8 @@ impl PageTable {
     }
 
     /// Clear the records of slab `i` within `range`, handing each removed
-    /// entry to `sink` in ascending order.
+    /// entry to `sink` in ascending order, and drop the window's dirty
+    /// bits: released records reach the replicas uncharged.
     fn take_window<F: FnMut(u64, Pte)>(&mut self, i: usize, range: PageRange, sink: &mut F) {
         let PageTable {
             slabs,
@@ -510,9 +534,10 @@ impl PageTable {
         } = self;
         let s = &mut slabs[i];
         let (r_lo, r_hi) = s.window(range);
+        s.take_dirty(r_lo, r_hi);
         let mut w = r_lo / WORD;
         while w * WORD < r_hi {
-            let mut bits = s.masked_word(w, r_lo, r_hi);
+            let mut bits = masked(&s.present, w, r_lo, r_hi);
             while bits != 0 {
                 let rec = w * WORD + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -669,7 +694,8 @@ impl PageTable {
     /// Apply `f` to every mapped entry of `range` in ascending vpn order.
     /// The mutable counterpart of [`PageTable::walk_range`]: each present
     /// record is loaded, passed to `f`, and stored back only if it
-    /// changed, with the incremental stats adjusted on the way.
+    /// changed, with the incremental stats adjusted and its dirty bit set
+    /// on the way.
     pub fn update_range<F: FnMut(u64, &mut Pte)>(&mut self, range: PageRange, mut f: F) {
         if range.is_empty() {
             return;
@@ -688,7 +714,7 @@ impl PageTable {
             let (r_lo, r_hi) = s.window(range);
             let mut w = r_lo / WORD;
             while w * WORD < r_hi {
-                let mut bits = s.masked_word(w, r_lo, r_hi);
+                let mut bits = masked(&s.present, w, r_lo, r_hi);
                 while bits != 0 {
                     let rec = w * WORD + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
@@ -704,6 +730,7 @@ impl PageTable {
                     if pte == before {
                         continue;
                     }
+                    s.set_dirty(rec);
                     s.frames[rec] = pte.frame;
                     s.flags[rec] = pte.flags;
                     if pte.flags != flags {
@@ -747,123 +774,38 @@ impl PageTable {
         v
     }
 
-    /// Bring `self` (the replica mirror) up to `primary` over `range`:
-    /// entries present only here are unmapped, entries present only in the
-    /// primary are installed, and entries whose frame, flags or shadow
-    /// differ are overwritten. Returns the number of PTEs written (the
-    /// quantity the cost model charges for).
-    ///
-    /// The address space applies every extent edit to the mirror too, so
-    /// slab *i* here has the geometry of the primary's slab *i*. The one
-    /// geometry change made outside an extent edit, [`PageTable::map`]
-    /// demoting a huge slab, is repeated here before the pair is diffed.
-    /// Each pair is diffed word-parallel: presence XOR picks out installs
-    /// and removals, slice equality over the part of each 64-record block
-    /// inside the window skips clean blocks, and only differing records
-    /// are touched. Bounding the pre-filter by the window keeps a 1-page
-    /// sync O(1) instead of a 64-record compare.
-    pub(crate) fn sync_from(&mut self, primary: &PageTable, range: PageRange) -> u64 {
+    /// Count the records of `range` whose value changed since a previous
+    /// call covered them, and clear their dirty bits: the PTE writes one
+    /// replica takes to catch up with the primary. Window-bounded, so a
+    /// 1-page count touches one bitmap word.
+    pub(crate) fn take_dirty(&mut self, range: PageRange) -> u64 {
         if range.is_empty() {
             return 0;
         }
-        debug_assert_eq!(self.slabs.len(), primary.slabs.len(), "extents diverged");
-        let shadowed = !self.shadows.is_empty() || !primary.shadows.is_empty();
-        // Give our record at `vpn` the primary's shadow, or none.
-        let copy_shadow = |shadows: &mut BTreeMap<u64, FrameId>, vpn: u64| {
-            if shadowed {
-                match probe_shadow(&primary.shadows, vpn) {
-                    Some(f) => shadows.insert(vpn, f),
-                    None => shadows.remove(&vpn),
-                };
+        let start = self.first_slab_from(range.start_vpn);
+        let mut taken = 0;
+        for s in &mut self.slabs[start..] {
+            if s.base >= range.end_vpn {
+                break;
             }
-        };
-        let mut changed = 0u64;
-        let mut i = primary.first_slab_from(range.start_vpn);
-        while i < primary.slabs.len() && primary.slabs[i].base < range.end_vpn {
-            let ps = &primary.slabs[i];
-            if self.slabs[i].stride != ps.stride {
-                self.demote_slab(i);
-            }
-            let PageTable {
-                slabs,
-                live,
-                shadows,
-                agg,
-                ..
-            } = &mut *self;
-            let s = &mut slabs[i];
-            debug_assert_eq!(
-                (s.base, s.stride, s.records()),
-                (ps.base, ps.stride, ps.records()),
-                "slab {i} geometry diverged"
-            );
             let (r_lo, r_hi) = s.window(range);
-            for w in r_lo / WORD..r_hi.div_ceil(WORD) {
-                let lo_bit = w * WORD;
-                let sw = s.masked_word(w, r_lo, r_hi);
-                let pw = ps.masked_word(w, r_lo, r_hi);
-                let (lo, hi) = (lo_bit.max(r_lo), (lo_bit + WORD).min(r_hi));
-                let vpns = s.vpn_of(lo)..s.vpn_of(hi);
-                if sw == pw
-                    && s.frames[lo..hi] == ps.frames[lo..hi]
-                    && s.flags[lo..hi] == ps.flags[lo..hi]
-                    && (!shadowed || shadows.range(vpns.clone()).eq(primary.shadows.range(vpns)))
-                {
-                    continue;
-                }
-                let mut bits = sw & !pw; // replica-only: unmap
-                while bits != 0 {
-                    let rec = lo_bit + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    copy_shadow(shadows, s.vpn_of(rec));
-                    agg.sub(s.flags[rec]);
-                    s.clear_present(rec);
-                    s.live -= 1;
-                    *live -= 1;
-                    changed += 1;
-                }
-                let mut bits = pw & !sw; // primary-only: install
-                while bits != 0 {
-                    let rec = lo_bit + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    s.set_present(rec);
-                    s.frames[rec] = ps.frames[rec];
-                    s.flags[rec] = ps.flags[rec];
-                    copy_shadow(shadows, s.vpn_of(rec));
-                    agg.add(ps.flags[rec]);
-                    s.live += 1;
-                    *live += 1;
-                    changed += 1;
-                }
-                let mut bits = sw & pw; // both present: overwrite if differing
-                while bits != 0 {
-                    let rec = lo_bit + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let vpn = s.vpn_of(rec);
-                    if s.frames[rec] != ps.frames[rec]
-                        || s.flags[rec] != ps.flags[rec]
-                        || (shadowed && shadows.get(&vpn) != primary.shadows.get(&vpn))
-                    {
-                        agg.sub(s.flags[rec]);
-                        agg.add(ps.flags[rec]);
-                        s.frames[rec] = ps.frames[rec];
-                        s.flags[rec] = ps.flags[rec];
-                        copy_shadow(shadows, vpn);
-                        changed += 1;
-                    }
-                }
-            }
-            i += 1;
+            taken += s.take_dirty(r_lo, r_hi);
         }
-        changed
+        taken
+    }
+
+    /// True when no record changed since a [`PageTable::take_dirty`]
+    /// last covered it.
+    pub(crate) fn is_clean(&self) -> bool {
+        self.slabs.iter().flat_map(|s| &s.dirty).all(|&w| w == 0)
     }
 }
 
 /// Write-back guard returned by [`PageTable::get_mut`].
 ///
 /// Derefs to a local copy of the entry; on drop, any change is stored back
-/// into the struct-of-arrays slab and the incremental stats (and the
-/// shadow side map) are adjusted to match.
+/// into the struct-of-arrays slab, the record is marked dirty, and the
+/// incremental stats (and the shadow side map) are adjusted to match.
 #[derive(Debug)]
 pub struct PteRefMut<'a> {
     pt: &'a mut PageTable,
@@ -896,6 +838,7 @@ impl Drop for PteRefMut<'_> {
             let s = &mut self.pt.slabs[self.slab];
             s.frames[self.rec] = self.cur.frame;
             s.flags[self.rec] = self.cur.flags;
+            s.set_dirty(self.rec);
         }
         if self.cur.flags != self.orig.flags {
             self.pt.agg.sub(self.orig.flags);
@@ -950,7 +893,7 @@ impl WalkRange<'_> {
                 self.r_hi = r_hi;
                 self.entered = true;
                 if self.word_idx * WORD < r_hi {
-                    self.cur_word = s.masked_word(self.word_idx, r_lo, r_hi);
+                    self.cur_word = masked(&s.present, self.word_idx, r_lo, r_hi);
                     if self.cur_word != 0 {
                         return true;
                     }
@@ -965,9 +908,9 @@ impl WalkRange<'_> {
                     break;
                 }
                 // Only the first and last words of a window need masking;
-                // interior words are taken whole. `masked_word` with a
+                // interior words are taken whole. `masked` with a
                 // zero-offset lower bound reduces to exactly that.
-                self.cur_word = s.masked_word(self.word_idx, 0, self.r_hi);
+                self.cur_word = masked(&s.present, self.word_idx, 0, self.r_hi);
                 if self.cur_word != 0 {
                     return true;
                 }
@@ -1332,59 +1275,90 @@ mod tests {
         assert!(!pt.convert_range_to_huge(PageRange::new(0, 10)));
     }
 
+    /// A count reads and clears only its window's dirty bits, even inside
+    /// one 64-record block; a record unmapped since its last count is
+    /// dirty until a count or a release covers it.
     #[test]
-    fn sync_from_touches_only_the_window() {
-        let mut primary = PageTable::new();
-        let mut replica = PageTable::new();
-        primary.reserve_range(PageRange::new(0, 128));
-        replica.reserve_range(PageRange::new(0, 128));
+    fn take_dirty_touches_only_the_window() {
+        let mut pt = reserved(0, 128);
+        let all = PageRange::new(0, 128);
         for vpn in 0..64u64 {
-            primary.map(vpn, Pte::present_rw(FrameId(vpn)));
-            replica.map(vpn, Pte::present_rw(FrameId(vpn)));
+            pt.map(vpn, Pte::present_rw(FrameId(vpn)));
         }
-        // Differences in the window's 64-record block, but outside it.
-        replica.get_mut(7).unwrap().frame = FrameId(777);
-        replica.unmap(40);
+        assert_eq!(pt.take_dirty(all), 64, "one install per record");
+        assert!(pt.is_clean());
+        // Writes in the window's 64-record block, but outside it.
+        pt.get_mut(7).unwrap().frame = FrameId(777);
+        pt.unmap(40);
         let window = PageRange::new(5, 6);
-        assert_eq!(replica.sync_from(&primary, window), 0);
-        assert_eq!(replica.get(7).unwrap().frame, FrameId(777));
-        assert!(replica.get(40).is_none());
-        primary.get_mut(5).unwrap().frame = FrameId(555);
-        assert_eq!(replica.sync_from(&primary, window), 1);
-        assert_eq!(replica.get(5).unwrap().frame, FrameId(555));
-        assert_eq!(replica.get(7).unwrap().frame, FrameId(777));
-        assert_stats_consistent(&replica);
+        assert_eq!(pt.take_dirty(window), 0);
+        pt.get_mut(5).unwrap().frame = FrameId(555);
+        assert_eq!(pt.take_dirty(window), 1);
+        assert_eq!(pt.take_dirty(window), 0);
+        assert!(!pt.is_clean());
+        // The overwrite and the removal outside the window are still owed.
+        assert_eq!(pt.take_dirty(all), 2);
+        assert!(pt.is_clean());
+        // A release drops the dirty bits of its window, absent records too.
+        pt.unmap(10);
+        pt.get_mut(11).unwrap().frame = FrameId(1111);
+        release(&mut pt, PageRange::new(0, 20));
+        assert!(pt.is_clean());
+        assert_stats_consistent(&pt);
     }
 
-    /// Shadow frames ride along in the diff: a record whose shadow alone
-    /// differs is one write, and the mirror's side map follows the
-    /// primary's through install, replacement, commit and unmap.
+    /// Shadow edits are writes: a record whose shadow alone changes is
+    /// dirty, through install, replacement, commit and unmap.
     #[test]
-    fn sync_from_carries_shadows() {
-        let mut primary = reserved(0, 128);
+    fn dirty_bits_follow_shadow_edits() {
+        let mut pt = reserved(0, 128);
         for vpn in [3u64, 70] {
-            primary.map(vpn, Pte::present_rw(FrameId(vpn)));
+            pt.map(vpn, Pte::present_rw(FrameId(vpn)));
         }
-        let mut replica = primary.clone();
         let all = PageRange::new(0, 128);
-        primary.get_mut(70).unwrap().set_shadow(FrameId(700));
-        assert_eq!(replica.sync_from(&primary, all), 1);
-        assert_eq!(replica.get(70).unwrap().shadow, Some(FrameId(700)));
-        assert_eq!(replica.sync_from(&primary, all), 0);
+        assert_eq!(pt.take_dirty(all), 2);
+        pt.get_mut(70).unwrap().set_shadow(FrameId(700));
+        assert_eq!(pt.take_dirty(all), 1);
+        assert_eq!(pt.take_dirty(all), 0);
         // A new shadow frame under the same flags is still a write.
-        primary.get_mut(70).unwrap().shadow = Some(FrameId(701));
-        assert_eq!(replica.sync_from(&primary, all), 1);
-        assert_eq!(replica.get(70), primary.get(70));
-        primary.get_mut(70).unwrap().commit_shadow();
-        assert_eq!(replica.sync_from(&primary, all), 1);
-        assert_eq!(replica.get(70), primary.get(70));
-        primary.get_mut(3).unwrap().set_shadow(FrameId(300));
-        primary.unmap(70);
-        assert_eq!(replica.sync_from(&primary, all), 2);
-        assert!(replica.iter().eq(primary.iter()));
-        primary.unmap(3);
-        assert_eq!(replica.sync_from(&primary, all), 1);
-        assert_eq!(replica.stats(), primary.stats());
-        assert_stats_consistent(&replica);
+        pt.get_mut(70).unwrap().shadow = Some(FrameId(701));
+        assert_eq!(pt.take_dirty(all), 1);
+        pt.get_mut(70).unwrap().commit_shadow();
+        assert_eq!(pt.take_dirty(all), 1);
+        pt.get_mut(3).unwrap().set_shadow(FrameId(300));
+        pt.unmap(70);
+        assert_eq!(pt.take_dirty(all), 2);
+        pt.update_range(all, |_, pte| pte.shadow = None);
+        assert_eq!(pt.take_dirty(all), 1, "a shadow dropped by a batch edit");
+        pt.unmap(3);
+        assert_eq!(pt.take_dirty(all), 1);
+        assert_stats_consistent(&pt);
+    }
+
+    /// Demotion moves each head's dirty bit to its base-page record: the
+    /// map that demoted the slab then owes its own record and every head
+    /// not yet counted, no more.
+    #[test]
+    fn demotion_carries_dirty_bits_to_base_records() {
+        let pages = crate::PAGES_PER_HUGE;
+        let mut pt = reserved(0, 2 * pages);
+        assert!(pt.convert_range_to_huge(PageRange::new(0, 2 * pages)));
+        let mut head = Pte::present_rw(FrameId(7));
+        head.flags |= PteFlags::HUGE;
+        pt.map(0, head);
+        pt.map(pages, head);
+        assert_eq!(pt.take_dirty(PageRange::new(0, pages)), 1);
+        pt.map(pages + 3, Pte::present_rw(FrameId(9)));
+        let strides: Vec<u64> = pt.extents().map(|(_, s)| s).collect();
+        assert_eq!(strides, vec![1], "the map demoted the slab");
+        assert_eq!(pt.take_dirty(PageRange::new(0, pages)), 0);
+        assert_eq!(
+            pt.take_dirty(PageRange::new(pages, pages + 1)),
+            1,
+            "the second head kept its bit"
+        );
+        assert_eq!(pt.take_dirty(PageRange::new(0, 2 * pages)), 1);
+        assert!(pt.is_clean());
+        assert_stats_consistent(&pt);
     }
 }

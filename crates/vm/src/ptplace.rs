@@ -13,16 +13,14 @@
 //!   a [`PtPlacement::SingleHome`] node (the Linux default: wherever the
 //!   radix tree happened to be allocated) or [`PtPlacement::Replicated`]
 //!   per-node copies;
-//! * [`PtReplicaSet`] — the per-node replica tables, kept equal to the
-//!   primary by eager write-through (Mitosis' protocol): every PTE update
-//!   is diffed into the replicas at once, slab for slab, by a
-//!   word-parallel, window-bounded bitmap diff over the struct-of-arrays
-//!   PTE slabs. Replicas that receive the same writes are identical, so
-//!   the set stores one mirror table and charges its write count once per
-//!   node. The address space applies every extent edit (reserve, huge
-//!   conversion, release) to the mirror as well, so the mirror always has
-//!   the primary's slab geometry; the diff repeats the one change a map
-//!   makes on its own, demoting a huge slab, and needs no other shape.
+//! * [`PtReplicaSet`] — the per-node replicas, kept equal to the primary
+//!   by eager write-through (Mitosis' protocol): every PTE update is
+//!   written into every replica at once. Walks are charged by placement
+//!   and write-throughs by the number of PTEs written, so no simulated
+//!   walk ever reads a replica's contents, and the set stores none. The
+//!   primary marks each record whose value changes in a per-slab dirty
+//!   bitmap; a write-through over a range is the popcount of the range's
+//!   dirty bits, once per node, and clears them.
 //!
 //! All *timing* (walk latency, sync charges, shootdowns) lives in the
 //! kernel and machine layers; like the rest of `numa-vm` this file only
@@ -52,28 +50,27 @@ pub enum PtSyncMode {
     Eager,
 }
 
-/// Page-table replicas for every node, stored as one mirror table.
+/// Page-table replicas for every node.
 ///
-/// Every replica starts as a clone of the primary and then receives
-/// exactly the same [`PtReplicaSet::propagate`] as every other, so all
-/// per-node replicas are identical by construction. The set therefore
-/// keeps a single mirror standing for all of them and charges each write
-/// once per node: the PTE-write counts equal those of N independent
-/// copies at 1/N of the host work and memory.
+/// Every replica starts as a copy of the primary and then receives
+/// exactly the same [`PtReplicaSet::propagate`] as every other, so a
+/// replica always holds the primary's value of each record as of the last
+/// write-through that covered it. Those records are the ones the primary
+/// has not marked dirty since, so the set needs only the node count: one
+/// write-through writes each dirty record in range once per node.
 #[derive(Debug, Clone)]
 pub struct PtReplicaSet {
     /// Number of replicas (= NUMA nodes).
     nodes: usize,
-    /// The table equal to every node's replica.
-    mirror: PageTable,
 }
 
 impl PtReplicaSet {
     /// Build replicas for `nodes` nodes, each starting as a copy of
-    /// `primary`.
-    pub fn new(nodes: usize, primary: &PageTable) -> Self {
-        let mirror = primary.clone();
-        PtReplicaSet { nodes, mirror }
+    /// `primary`: no record differs from them yet, so every dirty bit of
+    /// the primary is cleared.
+    pub fn new(nodes: usize, primary: &mut PageTable) -> Self {
+        primary.take_dirty(PageRange::new(0, u64::MAX));
+        PtReplicaSet { nodes }
     }
 
     /// Number of replicas (= NUMA nodes).
@@ -81,29 +78,21 @@ impl PtReplicaSet {
         self.nodes
     }
 
-    /// The replica table of `node` (tests and invariant checks).
-    pub fn replica(&self, node: NodeId) -> &PageTable {
-        assert!(node.index() < self.nodes, "no replica on {node}");
-        &self.mirror
-    }
-
-    /// The mirror, for the address space's extent edits.
-    pub(crate) fn mirror_mut(&mut self) -> &mut PageTable {
-        &mut self.mirror
-    }
-
     /// Write an update of the primary over `range` through to every
     /// replica and return the total number of PTEs written across all
-    /// nodes (the quantity the cost model charges for).
-    pub fn propagate(&mut self, primary: &PageTable, range: PageRange) -> u64 {
-        self.nodes as u64 * self.mirror.sync_from(primary, range)
+    /// nodes (the quantity the cost model charges for): the records of
+    /// `range` whose value changed since a write-through last covered
+    /// them, once per node.
+    pub fn propagate(&mut self, primary: &mut PageTable, range: PageRange) -> u64 {
+        self.nodes as u64 * primary.take_dirty(range)
     }
 
-    /// Do the mapped entries of `node`'s replica equal the primary's,
-    /// PTE for PTE? (Lockstep-test support; equality is over the
-    /// mapped-entry sequences.)
+    /// Does `node`'s replica equal the primary, PTE for PTE? True when no
+    /// record of the primary changed since a write-through last covered
+    /// it (lockstep-test support).
     pub fn agrees_with(&self, node: NodeId, primary: &PageTable) -> bool {
-        self.replica(node).iter().eq(primary.iter())
+        assert!(node.index() < self.nodes, "no replica on {node}");
+        primary.is_clean()
     }
 }
 
@@ -114,7 +103,7 @@ mod tests {
     use crate::FrameId;
 
     /// A table reserved over `[0, 192)` with `vpns` mapped: three bitmap
-    /// words, so diffs cross word boundaries.
+    /// words, so counts cross word boundaries.
     fn pt_with(vpns: &[u64]) -> PageTable {
         let mut pt = PageTable::new();
         pt.reserve_range(PageRange::new(0, 192));
@@ -126,37 +115,45 @@ mod tests {
 
     #[test]
     fn sync_installs_removes_and_overwrites() {
-        let mut primary = pt_with(&[1, 64, 65, 130]);
-        let mut replica = pt_with(&[64, 70, 130]);
-        // Make an entry differ in place.
+        let mut primary = pt_with(&[64, 70, 130]);
+        let mut set = PtReplicaSet::new(1, &mut primary);
+        assert!(set.agrees_with(NodeId(0), &primary));
+        primary.map(1, Pte::present_rw(FrameId(1)));
+        primary.map(65, Pte::present_rw(FrameId(65)));
+        primary.unmap(70);
         primary.get_mut(130).unwrap().frame = FrameId(999);
-        let changed = replica.sync_from(&primary, PageRange::new(0, 192));
-        // 70 removed, 1 and 65 installed, 130 overwritten.
-        assert_eq!(changed, 4);
-        assert_eq!(replica.sorted_vpns(), vec![1, 64, 65, 130]);
-        assert_eq!(replica.get(130).unwrap().frame, FrameId(999));
-        let set = PtReplicaSet::new(1, &replica);
+        assert!(!set.agrees_with(NodeId(0), &primary));
+        // 1 and 65 installed, 70 removed, 130 overwritten.
+        assert_eq!(set.propagate(&mut primary, PageRange::new(0, 192)), 4);
         assert!(set.agrees_with(NodeId(0), &primary));
     }
 
     #[test]
     fn sync_is_idempotent() {
-        let primary = pt_with(&[4, 7]);
-        let mut replica = pt_with(&[4, 7]);
-        let changed = replica.sync_from(&primary, PageRange::new(0, 10));
-        assert_eq!(changed, 0, "identical tables need no writes");
+        let mut primary = pt_with(&[4, 7]);
+        let mut set = PtReplicaSet::new(2, &mut primary);
+        assert_eq!(
+            set.propagate(&mut primary, PageRange::new(0, 10)),
+            0,
+            "replicas built from the primary need no writes"
+        );
+        // Rewriting a record with its own value changes nothing.
+        primary.map(4, Pte::present_rw(FrameId(4)));
+        primary.get_mut(7).unwrap().frame = FrameId(7);
+        primary.update_range(PageRange::new(0, 10), |_, _| {});
+        assert_eq!(set.propagate(&mut primary, PageRange::new(0, 10)), 0);
     }
 
     #[test]
     fn eager_propagate_hits_all_nodes() {
         let mut primary = pt_with(&[]);
-        let mut set = PtReplicaSet::new(3, &primary);
+        let mut set = PtReplicaSet::new(3, &mut primary);
         primary.map(8, Pte::present_rw(FrameId(1)));
-        let changed = set.propagate(&primary, PageRange::new(8, 9));
+        let changed = set.propagate(&mut primary, PageRange::new(8, 9));
         assert_eq!(changed, 3, "one write per replica");
         for n in 0..3 {
             assert!(set.agrees_with(NodeId(n), &primary));
         }
-        assert_eq!(set.propagate(&primary, PageRange::new(8, 9)), 0);
+        assert_eq!(set.propagate(&mut primary, PageRange::new(8, 9)), 0);
     }
 }

@@ -85,14 +85,14 @@ impl AddressSpace {
     }
 
     /// Configure page-table placement. With [`PtPlacement::Replicated`],
-    /// one replica per node is built from the current primary table and
-    /// kept in sync by eager write-through (all replicas share one mirror
-    /// table); with [`PtPlacement::SingleHome`] the table is pinned to
-    /// that node and walks from elsewhere pay the distance. `PtSyncMode`
-    /// has the one variant [`PtSyncMode::Eager`].
+    /// one replica per node starts as a copy of the current primary table
+    /// (so no record is dirty) and is kept in sync by eager write-through;
+    /// with [`PtPlacement::SingleHome`] the table is pinned to that node
+    /// and walks from elsewhere pay the distance. `PtSyncMode` has the one
+    /// variant [`PtSyncMode::Eager`].
     pub fn pt_configure(&mut self, placement: PtPlacement, _mode: PtSyncMode, nodes: usize) {
         self.pt_replicas = match placement {
-            PtPlacement::Replicated => Some(PtReplicaSet::new(nodes, &self.page_table)),
+            PtPlacement::Replicated => Some(PtReplicaSet::new(nodes, &mut self.page_table)),
             PtPlacement::SingleHome(_) => None,
         };
         self.pt_placement = Some(placement);
@@ -112,21 +112,15 @@ impl AddressSpace {
     }
 
     /// Record that the primary table changed over `range`: with replicas
-    /// the change is written through to every one and the number of PTEs
-    /// written is returned (the caller charges for them). Without
-    /// replicas this is free and returns 0.
+    /// the records of `range` changed since their last note are written
+    /// through to every replica and the number of PTEs written is
+    /// returned (the caller charges for them). Without replicas this is
+    /// free and returns 0.
     pub fn pt_note_update(&mut self, range: PageRange) -> u64 {
         match self.pt_replicas.as_mut() {
-            Some(replicas) => replicas.propagate(&self.page_table, range),
+            Some(replicas) => replicas.propagate(&mut self.page_table, range),
             None => 0,
         }
-    }
-
-    /// The replica mirror, when replicated. Every extent edit of the
-    /// primary goes to the mirror too, so the two tables' slabs stay
-    /// geometry-aligned and write-through diffs take the fast path.
-    fn pt_mirror(&mut self) -> Option<&mut PageTable> {
-        self.pt_replicas.as_mut().map(PtReplicaSet::mirror_mut)
     }
 
     /// The replica set, when replicated (tests and invariant checks).
@@ -147,9 +141,6 @@ impl AddressSpace {
         // 511 slots per 2 MB would be dead weight. Best-effort — a
         // non-huge-aligned or already-populated extent stays base-grain.
         self.page_table.convert_range_to_huge(range);
-        if let Some(mirror) = self.pt_mirror() {
-            mirror.convert_range_to_huge(range);
-        }
         self.generation += 1;
         Ok(())
     }
@@ -194,11 +185,13 @@ impl AddressSpace {
     /// backing frame into `frames` as its entry is released (ascending vpn
     /// order), and return the number of pages that were mapped.
     ///
-    /// The page tables release the whole gap between the neighbouring
+    /// The page table releases the whole gap between the neighbouring
     /// VMAs, not just this one's range. No PTE lies outside a VMA, so the
     /// gap holds exactly this VMA's entries, and every extent left with no
     /// VMA over it goes: the last piece of a VMA that `mprotect` split
-    /// takes the extent the pieces shared.
+    /// takes the extent the pieces shared. Replicas drop the same entries
+    /// uncharged: the timed `Kernel::munmap` charges only the teardown and
+    /// the shootdown, the same on single-home and replicated spaces.
     pub fn munmap(&mut self, addr: VirtAddr, frames: &mut FrameAllocator) -> Result<u64, VmError> {
         let vpn = addr.vpn();
         let vma = self.vmas.remove(&vpn).ok_or(VmError::NoVma(addr))?;
@@ -218,12 +211,6 @@ impl AddressSpace {
             frames.free(pte.frame);
             pages += 1;
         });
-        // Replicas drop the same extents. That write-through is uncharged:
-        // the timed `Kernel::munmap` charges only the teardown and the
-        // shootdown, the same on single-home and replicated spaces.
-        if let Some(mirror) = self.pt_mirror() {
-            mirror.release_range(gap, |_, _| {});
-        }
         self.generation += 1;
         Ok(pages)
     }
@@ -250,9 +237,6 @@ impl AddressSpace {
         // Pre-size the VMA's dense PTE slab so every later fault is an
         // indexed store, never a structural insertion.
         self.page_table.reserve_range(vma.range);
-        if let Some(mirror) = self.pt_mirror() {
-            mirror.reserve_range(vma.range);
-        }
         self.vmas.insert(vma.range.start_vpn, vma);
         self.generation += 1;
         Ok(())

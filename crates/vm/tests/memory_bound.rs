@@ -7,16 +7,16 @@
 //!   its size).
 //! * `munmap` frees each frame as the page table releases its entry, so
 //!   it allocates nothing that grows with the size of the VMA.
-//! * A replicated space's mirror table shares the primary's extents:
-//!   `munmap` releases the mirror's extent with the primary's, so
-//!   mmap/munmap cycles leave no empty extents behind in it, even when
-//!   `mprotect` split the VMA and each piece is unmapped on its own.
+//! * `munmap` releases a VMA's extent, even when `mprotect` split the VMA
+//!   and each piece is unmapped on its own.
+//! * Replicated page tables store no table of their own: mapping and
+//!   faulting a VMA allocates the same bytes on a replicated space as on
+//!   a single-home one.
 
 use numa_topology::NodeId;
 use numa_vm::{
-    AddressSpace, FrameAllocator, FrameId, MemPolicy, PageRange, PageTable, Protection,
-    PtPlacement, PtSyncMode, Pte, PteFlags, VirtAddr, VmaKind, FRAME_CHUNK, PAGES_PER_HUGE,
-    PAGE_SIZE,
+    AddressSpace, FrameAllocator, FrameId, MemPolicy, PageRange, Protection, PtPlacement,
+    PtSyncMode, Pte, VirtAddr, VmaKind, FRAME_CHUNK, PAGE_SIZE,
 };
 
 #[path = "common/counting_alloc.rs"]
@@ -90,13 +90,6 @@ fn munmap_allocates_nothing_that_grows_with_the_vma() {
     assert_eq!(large.bytes, small.bytes, "{small:?} vs {large:?}");
 }
 
-/// A space with replicated page tables on four nodes.
-fn replicated_space() -> AddressSpace {
-    let mut space = AddressSpace::new();
-    space.pt_configure(PtPlacement::Replicated, PtSyncMode::Eager, 4);
-    space
-}
-
 fn mmap_pages(space: &mut AddressSpace, pages: u64) -> VirtAddr {
     space
         .mmap(
@@ -108,52 +101,39 @@ fn mmap_pages(space: &mut AddressSpace, pages: u64) -> VirtAddr {
         .unwrap()
 }
 
-fn mirror(space: &AddressSpace) -> &PageTable {
-    space.pt_replicas().unwrap().replica(NodeId(0))
-}
-
-/// The mirror's extents, slab count and mapped entries equal the
-/// primary's.
-fn assert_mirror_matches(space: &AddressSpace, when: &str) {
-    let (m, p) = (mirror(space), &space.page_table);
-    let (ms, ps) = (m.stats(), p.stats());
-    assert_eq!(
-        (ms.slabs, ms.mapped),
-        (ps.slabs, ps.mapped),
-        "mirror (slabs, mapped) vs primary {when}"
-    );
-    assert!(m.extents().eq(p.extents()), "mirror extents differ {when}");
+/// Build a space with `placement` on four nodes, map `pages` pages and
+/// fault each one in with its write-through note; return what that
+/// allocated.
+fn populate_allocs(placement: PtPlacement, pages: u64) -> Allocs {
+    let ((), allocs) = measure(|| {
+        let mut space = AddressSpace::new();
+        space.pt_configure(placement, PtSyncMode::Eager, 4);
+        let addr = mmap_pages(&mut space, pages);
+        for vpn in addr.vpn()..addr.vpn() + pages {
+            space.page_table.map(vpn, Pte::present_rw(FrameId(vpn)));
+            space.pt_note_update(PageRange::new(vpn, vpn + 1));
+        }
+        assert_eq!(space.page_table.len() as u64, pages);
+    });
+    allocs
 }
 
 #[test]
-fn replica_mirror_releases_the_extent_of_every_munmap() {
-    const PAGES: u64 = 4096;
-    let mut space = replicated_space();
-    let mut frames = FrameAllocator::new(2, 2 * PAGES);
-    // One mapping stays live across the cycles.
-    let keep = mmap_pages(&mut space, 64);
-    assert_mirror_matches(&space, "after the first mmap");
-    for cycle in 0..20 {
-        let addr = mmap_pages(&mut space, PAGES);
-        assert_mirror_matches(&space, &format!("after mmap {cycle}"));
-        let range = PageRange::new(addr.vpn(), addr.vpn() + PAGES);
-        for vpn in range.iter() {
-            let frame = frames.alloc(NodeId((vpn % 2) as u16)).unwrap();
-            space.page_table.map(vpn, Pte::present_rw(frame));
-        }
-        assert_eq!(space.pt_note_update(range), 4 * PAGES);
-        assert_mirror_matches(&space, &format!("after the faults of cycle {cycle}"));
-        assert_eq!(space.munmap(addr, &mut frames).unwrap(), PAGES);
-        assert_mirror_matches(&space, &format!("after munmap {cycle}"));
-    }
-    assert_eq!(mirror(&space).stats().slabs, 1, "only the kept extent");
-    space.munmap(keep, &mut frames).unwrap();
-    assert_eq!(mirror(&space).stats().slabs, 0);
+fn replicated_page_tables_allocate_what_a_single_home_table_does() {
+    const PAGES: u64 = 10_000;
+    let single = populate_allocs(PtPlacement::SingleHome(NodeId(0)), PAGES);
+    let replicated = populate_allocs(PtPlacement::Replicated, PAGES);
+    assert!(single.bytes > 0, "{single:?}");
+    assert_eq!(
+        replicated.bytes, single.bytes,
+        "{replicated:?} vs {single:?}"
+    );
 }
 
 #[test]
 fn munmap_of_every_piece_of_a_split_vma_releases_its_extent() {
-    let mut space = replicated_space();
+    let mut space = AddressSpace::new();
+    space.pt_configure(PtPlacement::Replicated, PtSyncMode::Eager, 4);
     let mut frames = FrameAllocator::new(2, 64);
     let addr = mmap_pages(&mut space, 10);
     let base = addr.vpn();
@@ -162,17 +142,16 @@ fn munmap_of_every_piece_of_a_split_vma_releases_its_extent() {
         let frame = frames.alloc(NodeId((vpn % 2) as u16)).unwrap();
         space.page_table.map(vpn, Pte::present_rw(frame));
     }
-    space.pt_note_update(range);
+    assert_eq!(space.pt_note_update(range), 4 * 10);
     space
         .mprotect(PageRange::new(base + 3, base + 7), Protection::ReadOnly)
         .unwrap();
     assert_eq!(space.vma_count(), 3);
-    assert_mirror_matches(&space, "after the split");
+    assert_eq!(space.page_table.stats().slabs, 1, "the pieces share one");
     // The middle piece first, so no single munmap covers the extent.
     for (start, pages) in [(base + 3, 4), (base, 3), (base + 7, 3)] {
         let piece = VirtAddr::from_vpn(start);
         assert_eq!(space.munmap(piece, &mut frames).unwrap(), pages);
-        assert_mirror_matches(&space, &format!("after the munmap at {start}"));
     }
     assert_eq!(space.vma_count(), 0);
     assert_eq!(frames.live_total(), 0);
@@ -181,30 +160,6 @@ fn munmap_of_every_piece_of_a_split_vma_releases_its_extent() {
         0,
         "the primary keeps no extent"
     );
-    assert_eq!(
-        mirror(&space).stats().slabs,
-        0,
-        "the mirror keeps no extent"
-    );
-}
-
-#[test]
-fn set_vma_huge_converts_the_mirror_extent_too() {
-    let mut space = replicated_space();
-    let addr = mmap_pages(&mut space, 2 * PAGES_PER_HUGE);
-    space.set_vma_huge(addr).unwrap();
-    assert_mirror_matches(&space, "after set_vma_huge");
-    let strides: Vec<u64> = mirror(&space).extents().map(|(_, s)| s).collect();
-    assert_eq!(strides, vec![PAGES_PER_HUGE], "one huge-stride extent");
-    // A huge fault on the second head writes one record through to each
-    // of the four replicas and leaves the extents alone.
-    let head = addr.vpn() + PAGES_PER_HUGE;
-    let mut pte = Pte::present_rw(FrameId(7));
-    pte.flags |= PteFlags::HUGE;
-    space.page_table.map(head, pte);
-    assert_eq!(
-        space.pt_note_update(PageRange::new(head, head + PAGES_PER_HUGE)),
-        4
-    );
-    assert_mirror_matches(&space, "after a huge fault");
+    let replicas = space.pt_replicas().unwrap();
+    assert!(replicas.agrees_with(NodeId(0), &space.page_table));
 }
